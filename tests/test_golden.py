@@ -1,0 +1,227 @@
+"""Golden values: replay bytes, query answers and optimize results of every family.
+
+The values below were recorded from fixed seeds and streams.  Any change to
+them is a change of behaviour: a sketch that replays different bytes, a
+query that answers differently, or an optimizer that returns a different
+candidate.  Builds and queries go through the CLI (``build`` writes
+``to_bytes()``, ``query`` takes the median over the ``--sketch`` replicas),
+the optimizer through ``optimize_via_sketch``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from hingesketch import cli
+from hingesketch.core import LabeledPoint
+from hingesketch.gen import gen_uniform
+from hingesketch.optimize import optimize_via_sketch
+
+Q_UNIVERSE = [0.5, 1.0, 3.7, 17.25, 40.0, 55.5, 63.9, 80.0]
+Q_UNIT = [-1.5, -0.9, -0.2, 0.0, 0.33, 0.95, 1.0, 1.4]
+HALFPLANES = [("0.6,0.8", 1.0), ("1,0", 0.75), ("-0.28,0.96", 0.6)]
+
+# name: (algorithm, stream, build flags, replicas)
+BUILDS = {
+    "offline1d": ("offline1d", "universe", ["--epsilon", "0.1"], 1),
+    "mult1d": ("mult1d", "universe", ["--epsilon", "0.5", "--W", "64", "--seed", "5"], 1),
+    "mult1d_x3": ("mult1d", "universe", ["--epsilon", "0.5", "--W", "64", "--seed", "9"], 3),
+    "dyn1d": ("dyn1d", "universe", ["--epsilon", "0.3", "--W", "64", "--seed", "6"], 1),
+    "add1d": ("add1d", "unit", ["--epsilon", "0.05"], 1),
+    "add1d_p2": ("add1d", "unit", ["--epsilon", "0.1", "--p", "2"], 1),
+    "add2d": ("add2d", "disk", ["--epsilon", "0.1", "--seed", "7"], 1),
+    "add2d_x3": ("add2d", "disk", ["--epsilon", "0.2", "--seed", "8"], 3),
+}
+
+# name: (family, d, n, lam, epsilon, k)
+OPTIMIZE = {
+    "add1d": ("add1d", 1, 300, 0.5, 0.25, 1),
+    "offline1d": ("offline1d", 1, 300, 0.5, 0.25, 1),
+    "mult1d": ("mult1d", 1, 300, 0.5, 0.4, 1),
+    "dyn1d": ("dyn1d", 1, 300, 0.5, 0.25, 3),
+    "add2d": ("add2d", 2, 300, 2.0, 0.5, 3),
+}
+
+BENCH_ARGV = ["bench", "--algorithms", "offline1d,mult1d,dyn1d,add1d,add2d,pegasos",
+              "--epsilons", "0.2", "--n", "600", "--seeds", "1"]
+
+GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f8fcbc03bc4be4d7751af'],
+                         [0.0,
+                          0.0,
+                          229.29319437087236,
+                          7946.658227510849,
+                          46764.750071723865,
+                          92718.22963003529,
+                          124041.96460795081,
+                          188313.1646079508]),
+           'mult1d': (['3c1a4597393338e76c057f9c402feaff8f274b45e29a73d00386c59f0f2ca8b0'],
+                      [0.0,
+                       0.0,
+                       229.59897092501677,
+                       8320.941958663609,
+                       47007.15378265225,
+                       84866.5847758391,
+                       124630.2500872466,
+                       181833.33809859332]),
+           'mult1d_x3': (['22a8a2812dcab30bceee9489bbb181436ccd6c17f94a024fb8ab6dbfd82e1fd2',
+                          '0dcbb7e11c8fd26fe9e1aa1f5b642a1b4a255af7bf9b543642ca5e8da3891bb4',
+                          '9aeb8dd7ea19f52d2d243bbb2a558243c958660544aee86401c4988a99097ed6'],
+                         [0.0,
+                          0.0,
+                          229.59897092501677,
+                          8019.506965008971,
+                          54940.03001630202,
+                          125378.84685045302,
+                          145621.08253790793,
+                          223625.59253498522]),
+           'dyn1d': (['934e2dac9e99544bce99b60d7d39d682283808ede04e227acb42cc0683209fff'],
+                     [0.0,
+                      0.0,
+                      229.59897092501677,
+                      7938.739437411747,
+                      40523.90054059124,
+                      86145.59369172237,
+                      107245.91458613596,
+                      147688.19630042865]),
+           'add1d': (['4335d1d1d3520b3851c5575bcf5c46d19c9db1ea3e68bd78e5bd91c618a8bef1'],
+                     [0.0,
+                      0.0023346892607310076,
+                      0.1636330934380358,
+                      0.25468283677164444,
+                      0.4490199330638429,
+                      0.9567922395110262,
+                      1.0061239527456112,
+                      1.406123952745611]),
+           'add1d_p2': (['34998be12ac911ff979e32ae3398ab9d761470baa2a20f1bac5136ff77ea58f3'],
+                        [0.0,
+                         0.0,
+                         0.08824248906980094,
+                         0.17135130965573325,
+                         0.40042487744443894,
+                         1.251627659564261,
+                         1.3510443401479761,
+                         2.315943502344465]),
+           'add2d': (['e3bbdb146fd588c2ab76e1c8e72cbbc5fa97d29255b07889d5374a020efc3a93'],
+                     [0.04581976386225638, 0.07734767696023101, 0.1333023670490038]),
+           'add2d_x3': (['e5e026b55da63181b34ee7708dd0f172c9fa2943c343969a7124d3c020a5a446',
+                         '7253a3c8d15412a575470ee5767460466cbf4526e7624651d9646f1a940da003',
+                         '2233b383e032956769120e890547c94785ca2f1e5f91d320c92d4d8d94ffe1ba'],
+                        [0.05143721758036846,
+                         0.06902595150660158,
+                         0.12684098277904837])},
+ 'optimize': {'add1d': ([0.625], -0.25, 0.8996581130998272, 797),
+              'offline1d': ([0.5], -0.25, 0.8800163823011332, 797),
+              'mult1d': ([0.6000000000000001], -0.2, 0.9002551219091677, 317),
+              'dyn1d': ([0.625], -0.25, 0.8996581130998274, 797),
+              'add2d': ([0.17677669529663687, 0.17677669529663687],
+                        0.0,
+                        0.9836353387397022,
+                        751)},
+ 'bench': ['algorithm,epsilon,p,space_words,mean_rel_err,p95_err,max_err,success_rate',
+           'offline1d,0.2,1,96,0.00809607,0.0254495,0.0321698,1.0000',
+           'mult1d,0.2,1,2424,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
+           'dyn1d,0.2,1,608,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
+           'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
+           'add2d,0.2,1,160,0.00555126,0.0458804,0.061628,1.0000',
+           'pegasos,0.2,1,108,0.0202948,0.0202948,0.0202948,1.0000']}
+
+
+def _write_streams(tmp_path):
+    rng = np.random.default_rng(20200707)
+    universe = rng.uniform(1.0, 64.0, 4000)
+    unit = rng.uniform(-1.0, 1.0, 4000)
+    disk = np.array([p.x for p in gen_uniform(3000, 2, seed=11)])
+    paths = {}
+    for name, rows in (("universe", universe[:, None]), ("unit", unit[:, None]),
+                       ("disk", disk)):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("".join("1," + ",".join(repr(v) for v in row) + "\n"
+                                for row in rows.tolist()))
+        paths[name] = str(path)
+    return paths
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+def _queries(stream):
+    if stream == "disk":
+        return [[f"--theta={theta}", f"--b={b}"] for theta, b in HALFPLANES]
+    qs = Q_UNIVERSE if stream == "universe" else Q_UNIT
+    return [[f"--q={q}" for q in qs]]
+
+
+def build_and_query(tmp_path):
+    """sha256 of every written sketch file and the answers of ``query``."""
+    streams = _write_streams(tmp_path)
+    got = {}
+    for name, (algorithm, stream, flags, replicas) in BUILDS.items():
+        out = str(tmp_path / name)
+        _cli("build", "--algorithm", algorithm, "--input", streams[stream],
+             "--max-norm", "100", "--replicas", str(replicas), "--out", out, *flags)
+        files = [out] if replicas == 1 else [f"{out}.{i}" for i in range(replicas)]
+        shas = [hashlib.sha256(open(f, "rb").read()).hexdigest() for f in files]
+        sketch_args = sum((["--sketch", f] for f in files), [])
+        answers = []
+        for query in _queries(stream):
+            text = _cli("query", *sketch_args, *query)
+            answers.extend(json.loads(line)["estimate"] for line in text.splitlines())
+        got[name] = (shas, answers)
+    return got
+
+
+def _separable_with_noise(n, d):
+    """Points labelled by the side of x_1 + ... + x_d = 0.2, 15% of labels flipped."""
+    rng = np.random.default_rng(31 + d)
+    pts = [p.x for p in gen_uniform(n, d, seed=17, low=-1.0, high=1.0)]
+    flip = rng.uniform(size=n) < 0.15
+    return [LabeledPoint(x, (1 if sum(x) > 0.2 else -1) * (-1 if f else 1))
+            for x, f in zip(pts, flip.tolist())]
+
+
+def optimize_results():
+    got = {}
+    for name, (family, d, n, lam, eps, k) in OPTIMIZE.items():
+        res = optimize_via_sketch(_separable_with_noise(n, d), lam, eps, family=family,
+                                  k=k, seed=3)
+        got[name] = ([float(v) for v in res.theta], res.b, res.value, res.grid_size)
+    return got
+
+
+def bench_columns():
+    """``bench`` rows without the two timing columns."""
+    text = _cli(*BENCH_ARGV)
+    return [",".join(row.split(",")[:-2]) for row in text.strip().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    return build_and_query(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_replay_bytes_and_answers(built, name):
+    shas, answers = built[name]
+    want_shas, want_answers = GOLDEN["build"][name]
+    assert shas == want_shas
+    assert_array_equal(np.array(answers), np.array(want_answers))
+
+
+def test_optimize_results():
+    got = optimize_results()
+    for name, want in GOLDEN["optimize"].items():
+        assert got[name] == want, name
+
+
+def test_bench_columns():
+    assert bench_columns() == GOLDEN["bench"]
