@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from . import serialize
+from .core import python_rows
 from .serialize import Reader, Writer
 
 # Node-count constant: measured node count stays below
@@ -53,7 +54,7 @@ class Tree1D:
     eps^(1/3) for p=2), the split quota (the same fraction of n_declared),
     and the depth cap (3*log2(1/eps), below which intervals are too small to
     matter).  n_declared must be supplied up front because the split quota
-    depends on it; see GrowingTree1D for unknown-length streams.
+    depends on it.
     """
 
     def __init__(
@@ -76,6 +77,7 @@ class Tree1D:
         self.lo = float(lo)
         self.hi = float(hi)
         frac = math.sqrt(eps_struct) if p == 1 else eps_struct ** (1.0 / 3.0)
+        self.split_threshold = max(1, math.ceil(frac * self.n_declared))
         width = self.hi - self.lo
         # leaves of width ~frac, rounded to the nearest power-of-two partition
         self.init_depth = max(0, round(math.log2(width / frac)))
@@ -88,11 +90,6 @@ class Tree1D:
         ]
         self.count = 0
         self._flat: tuple[np.ndarray, ...] | None = None
-
-    @property
-    def split_threshold(self) -> int:
-        frac = math.sqrt(self.eps_struct) if self.p == 1 else self.eps_struct ** (1.0 / 3.0)
-        return max(1, math.ceil(frac * self.n_declared))
 
     def update(self, x: float) -> None:
         if not (self.lo <= x <= self.hi):
@@ -116,6 +113,16 @@ class Tree1D:
         if self.p == 2:
             node.s2 += d * d
         self.count += 1
+
+    def update_many(self, xs: np.ndarray) -> None:
+        for x in python_rows(np.asarray(xs, dtype=float)):
+            self.update(x)
+
+    def freeze(self) -> None:
+        """Nothing to do: queries read the counters as they stand."""
+
+    def replica_key(self) -> tuple:
+        return (self.eps_struct, self.n_declared, self.p, self.lo, self.hi)
 
     def _walk(self):
         stack = list(self.roots)
@@ -234,6 +241,7 @@ class Tree1D:
 
         for root in tree.roots:
             read(root)
+        r.done()
         return tree
 
 
@@ -244,25 +252,3 @@ def additive_tree_1d(
     tree = Tree1D(epsilon / kappa_log(epsilon), n_declared, p=p, lo=lo, hi=hi)
     return tree
 
-
-class GrowingTree1D:
-    """Doubling wrapper for streams of undeclared length.
-
-    Starts from an initial guess and doubles the declared length whenever the
-    stream exceeds twice the current declaration; nothing is replayed, so
-    nodes split under an old quota keep their old counters.  This inflates
-    the additive error by a constant factor (at most 2x on the affected
-    levels) relative to a correctly declared tree.
-    """
-
-    def __init__(self, epsilon: float, p: int = 1, initial_guess: int = 1024,
-                 lo: float = -1.0, hi: float = 1.0):
-        self.tree = additive_tree_1d(epsilon, initial_guess, p=p, lo=lo, hi=hi)
-
-    def update(self, x: float) -> None:
-        if self.tree.count >= 2 * self.tree.n_declared:
-            self.tree.n_declared *= 2
-        self.tree.update(x)
-
-    def __getattr__(self, name):
-        return getattr(self.tree, name)

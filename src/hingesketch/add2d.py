@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .core import python_rows
 from .sampler import Reservoir1, derive_seed
 from . import serialize
 from .serialize import Reader, Writer
@@ -137,12 +138,36 @@ class QuadTree2D:
         per = WORDS_PER_NODE_P2 if self.p == 2 else WORDS_PER_NODE_P1
         return self.node_count() * per
 
+    def update_many(self, pts: np.ndarray) -> None:
+        """Insert an (n, 2) array of points of the unit square."""
+        for x, y in python_rows(np.asarray(pts, dtype=float)):
+            self.update(x, y)
+
+    def freeze(self) -> None:
+        """Nothing to do: queries read the counters as they stand."""
+
+    def replica_key(self) -> tuple:
+        return (self.eps_struct, self.n_declared, self.p)
+
     def query(self, theta, b: float) -> float:
         """Mean p-th power hinge distance to the halfplane theta.x <= b.
 
         ``theta`` must be unit-norm; shorter vectors are normalized together
         with b (same geometry), the zero vector is rejected.
         """
+        return self._scan(theta, b)[0]
+
+    def query_many(self, qs: np.ndarray) -> np.ndarray:
+        """``query`` for each row (theta_x, theta_y, b) of an (m, 3) array."""
+        return np.array([self.query((tx, ty), b)
+                         for tx, ty, b in np.asarray(qs, dtype=float).tolist()])
+
+    def crossing_cells(self, theta, b: float) -> int:
+        """Number of nonempty cells crossing the line (diagnostic)."""
+        return self._scan(theta, b)[1]
+
+    def _scan(self, theta, b: float) -> tuple[float, int]:
+        """The estimate of ``query`` and the number of cells it sampled."""
         tx, ty = float(theta[0]), float(theta[1])
         norm = math.hypot(tx, ty)
         if norm < 1e-300:
@@ -152,8 +177,9 @@ class QuadTree2D:
         if abs(norm - 1.0) > 1e-12:
             tx, ty, b = tx / norm, ty / norm, b / norm
         if self.count == 0:
-            return 0.0
+            return 0.0, 0
         total = 0.0
+        crossing = 0
         for node in self._walk():
             if node.c == 0:
                 continue
@@ -180,28 +206,11 @@ class QuadTree2D:
             elif cmin >= b and cmax > b:  # entirely outside
                 continue
             else:  # crossing: reservoir estimate
+                crossing += 1
                 rx, ry = node.res.sample
                 dist = max(0.0, b - (tx * rx + ty * ry))
                 total += node.c * dist**self.p
-        return total / self.count
-
-    def crossing_cells(self, theta, b: float) -> int:
-        """Number of nonempty cells crossing the line (diagnostic)."""
-        tx, ty = float(theta[0]), float(theta[1])
-        n = 0
-        for node in self._walk():
-            if node.c == 0:
-                continue
-            s = node.size
-            corners = [
-                tx * node.x0 + ty * node.y0,
-                tx * (node.x0 + s) + ty * node.y0,
-                tx * node.x0 + ty * (node.y0 + s),
-                tx * (node.x0 + s) + ty * (node.y0 + s),
-            ]
-            if not (max(corners) <= b or min(corners) >= b):
-                n += 1
-        return n
+        return total / self.count, crossing
 
     # -- serialization ------------------------------------------------------
 
@@ -275,6 +284,7 @@ class QuadTree2D:
 
         for root in tree.roots:
             read(root)
+        r.done()
         return tree
 
 

@@ -18,11 +18,12 @@ import time
 
 import numpy as np
 
-from . import add1d, add2d, dyn1d, gen, mult1d, optimize, serialize
+from . import add1d, add2d, dyn1d, families, gen, mult1d, optimize, serialize
 from .core import (
     LabeledPoint,
     SketchParams,
     distance_sums_1d,
+    exact_optimize,
     hinge_objective,
     HyperplaneQuery,
 )
@@ -32,7 +33,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
 
-ALGORITHMS = ("offline1d", "mult1d", "dyn1d", "add1d", "add2d", "pegasos")
+ALGORITHMS = (*families.FAMILIES, "pegasos")
 
 
 class ConfigError(ValueError):
@@ -226,46 +227,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _build_sketch(algorithm: str, points, args):
-    xs = [p.x[0] for p in points]
-    if algorithm == "offline1d":
-        return mult1d.OfflineSketch1D.build(np.sort(np.asarray(xs)), args.epsilon)
-    if algorithm == "mult1d":
-        params = SketchParams(
-            epsilon=args.epsilon, W=args.W, n_hint=args.n_hint or max(len(points), 1),
-            seed=args.seed,
-        )
-        sk = mult1d.MultStream1D(params)
-        sk.update_many(np.asarray(xs))
-        sk.freeze()
-        return sk
-    if algorithm == "dyn1d":
-        params = SketchParams(
-            epsilon=args.epsilon, W=args.W, n_hint=args.n_hint or max(len(points), 1),
-            seed=args.seed,
-        )
-        sk = dyn1d.DynSketch1D(params)
-        for x in xs:
-            sk.update(x)
-        sk.freeze()
-        return sk
-    if algorithm == "add1d":
-        tree = add1d.additive_tree_1d(
-            args.epsilon, args.n_hint or max(len(points), 1), p=args.p
-        )
-        for x in xs:
-            tree.update(x)
-        return tree
-    if algorithm == "add2d":
-        tree = add2d.additive_quadtree(
-            args.epsilon, args.n_hint or max(len(points), 1), p=args.p, seed=args.seed
-        )
-        for pt in points:
-            tree.update((pt.x[0] + 1.0) / 2.0, (pt.x[1] + 1.0) / 2.0)
-        return tree
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def cmd_build(args) -> int:
     points, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
                             max_norm=args.max_norm)
@@ -273,81 +234,71 @@ def cmd_build(args) -> int:
         _err("data", e)
     if not points:
         raise DataError("no valid points in stream")
+    fam = families.FAMILIES[args.algorithm]
     d = points[0].dim
-    need = 2 if args.algorithm == "add2d" else 1
-    if d != need:
-        raise ConfigError(f"{args.algorithm} requires d={need}, stream has d={d}")
+    if d != fam.dim:
+        raise ConfigError(f"{args.algorithm} requires d={fam.dim}, stream has d={d}")
+    stream = np.fromiter((p.x for p in points), np.dtype((float, d)), len(points))
+    if d == 1:
+        stream = stream.reshape(-1)
+    else:  # d=2 families read the unit square: map the unit ball onto it, in place
+        stream += 1.0
+        stream /= 2.0
+    rec = {"written": args.out, "algorithm": args.algorithm, "points": len(points)}
+    builds = [(args.out, args.seed)]
     if args.replicas > 1:
         # repeat-and-median boosting: independent replica per derived seed,
         # queried together via repeated --sketch flags
-        base_seed = args.seed
-        written = []
-        for i in range(args.replicas):
-            args.seed = int(np.uint64(base_seed) + np.uint64(i))
-            sk = _build_sketch(args.algorithm, points, args)
-            path = f"{args.out}.{i}"
-            with open(path, "wb") as f:
-                f.write(sk.to_bytes())
-            written.append(path)
-        args.seed = base_seed
-        print(json.dumps({"written": written, "algorithm": args.algorithm,
-                          "points": len(points), "replicas": args.replicas}))
-        return EXIT_OK
-    sk = _build_sketch(args.algorithm, points, args)
-    with open(args.out, "wb") as f:
-        f.write(sk.to_bytes())
-    space = sk.space_words() if hasattr(sk, "space_words") else len(sk)
-    print(json.dumps({"written": args.out, "algorithm": args.algorithm,
-                      "points": len(points), "space_words": int(space)}))
+        builds = [(f"{args.out}.{i}", int(np.uint64(args.seed) + np.uint64(i)))
+                  for i in range(args.replicas)]
+        rec.update(written=[path for path, _ in builds], replicas=args.replicas)
+    for path, seed in builds:
+        sk = fam.make(args.epsilon, args.n_hint or len(points), seed, args.p, args.W)
+        sk.update_many(stream)
+        sk.freeze()
+        with open(path, "wb") as f:
+            f.write(sk.to_bytes())
+    if args.replicas <= 1:
+        rec["space_words"] = int(sk.space_words())
+    print(json.dumps(rec))
     return EXIT_OK
 
 
 def load_sketch(path: str):
+    """Decode a sketch file of any family; a malformed file is a DataError."""
     with open(path, "rb") as f:
         data = f.read()
-    magic = data[:4]
-    if magic == serialize.MAGIC_MULT1D:
-        return mult1d.MultStream1D.from_bytes(data)
-    if magic == serialize.MAGIC_DYN1D:
-        return dyn1d.DynSketch1D.from_bytes(data)
-    if magic == serialize.MAGIC_BINTREE:
-        return add1d.Tree1D.from_bytes(data)
-    if magic == serialize.MAGIC_QUADTREE:
-        return add2d.QuadTree2D.from_bytes(data)
-    if magic == serialize.MAGIC_OFFLINE1D:
-        return mult1d.OfflineSketch1D.from_bytes(data)
-    raise DataError(f"unrecognized sketch magic {magic!r}")
-
-
-def _single_estimate(sk, q=None, theta=None, b=None) -> float:
-    if isinstance(sk, add2d.QuadTree2D):
-        return sk.query(theta, b)
-    if isinstance(sk, mult1d.MultStream1D):
-        return sk.query(q)[0]
-    return float(sk.query(q))
+    fam = families.BY_MAGIC.get(data[:4])
+    if fam is None:
+        raise DataError(f"unrecognized sketch magic {data[:4]!r}")
+    try:
+        return fam.cls.from_bytes(data)
+    except ValueError as e:  # FormatError, or header values that fail the constructor's checks
+        raise DataError(f"{path}: {e}") from e
 
 
 def cmd_query(args) -> int:
     sketches = [load_sketch(path) for path in args.sketch]
-    if len(sketches) % 2 == 0:
-        raise ConfigError("repeat-and-median needs an odd number of --sketch files")
-    sk0 = sketches[0]
-    out = []
-    if isinstance(sk0, add2d.QuadTree2D):
+    if len({(type(sk), sk.replica_key()) for sk in sketches}) > 1:
+        raise ConfigError("--sketch files must be replicas of one sketch: "
+                          "same family and parameters, differing only in seed")
+    fam = families.of(sketches[0])
+    if fam.dim == 2:
         if args.theta is None or args.b is None:
-            raise ConfigError("add2d queries need --theta tx,ty and --b")
-        theta = tuple(float(v) for v in args.theta.split(","))
-        vals = sorted(_single_estimate(sk, theta=theta, b=args.b) for sk in sketches)
-        out.append({"theta": list(theta), "b": args.b,
-                    "estimate": vals[len(vals) // 2], "replicas": len(sketches)})
+            raise ConfigError(f"{fam.name} queries need --theta tx,ty and --b")
+        theta = [float(v) for v in args.theta.split(",")]
+        if len(theta) != 2:
+            raise ConfigError("--theta takes two components tx,ty")
+        qs = np.array([[*theta, args.b]])
+        out = [{"theta": theta, "b": args.b}]
     else:
         if not args.q:
             raise ConfigError("scalar queries need at least one --q")
-        for q in args.q:
-            vals = sorted(_single_estimate(sk, q=q) for sk in sketches)
-            out.append({"q": q, "estimate": vals[len(vals) // 2],
-                        "replicas": len(sketches)})
-    for rec in out:
+        qs = np.array(args.q)
+        out = [{"q": q} for q in args.q]
+    estimates = optimize.median_estimate(np.stack([sk.query_many(qs) for sk in sketches]))
+    for rec, est in zip(out, estimates.tolist()):
+        rec.update(estimate=est, replicas=len(sketches))
         print(json.dumps(rec))
     return EXIT_OK
 
@@ -385,6 +336,39 @@ BENCH_HEADER = (
 )
 
 
+# universe [1, W] of the multiplicative families in the bench
+BENCH_W = 2**16
+
+
+def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
+    """(stream, queries, exact answers, map from query_many's output to them).
+
+    d=1: distance sums at 50 points q of [0, 1] over n uniform values; d=2:
+    mean distances to 20 random halfplanes over n points of the unit disk.
+    """
+    pts = np.array([pp.x for pp in gen.gen_uniform(n, fam.dim, seed=seed)])
+    qrng = np.random.default_rng(seed + 777)
+    if fam.dim == 2:
+        rows, exact = [], []
+        for _ in range(20):
+            ang = qrng.uniform(0, 2 * math.pi)
+            b = qrng.uniform(-1.5, 1.5)
+            theta = (math.cos(ang), math.sin(ang))
+            # the same halfplane in the coordinates of the unit square
+            rows.append((*theta, (b + theta[0] + theta[1]) / 2.0))
+            exact.append(float(np.mean(np.maximum(0.0, b - pts @ np.array(theta)) ** p)))
+        return (pts + 1.0) / 2.0, np.array(rows), np.array(exact), lambda est: 2.0 * est
+    xs = pts[:, 0]
+    qs = qrng.uniform(0.0, 1.0, 50)
+    exact = distance_sums_1d(xs, qs, p=p)
+    if fam.universe:
+        return (1.0 + xs * (BENCH_W - 1), 1.0 + qs * (BENCH_W - 1), exact,
+                lambda est: est / (BENCH_W - 1))
+    if fam.normalized:
+        return xs, qs, exact, lambda est: est * n
+    return xs, qs, exact, lambda est: est
+
+
 def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
     rows = []
     for algorithm in algorithms:
@@ -396,30 +380,6 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
             succ = []
             for s in range(seeds):
                 seed = seed0 + s
-                if algorithm == "add2d":
-                    pts = gen.gen_uniform(n, 2, seed=seed)
-                    arr = np.array([pp.x for pp in pts])
-                    target = eps
-                    t0 = time.perf_counter_ns()
-                    tree = add2d.additive_quadtree(eps, n, p=p, seed=seed)
-                    for pp in pts:
-                        tree.update((pp.x[0] + 1) / 2, (pp.x[1] + 1) / 2)
-                    build_ns += time.perf_counter_ns() - t0
-                    space = max(space, tree.space_words())
-                    qrng = np.random.default_rng(seed + 777)
-                    t0 = time.perf_counter_ns()
-                    for _ in range(20):
-                        ang = qrng.uniform(0, 2 * math.pi)
-                        b = qrng.uniform(-1.5, 1.5)
-                        theta = (math.cos(ang), math.sin(ang))
-                        # query the mapped tree in ball coordinates
-                        b2 = (b + theta[0] + theta[1]) / 2.0
-                        est = 2.0 * tree.query(theta, b2)
-                        oracle = float(np.mean(np.maximum(0.0, b - arr @ np.array(theta)) ** p))
-                        errs.append(abs(est - oracle))
-                        succ.append(abs(est - oracle) <= eps)
-                    query_ns += time.perf_counter_ns() - t0
-                    continue
                 if algorithm == "pegasos":
                     lam = 0.1
                     pts = gen.gen_uniform(n, 1, seed=seed, low=-1.0, high=1.0,
@@ -428,72 +388,30 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
                     theta, b = optimize.sgd_baseline(pts, lam, eps, seed=seed)
                     build_ns += time.perf_counter_ns() - t0
                     space = optimize.sgd_space_words(lam, eps, 1)
-                    from .core import exact_optimize
-
                     opt = exact_optimize(pts, lam, tol=1e-6)
                     val = hinge_objective(pts, HyperplaneQuery(theta, b), lam)
                     errs.append(max(0.0, val - opt.value))
                     succ.append(val - opt.value <= eps)
                     continue
-                pts = gen.gen_uniform(n, 1, seed=seed)
-                xs = np.array([pp.x[0] for pp in pts])
-                qrng = np.random.default_rng(seed + 777)
-                qs = qrng.uniform(0.0, 1.0, 50)
-                oracle = distance_sums_1d(xs, qs, p=p)
-                if algorithm == "offline1d":
-                    t0 = time.perf_counter_ns()
-                    sk = mult1d.OfflineSketch1D.build(np.sort(xs), eps)
-                    build_ns += time.perf_counter_ns() - t0
-                    space = max(space, 3 * len(sk))
-                    t0 = time.perf_counter_ns()
-                    ests = sk.query_many(qs)
-                    query_ns += time.perf_counter_ns() - t0
-                    rel = np.abs(ests - oracle) / np.maximum(oracle, 1e-300)
-                    rel[oracle == 0] = 0.0
-                    errs.extend(rel)
-                    succ.extend(rel <= eps)
-                elif algorithm in ("mult1d", "dyn1d"):
-                    W = 2**16
-                    u = 1.0 + xs * (W - 1)
-                    params = SketchParams(epsilon=eps, W=W, n_hint=n, seed=seed)
-                    t0 = time.perf_counter_ns()
-                    if algorithm == "mult1d":
-                        sk = mult1d.MultStream1D(params)
-                        sk.update_many(u)
-                    else:
-                        sk = dyn1d.DynSketch1D(params)
-                        for x in u:
-                            sk.update(float(x))
-                    sk.freeze()
-                    build_ns += time.perf_counter_ns() - t0
-                    space = max(space, sk.space_words())
-                    t0 = time.perf_counter_ns()
-                    kappa = mult1d.KAPPA if algorithm == "mult1d" else dyn1d.KAPPA_QUERY
-                    for qi, q in enumerate(1.0 + qs * (W - 1)):
-                        est = sk.query(q)
-                        if algorithm == "mult1d":
-                            est = est[0]
-                        est /= W - 1
-                        ex = oracle[qi]
-                        rel = abs(est - ex) / ex if ex > 0 else 0.0
-                        errs.append(rel)
-                        succ.append(rel <= kappa * eps)
-                    query_ns += time.perf_counter_ns() - t0
-                elif algorithm == "add1d":
-                    t0 = time.perf_counter_ns()
-                    tree = add1d.additive_tree_1d(eps, n, p=p)
-                    for x in xs:
-                        tree.update(float(x))
-                    build_ns += time.perf_counter_ns() - t0
-                    space = max(space, tree.space_words())
-                    t0 = time.perf_counter_ns()
-                    ests = tree.query_many(qs) * len(xs)
-                    query_ns += time.perf_counter_ns() - t0
-                    add_err = np.abs(ests - oracle) / len(xs)
-                    errs.extend(add_err)
-                    succ.extend(add_err <= eps)
+                fam = families.FAMILIES[algorithm]
+                stream, qs, exact, answer = _bench_workload(fam, n, seed, p)
+                t0 = time.perf_counter_ns()
+                sk = fam.make(eps, n, seed, p, BENCH_W)
+                sk.update_many(stream)
+                sk.freeze()
+                build_ns += time.perf_counter_ns() - t0
+                space = max(space, sk.space_words())
+                t0 = time.perf_counter_ns()
+                est = answer(sk.query_many(qs))
+                query_ns += time.perf_counter_ns() - t0
+                if fam.normalized:
+                    # additive error of the mean; d=1 answers are sums over n points
+                    err = np.abs(est - exact) / (n if fam.dim == 1 else 1)
                 else:
-                    raise ConfigError(f"unknown algorithm {algorithm!r}")
+                    err = np.abs(est - exact) / np.maximum(exact, 1e-300)
+                    err[exact == 0] = 0.0
+                errs.extend(err)
+                succ.extend(err <= fam.kappa * eps)
             errs_a = np.asarray(errs, dtype=float)
             rows.append(
                 f"{algorithm},{eps},{p},{space},{errs_a.mean():.6g},"
@@ -679,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--input", required=True)
     o.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     o.add_argument("--epsilon", type=float, required=True)
-    o.add_argument("--replicas", type=int, default=None)
+    o.add_argument("--replicas", type=int, default=1)
     o.set_defaults(fn=cmd_optimize)
 
     be = sub.add_parser("bench", help="space/error/runtime table (CSV)")
@@ -716,12 +634,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         _err("config", str(e))
         return EXIT_CONFIG
+    except DataError as e:  # before ValueError, which it subclasses
+        _err("data", str(e))
+        return EXIT_DATA
     except (optimize.GridBudgetError, ValueError) as e:
         _err("config", str(e))
         return EXIT_CONFIG
-    except DataError as e:
-        _err("data", str(e))
-        return EXIT_DATA
     except OSError as e:
         _err("data", str(e))
         return EXIT_DATA

@@ -6,6 +6,7 @@ modules are tested against these functions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -22,6 +23,10 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
+
+
+class UnfrozenSketchError(RuntimeError):
+    """A sketch was queried before freeze(), or updated after it."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class SketchParams:
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
 
+    def replica_key(self) -> tuple:
+        """Every field but the seed: replicas of one sketch differ only in their seeds."""
+        return dataclasses.astuple(dataclasses.replace(self, seed=0))
+
     @property
     def log2_w(self) -> float:
         return math.log2(self.W)
@@ -199,6 +208,13 @@ def simplified_objective(points, q, p: int = 1) -> float:
     return float(np.mean(np.maximum(0.0, b - proj) ** p))
 
 
+def python_rows(a: np.ndarray):
+    """Rows of ``a`` as Python floats (or lists of them), converted 4096 rows at
+    a time so that a long stream never exists whole as Python objects."""
+    for i in range(0, len(a), 4096):
+        yield from a[i : i + 4096].tolist()
+
+
 def distance_sums_1d(xs: np.ndarray, qs: np.ndarray, p: int = 1) -> np.ndarray:
     """Vectorized unnormalized oracle: sum_i max{0, q - x_i}^p per query.
 
@@ -212,15 +228,6 @@ def distance_sums_1d(xs: np.ndarray, qs: np.ndarray, p: int = 1) -> np.ndarray:
         return cnt * qs - pre[cnt]
     pre2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
     return cnt * qs * qs - 2.0 * qs * pre[cnt] + pre2[cnt]
-
-
-def halfplane_distance_mean(
-    pts: np.ndarray, theta: np.ndarray, b: float, p: int = 1
-) -> float:
-    """Exact (1/n) sum max{0, b - theta.x}^p for a 2-d point array."""
-    pts = np.asarray(pts, dtype=float)
-    proj = pts @ np.asarray(theta, dtype=float)
-    return float(np.mean(np.maximum(0.0, b - proj) ** p))
 
 
 def strong_convexity_radius(epsilon: float, lam: float) -> float:

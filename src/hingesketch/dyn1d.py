@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SketchParams
+from .core import SketchParams, UnfrozenSketchError, python_rows
 from .sampler import philox_generator
 from . import serialize
 from .serialize import Reader, Writer
@@ -31,10 +31,6 @@ from .serialize import Reader, Writer
 KAPPA_COUNT = 1.0
 KAPPA_QUERY = 4.0
 KAPPA_SPACE = 2.0  # retained words <= KAPPA_SPACE * log2(n)^2 / eps^4
-
-
-class UnfrozenSketchError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -124,6 +120,10 @@ class DynSketch1D:
                     itv.unsplittable = False  # band composition changed
                     self._recompute(itv)
         self._maintain()
+
+    def update_many(self, xs: np.ndarray) -> None:
+        for x in python_rows(np.asarray(xs, dtype=float)):
+            self.update(x)
 
     def _recompute(self, itv: _Interval) -> None:
         """Refresh rho* and restore the rho <= 2*rho* cap by thinning."""
@@ -245,6 +245,10 @@ class DynSketch1D:
             prev_bd = itv.boundary
         return total
 
+    def query_many(self, qs: np.ndarray) -> np.ndarray:
+        qs = np.asarray(qs, dtype=float)
+        return np.fromiter((self.query(q) for q in qs), dtype=float, count=qs.size)
+
     # -- accounting, invariants, serialization --------------------------------
 
     def interval_count(self) -> int:
@@ -258,6 +262,9 @@ class DynSketch1D:
             + per_interval * len(self.intervals)
             + 8
         )
+
+    def replica_key(self) -> tuple:
+        return self.params.replica_key()
 
     def check_invariants(self) -> list[str]:
         """Structural invariants; empty list means clean."""
@@ -328,5 +335,6 @@ class DynSketch1D:
             itv = _Interval(bd, rho, list(r.array()))
             itv.rho_star = rho_star
             sk.intervals.append(itv)
+        r.done()
         sk.freeze()
         return sk

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SketchParams
+from .core import SketchParams, UnfrozenSketchError
 from .sampler import LevelSampleBank
 from . import serialize
 from .serialize import Reader, Writer
@@ -27,10 +27,6 @@ from .serialize import Reader, Writer
 # (measured once at n=1e5, W=2^20, eps=0.1 over 20 seeds: p95 = 0.006,
 # max = 0.019; KAPPA = 2 leaves a 10x margin).
 KAPPA = 2.0
-
-
-class UnfrozenSketchError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -44,35 +40,56 @@ class OfflineSketch1D:
     Stores, for each rank j in {ceil((1+eps)^t)}, the position x_j and
     S_j = sum_{i<=j} (x_j - x_i).  A query returns S_j + j*(q - x_j) for the
     largest stored rank with x_j <= q, which never overestimates.
+
+    The sketch is offline: ``update_many`` keeps the points and ``freeze``
+    sorts them and builds the index.
     """
 
-    def __init__(self, epsilon: float, ranks: np.ndarray, xs: np.ndarray, sums: np.ndarray):
-        self.epsilon = epsilon
-        self.ranks = ranks
-        self.xs = xs
-        self.sums = sums
+    def __init__(self, epsilon: float):
+        if not (0 < epsilon):
+            raise ValueError("epsilon must be positive")
+        self.epsilon = float(epsilon)
+        self._pending: list[np.ndarray] = []
+        self._index(np.empty(0))
 
     @classmethod
     def build(cls, points, epsilon: float) -> "OfflineSketch1D":
-        if not (0 < epsilon):
-            raise ValueError("epsilon must be positive")
+        sk = cls(epsilon)
         xs = np.asarray(points, dtype=float)
         if xs.size == 0:
             raise ValueError("empty dataset")
         if np.any(np.diff(xs) < 0):
             raise ValueError("offline build requires sorted input")
+        sk._index(xs)
+        return sk
+
+    def _index(self, xs: np.ndarray) -> None:
         n = xs.size
-        t_max = int(math.floor(math.log(n, 1.0 + epsilon))) + 1
+        t_max = int(math.floor(math.log(max(n, 1), 1.0 + self.epsilon))) + 1
         ranks = np.unique(
-            np.ceil((1.0 + epsilon) ** np.arange(0, t_max + 1)).astype(np.int64)
+            np.ceil((1.0 + self.epsilon) ** np.arange(0, t_max + 1)).astype(np.int64)
         )
-        ranks = ranks[ranks <= n]
+        self.ranks = ranks[ranks <= n]
         pre = np.concatenate([[0.0], np.cumsum(xs)])
-        sums = ranks * xs[ranks - 1] - pre[ranks]
-        return cls(float(epsilon), ranks, xs[ranks - 1].copy(), sums)
+        self.xs = xs[self.ranks - 1].copy()
+        self.sums = self.ranks * self.xs - pre[self.ranks]
+
+    def update_many(self, xs: np.ndarray) -> None:
+        self._pending.append(np.asarray(xs, dtype=float))
+
+    def freeze(self) -> None:
+        self._index(np.sort(np.concatenate([np.empty(0), *self._pending])))
+        self._pending = []
 
     def __len__(self) -> int:
         return int(self.ranks.size)
+
+    def space_words(self) -> int:
+        """A rank, a position and a prefix sum per stored entry."""
+        return 3 * len(self)
+
+    def replica_key(self) -> tuple:
+        return (self.epsilon,)
 
     def query(self, q: float) -> float:
         return float(self.query_many(np.asarray([q]))[0])
@@ -97,9 +114,12 @@ class OfflineSketch1D:
     @classmethod
     def from_bytes(cls, data: bytes) -> "OfflineSketch1D":
         r = Reader(data, serialize.MAGIC_OFFLINE1D)
-        eps = r.f64()
-        ranks = r.array().astype(np.int64)
-        return cls(eps, ranks, r.array(), r.array())
+        sk = cls(r.f64())
+        sk.ranks = r.array().astype(np.int64)
+        sk.xs = r.array()
+        sk.sums = r.array()
+        r.done()
+        return sk
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +163,15 @@ def space_bound_words(params: SketchParams) -> int:
 
 
 class MultStream1D:
-    """One-pass multiplicative sketch over a d=1 value stream.
+    """One-pass multiplicative sketch over a d=1 value stream."""
 
-    ``crude_count_scale`` scales the per-scale sample floor used when picking
-    the crude bank level (the floor is ceil(scale * log2(D)) points).
-    """
-
-    def __init__(self, params: SketchParams, nested: bool = False,
-                 crude_count_scale: float = 1.0):
+    def __init__(self, params: SketchParams):
         self.params = params
         m1, m2 = bank_capacities(params)
         self.m1, self.m2 = m1, m2
-        self.crude_count_scale = crude_count_scale
         levels = params.num_levels
-        self.E = LevelSampleBank(m1, levels, params.seed, "E", nested=nested)
-        self.S = LevelSampleBank(m2, levels, params.seed, "S", nested=nested)
+        self.E = LevelSampleBank(m1, levels, params.seed, "E")
+        self.S = LevelSampleBank(m2, levels, params.seed, "S")
         self.count = 0
         self.frozen = False
         self._prefix_e: list[np.ndarray] | None = None
@@ -216,8 +230,8 @@ class MultStream1D:
         exact_part = buf.size * q - float(pre[buf.size])
         num_j = max(1, min(math.ceil(math.log2(d_scale)) if d_scale > 1 else 1,
                            2 * math.ceil(math.log2(max(self.count, 2)))))
-        thr_e = max(1, math.ceil(self.crude_count_scale * math.log2(d_scale))
-                    if d_scale >= 2 else 1)
+        # the crude level must hold at least ceil(log2(D)) samples of a scale
+        thr_e = max(1, math.ceil(math.log2(d_scale)) if d_scale >= 2 else 1)
         floor_large = math.ceil(1.0 / eps**2)
 
         bd = QueryBreakdown1D(q, p, d_scale, exact_part, num_intervals=num_j)
@@ -265,8 +279,10 @@ class MultStream1D:
             total += contrib
         return total, bd
 
-    def query_value(self, q: float) -> float:
-        return self.query(q)[0]
+    def query_many(self, qs: np.ndarray) -> np.ndarray:
+        """Estimates alone, one ``query`` per value."""
+        qs = np.asarray(qs, dtype=float)
+        return np.fromiter((self.query(float(q))[0] for q in qs), dtype=float, count=qs.size)
 
     # -- accounting & serialization ----------------------------------------
 
@@ -277,6 +293,9 @@ class MultStream1D:
 
     def space_bound_words(self) -> int:
         return space_bound_words(self.params)
+
+    def replica_key(self) -> tuple:
+        return self.params.replica_key()
 
     def to_bytes(self) -> bytes:
         w = Writer(serialize.MAGIC_MULT1D)
@@ -289,7 +308,7 @@ class MultStream1D:
         w.f64(pr.C)
         w.u8(pr.p)
         w.i64(pr.seed)
-        w.u8(1 if self.E.nested else 0)
+        w.u8(0)  # reserved
         w.u64(self.count)
         w.u16(pr.num_levels)
         for bank in (self.E, self.S):
@@ -307,9 +326,10 @@ class MultStream1D:
         c1, c2, c = r.f64(), r.f64(), r.f64()
         p = r.u8()
         seed = r.i64()
-        nested = bool(r.u8())
+        if r.u8() != 0:
+            raise serialize.FormatError("reserved byte must be 0")
         params = SketchParams(epsilon=eps, W=W, n_hint=n_hint, C1=c1, C2=c2, C=c, p=p, seed=seed)
-        sk = cls(params, nested=nested)
+        sk = cls(params)
         sk.count = r.u64()
         levels = r.u16()
         if levels != params.num_levels:
@@ -318,56 +338,7 @@ class MultStream1D:
             for i in range(levels):
                 bank.survived[i] = r.u64()
                 bank.buffers[i] = r.array()
+        r.done()
         sk.freeze()
         return sk
 
-
-def calibrate_constants(
-    epsilon: float,
-    W: int,
-    n: int,
-    kappa: float = KAPPA,
-    target_fraction: float = 0.95,
-    c1_grid=(1.0, 2.0, 4.0, 8.0),
-    c2_grid=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-    seeds: int = 5,
-    queries: int = 100,
-) -> tuple[float, float]:
-    """Offline sweep: smallest (C1, C2) by space bound meeting the error target.
-
-    Builds sketches on fresh uniform integer streams for every constant pair,
-    keeps the pairs whose relative error is within kappa*epsilon on at least
-    ``target_fraction`` of (query, seed) pairs, and returns the one with the
-    smallest capacity bound.  Returns the largest grid pair if none qualify.
-    """
-    candidates = []
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            good = 0
-            total = 0
-            for seed in range(seeds):
-                params = SketchParams(epsilon=epsilon, W=W, n_hint=n,
-                                      C1=c1, C2=c2, seed=seed)
-                sk = MultStream1D(params)
-                rng = np.random.default_rng(900_000 + seed)
-                xs = rng.integers(1, W + 1, n).astype(float)
-                sk.update_many(xs)
-                sk.freeze()
-                xs_sorted = np.sort(xs)
-                pre = np.concatenate([[0.0], np.cumsum(xs_sorted)])
-                for q in rng.uniform(1, W, queries):
-                    est, _ = sk.query(q)
-                    c = int(np.searchsorted(xs_sorted, q, side="right"))
-                    exact = c * q - float(pre[c])
-                    rel = abs(est - exact) / exact if exact > 0 else 0.0
-                    good += rel <= kappa * epsilon
-                    total += 1
-            if good / total >= target_fraction:
-                bound = space_bound_words(
-                    SketchParams(epsilon=epsilon, W=W, n_hint=n, C1=c1, C2=c2)
-                )
-                candidates.append((bound, c1, c2))
-    if not candidates:
-        return max(c1_grid), max(c2_grid)
-    _, c1, c2 = min(candidates)
-    return c1, c2

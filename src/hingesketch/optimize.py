@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledPoint, SketchParams
+from . import families
+from .families import Family
 from .sampler import derive_seed, philox_generator
-from . import add1d, add2d, dyn1d, mult1d
 
-BACKENDS_1D = ("add1d", "mult1d", "dyn1d", "offline1d")
-BACKENDS_2D = ("add2d",)
+# universe [1, SKETCH_W] that the multiplicative backends read
+SKETCH_W = 2**16
 
 
 class GridBudgetError(ValueError):
@@ -95,70 +95,37 @@ def _split_classes(points):
 class _Sum1D:
     """Distance-sum estimator sum max{0, q - x} for one coordinate array.
 
-    Wraps one of the d=1 sketch families behind a common query surface;
-    coordinates are affinely mapped into the sketch's native domain.
+    Wraps one d=1 sketch family; coordinates are affinely mapped into the
+    sketch's domain: [-1, 1] for the normalized families, the universe
+    [1, SKETCH_W] for the others.
     """
 
-    def __init__(self, xs: np.ndarray, family: str, epsilon: float, seed: int,
-                 scale_hint: float = 1.0, W: int = 2**16):
+    def __init__(self, xs: np.ndarray, family: Family, epsilon: float, seed: int,
+                 scale_hint: float = 1.0):
         self.n = xs.size
-        self.family = family
+        self.normalized = family.normalized
         # map [-scale, scale] onto the sketch domain
         self.scale = max(scale_hint, float(np.abs(xs).max()) if xs.size else 1.0)
-        if family == "add1d":
-            self._sk = add1d.additive_tree_1d(epsilon, max(self.n, 1))
-            for v in xs / self.scale:
-                self._sk.update(float(v))
-        elif family in ("mult1d", "dyn1d"):
-            # shift to [1, W]: u = 1 + (x/scale + 1)/2 * (W - 1)
-            self.W = W
-            u = 1.0 + (xs / self.scale + 1.0) / 2.0 * (W - 1)
-            params = SketchParams(epsilon=epsilon, W=W, n_hint=max(self.n, 1), seed=seed)
-            self._sk = (
-                mult1d.MultStream1D(params) if family == "mult1d" else dyn1d.DynSketch1D(params)
-            )
-            if family == "mult1d":
-                self._sk.update_many(u)
-            else:
-                for v in u:
-                    self._sk.update(float(v))
-            self._sk.freeze()
-        elif family == "offline1d":
-            self.W = W
-            u = np.sort(1.0 + (xs / self.scale + 1.0) / 2.0 * (W - 1))
-            self._sk = mult1d.OfflineSketch1D.build(u, epsilon) if u.size else None
+        self._sk = family.make(epsilon, max(self.n, 1), seed, 1, SKETCH_W)
+        if self.normalized:
+            self._sk.update_many(xs / self.scale)
         else:
-            raise ValueError(f"unknown d=1 sketch family {family!r}")
-
-    def query(self, q: float) -> float:
-        if self.n == 0:
-            return 0.0
-        if self.family == "add1d":
-            qq = q / self.scale
-            if qq >= 1.0:
-                # all points lie left of q: counters give the exact answer
-                return (self._sk.query(1.0) * self.n + self.n * (qq - 1.0)) * self.scale
-            if qq <= -1.0:
-                return 0.0
-            return self._sk.query(qq) * self.n * self.scale
-        back = self.scale * 2.0 / (self.W - 1)
-        u = 1.0 + (q / self.scale + 1.0) / 2.0 * (self.W - 1)
-        if self.family == "offline1d":
-            return self._sk.query(u) * back
-        if self.family == "mult1d":
-            return self._sk.query(u)[0] * back
-        return self._sk.query(u) * back
+            # shift to [1, W]: u = 1 + (x/scale + 1)/2 * (W - 1)
+            self._sk.update_many(1.0 + (xs / self.scale + 1.0) / 2.0 * (SKETCH_W - 1))
+        self._sk.freeze()
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         if self.n == 0:
             return np.zeros(len(qs))
-        if self.family == "add1d":
+        if self.normalized:
             qq = np.asarray(qs, dtype=float) / self.scale
+            # beyond the domain every point lies left of q: the counters answer exactly
             clipped = np.clip(qq, -1.0, 1.0)
             vals = self._sk.query_many(clipped) * self.n
             vals += self.n * np.maximum(0.0, qq - 1.0)
             return np.where(qq <= -1.0, 0.0, vals) * self.scale
-        return np.asarray([self.query(float(q)) for q in qs])
+        back = self.scale * 2.0 / (SKETCH_W - 1)
+        return self._sk.query_many(1.0 + (qs / self.scale + 1.0) / 2.0 * (SKETCH_W - 1)) * back
 
 
 class HingeEstimator1D:
@@ -169,17 +136,14 @@ class HingeEstimator1D:
     the canonical +1-orientation distance query.
     """
 
-    def __init__(self, points, family: str = "add1d", epsilon: float = 0.05,
-                 seed: int = 0, norm_budget: float = 1.0, W: int = 2**16):
+    def __init__(self, points, family: Family, epsilon: float = 0.05,
+                 seed: int = 0, norm_budget: float = 1.0):
         if any(p.dim != 1 for p in points):
             raise ValueError("HingeEstimator1D requires d=1 points")
         pos, neg = _split_classes(points)
         pos = pos.reshape(-1) if pos.size else pos.reshape(0)
         neg = neg.reshape(-1) if neg.size else neg.reshape(0)
         self.n = len(points)
-        self.family = family
-        self.epsilon = epsilon
-        self.norm_budget = norm_budget
         eps_pe = epsilon / max(norm_budget, 1.0)
         scale = max(
             1.0,
@@ -192,27 +156,12 @@ class HingeEstimator1D:
                 key = (cls, orient)
                 self._subs[key] = _Sum1D(
                     orient * xs, family, eps_pe,
-                    derive_seed(seed, "est", cls, orient), scale_hint=scale, W=W,
+                    derive_seed(seed, "est", cls, orient), scale_hint=scale,
                 )
-
-    def params_key(self):
-        return (self.family, self.epsilon, self.norm_budget, self.n)
-
-    def _class_sum(self, cls: str, theta: float, offset: float) -> float:
-        # sum over class of max{0, offset - theta*x}
-        sub_p, sub_m = self._subs[(cls, 1)], self._subs[(cls, -1)]
-        if theta > 0:
-            return theta * sub_p.query(offset / theta)
-        if theta < 0:
-            return -theta * sub_m.query(offset / -theta)
-        return max(0.0, offset) * sub_p.n
 
     def estimate(self, theta: float, b: float) -> float:
         """(1/n) sum_i max{0, 1 - y_i(theta x_i + b)}."""
-        if self.n == 0:
-            return 0.0
-        tot = self._class_sum("pos", theta, 1.0 - b) + self._class_sum("neg", -theta, 1.0 + b)
-        return tot / self.n
+        return float(self.estimate_bulk(np.array([[theta, b]], dtype=float))[0])
 
     def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
         """Vectorized estimate over candidate rows (theta, b)."""
@@ -241,63 +190,57 @@ class HingeEstimator2D:
     with direction theta/||theta|| and a matching offset.
     """
 
-    def __init__(self, points, epsilon: float = 0.05, seed: int = 0,
+    def __init__(self, points, family: Family, epsilon: float = 0.05, seed: int = 0,
                  norm_budget: float = 1.0):
         if any(p.dim != 2 for p in points):
             raise ValueError("HingeEstimator2D requires d=2 points")
         self.n = len(points)
-        self.epsilon = epsilon
-        self.norm_budget = norm_budget
         eps_pe = epsilon / max(norm_budget, 1.0)
         self._trees = {}
-        self._counts = {}
         for cls, y in (("pos", 1), ("neg", -1)):
-            xs = [p.x for p in points if p.y == y]
-            tree = add2d.additive_quadtree(
-                eps_pe, max(len(xs), 1), p=1, seed=derive_seed(seed, "est2", cls)
-            )
-            for x in xs:
-                tree.update((x[0] + 1.0) / 2.0, (x[1] + 1.0) / 2.0)
+            xs = np.array([p.x for p in points if p.y == y], dtype=float).reshape(-1, 2)
+            tree = family.make(eps_pe, max(len(xs), 1), derive_seed(seed, "est2", cls), 1,
+                               SKETCH_W)
+            tree.update_many((xs + 1.0) / 2.0)
+            tree.freeze()
             self._trees[cls] = tree
-            self._counts[cls] = len(xs)
-
-    def params_key(self):
-        return (self.epsilon, self.norm_budget, self.n)
-
-    def _class_sum(self, cls: str, tx: float, ty: float, offset: float) -> float:
-        # sum over class of max{0, offset - (tx, ty).x} on ball coordinates
-        cnt = self._counts[cls]
-        if cnt == 0:
-            return 0.0
-        norm = math.hypot(tx, ty)
-        if norm < 1e-300:
-            return max(0.0, offset) * cnt
-        # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
-        b2 = (offset + tx + ty) / (2.0 * norm)
-        return 2.0 * norm * self._trees[cls].query((tx / norm, ty / norm), b2) * cnt
 
     def estimate(self, theta, b: float) -> float:
         if self.n == 0:
             return 0.0
-        tx, ty = float(theta[0]), float(theta[1])
-        tot = self._class_sum("pos", tx, ty, 1.0 - b) + self._class_sum(
-            "neg", -tx, -ty, 1.0 + b
-        )
+        theta_x, theta_y = float(theta[0]), float(theta[1])
+        tot = 0.0
+        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
+            # sum over class of max{0, offset - (tx, ty).x} on ball coordinates
+            cnt = self._trees[cls].count
+            if cnt == 0:
+                continue
+            tx, ty = sign * theta_x, sign * theta_y
+            offset = 1.0 - sign * b
+            norm = math.hypot(tx, ty)
+            if norm < 1e-300:
+                tot += max(0.0, offset) * cnt
+                continue
+            # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
+            b2 = (offset + tx + ty) / (2.0 * norm)
+            tot += 2.0 * norm * self._trees[cls].query((tx / norm, ty / norm), b2) * cnt
         return tot / self.n
+
+    def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
+        """``estimate`` for each candidate row (theta_x, theta_y, b)."""
+        return np.array([self.estimate(w[:2], w[2]) for w in np.asarray(ws).tolist()])
 
 
 def build_estimator(points, family: str, epsilon: float, seed: int = 0,
-                    norm_budget: float = 1.0, W: int = 2**16):
+                    norm_budget: float = 1.0):
+    if family not in families.FAMILIES:
+        raise ValueError(f"unknown backend {family!r}")
+    fam = families.FAMILIES[family]
     d = points[0].dim if points else 1
-    if family in BACKENDS_1D:
-        if d != 1:
-            raise ValueError(f"backend {family} supports d=1 only")
-        return HingeEstimator1D(points, family, epsilon, seed, norm_budget, W=W)
-    if family in BACKENDS_2D:
-        if d != 2:
-            raise ValueError(f"backend {family} supports d=2 only")
-        return HingeEstimator2D(points, epsilon, seed, norm_budget)
-    raise ValueError(f"unknown backend {family!r}")
+    if d != fam.dim:
+        raise ValueError(f"backend {family} supports d={fam.dim} only")
+    estimator = HingeEstimator1D if d == 1 else HingeEstimator2D
+    return estimator(points, fam, epsilon, seed, norm_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +248,13 @@ def build_estimator(points, family: str, epsilon: float, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def median_estimate(replicas, theta, b: float) -> float:
-    """Median of per-replica estimates; k must be odd, replicas homogeneous."""
-    k = len(replicas)
+def median_estimate(estimates: np.ndarray) -> np.ndarray:
+    """Median over replicas: column medians of a (k, m) array; k must be odd."""
+    estimates = np.asarray(estimates, dtype=float)
+    k = estimates.shape[0]
     if k < 1 or k % 2 == 0:
         raise ValueError("need an odd number of replicas")
-    keys = {r.params_key() for r in replicas}
-    if len(keys) != 1:
-        raise ValueError("replicas built with mixed parameters")
-    if isinstance(theta, (int, float)):
-        vals = sorted(r.estimate(float(theta), b) for r in replicas)
-    else:
-        vals = sorted(r.estimate(theta, b) for r in replicas)
-    return vals[k // 2]
+    return np.median(estimates, axis=0)
 
 
 @dataclass
@@ -334,10 +271,9 @@ def optimize_via_sketch(
     lam: float,
     epsilon: float,
     family: str = "add1d",
-    k: int | None = None,
+    k: int = 1,
     seed: int = 0,
     budget: int = 2_000_000,
-    W: int = 2**16,
 ) -> OptimizationResult:
     """Approximate argmin of the regularized hinge objective from sketches.
 
@@ -351,23 +287,15 @@ def optimize_via_sketch(
     if not points:
         raise ValueError("empty dataset")
     d = points[0].dim
-    if k is None:
-        k = 1
     spec = GridSpec(lam=lam, epsilon=epsilon, d=d, k=k)
     grid = grid_points(spec, budget=budget)
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),
-                        norm_budget=spec.R, W=W)
+                        norm_budget=spec.R)
         for i in range(k)
     ]
     reg = 0.5 * lam * (grid**2).sum(axis=1)
-    if d == 1 and all(hasattr(r, "estimate_bulk") for r in replicas):
-        ests = np.stack([r.estimate_bulk(grid) for r in replicas], axis=0)
-        data_term = np.median(ests, axis=0)
-    else:
-        data_term = np.array(
-            [median_estimate(replicas, tuple(w[:-1]) if d > 1 else w[0], w[-1]) for w in grid]
-        )
+    data_term = median_estimate(np.stack([r.estimate_bulk(grid) for r in replicas]))
     values = reg + data_term
     best_val = values.min()
     ties = np.nonzero(values == best_val)[0]
@@ -399,8 +327,6 @@ def sgd_baseline(
     lam: float,
     epsilon: float,
     seed: int = 0,
-    capacity: int | None = None,
-    steps: int | None = None,
 ) -> tuple[tuple[float, ...], float]:
     """Projected SGD with 1/(lam*t) steps over a bounded uniform reservoir.
 
@@ -411,15 +337,13 @@ def sgd_baseline(
     if lam <= 0 or epsilon <= 0:
         raise ValueError("lambda and epsilon must be positive")
     rng = philox_generator(seed, "sgd")
-    if capacity is None:
-        capacity = math.ceil(1.0 / (lam * epsilon))
+    capacity = math.ceil(1.0 / (lam * epsilon))
     res = reservoir_sample(points, capacity, rng)
     if not res:
         raise ValueError("empty dataset")
     d = res[0].dim
     zs = np.array([[*p.x, 1.0] for p in res]) * np.array([[p.y] for p in res])
-    if steps is None:
-        steps = max(len(res), math.ceil(20.0 / (lam * epsilon)))
+    steps = max(len(res), math.ceil(20.0 / (lam * epsilon)))
     radius = math.sqrt(2.0 / lam)
     w = np.zeros(d + 1)
     acc = np.zeros(d + 1)
@@ -439,7 +363,5 @@ def sgd_baseline(
     return tuple(w[:-1]), float(w[-1])
 
 
-def sgd_space_words(lam: float, epsilon: float, d: int, capacity: int | None = None) -> int:
-    if capacity is None:
-        capacity = math.ceil(1.0 / (lam * epsilon))
-    return capacity * (d + 1) + 8
+def sgd_space_words(lam: float, epsilon: float, d: int) -> int:
+    return math.ceil(1.0 / (lam * epsilon)) * (d + 1) + 8

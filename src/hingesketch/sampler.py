@@ -45,10 +45,6 @@ class LevelSampleBank:
     (one generator per level, disjoint by construction); survivors enter a
     buffer that retains the ``capacity`` smallest surviving values, evicting
     the largest on overflow.  Level 0 keeps every value until capacity.
-
-    ``nested=True`` switches to a single coin per element shared across
-    levels (value survives level i iff u < 2^-i), a space optimization that
-    trades away cross-level independence; off by default.
     """
 
     def __init__(
@@ -57,7 +53,6 @@ class LevelSampleBank:
         num_levels: int,
         seed: int = 0,
         domain: str = "bank",
-        nested: bool = False,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -65,18 +60,12 @@ class LevelSampleBank:
             raise ValueError("num_levels must be >= 1")
         self.capacity = int(capacity)
         self.num_levels = int(num_levels)
-        self.seed = int(seed)
-        self.domain = domain
-        self.nested = nested
         self.offered = 0
         self.survived = [0] * num_levels
         self.buffers: list[np.ndarray] = [
             np.empty(0, dtype=np.float64) for _ in range(num_levels)
         ]
-        if nested:
-            self._gens = [philox_generator(seed, domain, "shared")]
-        else:
-            self._gens = [philox_generator(seed, domain, i) for i in range(num_levels)]
+        self._gens = [philox_generator(seed, domain, i) for i in range(num_levels)]
 
     def rate(self, level: int) -> float:
         return 2.0 ** (-level)
@@ -89,13 +78,11 @@ class LevelSampleBank:
         if xs.size == 0:
             return
         self.offered += int(xs.size)
-        shared = self._gens[0].random(xs.size) if self.nested else None
         for i in range(self.num_levels):
             if i == 0:
                 surv = xs
             else:
-                u = shared if self.nested else self._gens[i].random(xs.size)
-                surv = xs[u < self.rate(i)]
+                surv = xs[self._gens[i].random(xs.size) < self.rate(i)]
             if surv.size == 0:
                 continue
             self.survived[i] += int(surv.size)
@@ -119,10 +106,10 @@ class Reservoir1:
 
     __slots__ = ("count_seen", "sample", "_rng")
 
-    def __init__(self, seed: int = 0, rng: random.Random | None = None):
+    def __init__(self, seed: int = 0):
         self.count_seen = 0
         self.sample = None
-        self._rng = rng if rng is not None else random.Random(seed)
+        self._rng = random.Random(seed)
 
     def offer(self, value) -> None:
         self.count_seen += 1

@@ -89,5 +89,8 @@ class Reader:
         n = self.u64()
         return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
 
-    def done(self) -> bool:
-        return self._pos == len(self._data)
+    def done(self) -> None:
+        """Reject bytes left over after the payload."""
+        extra = len(self._data) - self._pos
+        if extra:
+            raise FormatError(f"{extra} trailing bytes after the sketch payload")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hingesketch.add1d import (
-    GrowingTree1D,
     KAPPA_NODES_P1,
     KAPPA_NODES_P2,
     Tree1D,
@@ -179,22 +178,3 @@ class TestSerialization:
         assert np.array_equal(tree.query_many(qs), back.query_many(qs))
         assert back.to_bytes() == tree.to_bytes()
 
-
-class TestGrowingWrapper:
-    def test_doubles_declaration(self):
-        g = GrowingTree1D(0.1, initial_guess=64)
-        rng = np.random.default_rng(10)
-        for x in rng.uniform(-1, 1, 1000):
-            g.update(float(x))
-        assert g.tree.n_declared >= 512
-        assert g.count == 1000
-
-    def test_error_inflation_bounded(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-1, 1, 8000)
-        g = GrowingTree1D(0.05, initial_guess=100)
-        for x in xs:
-            g.update(float(x))
-        qs = rng.uniform(-1, 1, 60)
-        err = np.abs(g.tree.query_many(qs) - oracle_mean(xs, qs))
-        assert err.max() <= 2 * 0.05

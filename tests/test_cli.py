@@ -15,6 +15,22 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def build_1d(capsys, tmp_path, algorithm, name, *flags):
+    """Build a sketch of a shared 300-point d=1 stream; returns (path, build record)."""
+    stream = tmp_path / "u.csv"
+    if not stream.exists():
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--out", str(stream))
+    path = tmp_path / name
+    code, out, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                         "--out", str(path), *flags)
+    assert code == 0, err
+    return str(path), json.loads(out)
+
+
+def last_error(err):
+    return json.loads(err.strip().splitlines()[-1])["error"]
+
+
 class TestIngest:
     def test_csv_basic(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -120,6 +136,9 @@ class TestCommands:
                            "--theta", "1,0", "--b", "2.0")
         assert code == 0
         assert json.loads(out)["estimate"] > 0
+        code, _, err = run(capsys, "query", "--sketch", str(sketch),
+                           "--theta", "1", "--b", "2.0")
+        assert code == cli.EXIT_CONFIG and last_error(err) == "config"
 
     def test_repeat_and_median_boosting(self, tmp_path, capsys):
         stream = tmp_path / "u2.csv"
@@ -153,6 +172,40 @@ class TestCommands:
         code, _, err = run(capsys, "query", "--sketch", str(sketch), "--sketch",
                            str(sketch), "--q", "0.5")
         assert code == cli.EXIT_CONFIG and "odd" in err
+
+    def test_mixed_sketch_files_rejected(self, tmp_path, capsys):
+        a, _ = build_1d(capsys, tmp_path, "add1d", "a.hskb", "--epsilon", "0.1")
+        a2, _ = build_1d(capsys, tmp_path, "add1d", "a2.hskb", "--epsilon", "0.2")
+        m, _ = build_1d(capsys, tmp_path, "mult1d", "m.hsk1", "--epsilon", "0.1")
+        o, _ = build_1d(capsys, tmp_path, "offline1d", "o.hsko", "--epsilon", "0.1")
+        for files in ([a, m, o], [a, a2, a]):
+            code, out, err = run(capsys, "query", *sum((["--sketch", f] for f in files), []),
+                                 "--q", "0.5")
+            assert code == cli.EXIT_CONFIG and not out
+            assert last_error(err) == "config"
+
+    @pytest.mark.parametrize("algorithm,damage", [
+        ("mult1d", "truncated"), ("mult1d", "reserved byte"), ("offline1d", "trailing"),
+        ("mult1d", "trailing"), ("dyn1d", "trailing"), ("add1d", "trailing"),
+    ])
+    def test_malformed_sketch_file_is_data_error(self, tmp_path, capsys, algorithm, damage):
+        path, _ = build_1d(capsys, tmp_path, algorithm, "s.bin", "--epsilon", "0.2")
+        data = open(path, "rb").read()
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        elif damage == "trailing":
+            data += b"\x07" * 7
+        else:  # the HSK1 byte after the seed is reserved and must be 0
+            data = data[:63] + b"\x01" + data[64:]
+        open(path, "wb").write(data)
+        code, out, err = run(capsys, "query", "--sketch", path, "--q", "0.5")
+        assert code == cli.EXIT_DATA and not out
+        assert last_error(err) == "data"
+
+    def test_offline_space_words_counts_three_per_entry(self, tmp_path, capsys):
+        path, rec = build_1d(capsys, tmp_path, "offline1d", "o.hsko", "--epsilon", "0.2")
+        sk = cli.load_sketch(path)
+        assert rec["space_words"] == 3 * len(sk) == sk.space_words()
 
     def test_dimension_compat_enforced(self, tmp_path, capsys):
         stream = tmp_path / "u.csv"

@@ -164,15 +164,6 @@ class TestStream:
                 checked += 1
         assert checked > 50
 
-    def test_calibrate_constants_returns_feasible_pair(self):
-        from hingesketch.mult1d import calibrate_constants
-
-        c1, c2 = calibrate_constants(
-            0.25, 2**12, 4000, seeds=2, queries=40,
-            c1_grid=(1.0, 4.0), c2_grid=(1.0, 8.0),
-        )
-        assert c1 in (1.0, 4.0) and c2 in (1.0, 8.0)
-
     def test_space_bound_growth_when_eps_halves(self):
         a = space_bound_words(SketchParams(epsilon=0.05, W=2**16, n_hint=10**5))
         b = space_bound_words(SketchParams(epsilon=0.025, W=2**16, n_hint=10**5))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from hingesketch.core import (
     HyperplaneQuery,
@@ -99,32 +100,18 @@ class TestMedian:
     def test_identity_for_single_replica(self):
         pts = gen_uniform(500, 1, seed=7, label_mode="random")
         est = build_estimator(pts, "add1d", epsilon=0.1, seed=0)
-        assert median_estimate([est], 0.5, 0.1) == est.estimate(0.5, 0.1)
+        ests = est.estimate_bulk(np.array([[0.5, 0.1], [-0.3, 0.2]]))
+        assert_array_equal(median_estimate(ests[None, :]), ests)
+        assert median_estimate([[est.estimate(0.5, 0.1)]])[0] == est.estimate(0.5, 0.1)
 
     def test_median_of_three(self):
-        class Fake:
-            def __init__(self, v):
-                self.v = v
-
-            def params_key(self):
-                return "same"
-
-            def estimate(self, theta, b):
-                return self.v
-
-        assert median_estimate([Fake(1.0), Fake(5.0), Fake(1.1)], 0.0, 0.0) == 1.1
+        ests = np.array([[1.0, 7.0], [5.0, 2.0], [1.1, 3.0]])
+        assert_array_equal(median_estimate(ests), [1.1, 3.0])
 
     def test_even_k_rejected(self):
-        with pytest.raises(ValueError, match="odd"):
-            median_estimate([], 0.0, 0.0)
-
-    def test_mixed_params_rejected(self):
-        pts = gen_uniform(200, 1, seed=8, label_mode="random")
-        a = build_estimator(pts, "add1d", epsilon=0.1, seed=0)
-        b = build_estimator(pts, "add1d", epsilon=0.2, seed=0)
-        c = build_estimator(pts, "add1d", epsilon=0.1, seed=1)
-        with pytest.raises(ValueError, match="mixed"):
-            median_estimate([a, b, c], 0.0, 0.0)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="odd"):
+                median_estimate(np.ones((k, 3)))
 
     def test_median_boost_suppresses_failures(self):
         # inject 10% failure probability per replica; median of 5 fails far less

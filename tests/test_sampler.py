@@ -69,14 +69,6 @@ class TestBank:
         corr = np.corrcoef(s1, s2)[0, 1]
         assert abs(corr) <= 5.0 / np.sqrt(trials)
 
-    def test_nested_mode_is_nested(self):
-        bank = LevelSampleBank(capacity=1000, num_levels=4, seed=7, nested=True)
-        bank.offer_many(np.arange(500, dtype=float))
-        # under nested coins, each level's survivor set contains the next level's
-        sets = [set(b.tolist()) for b in bank.buffers]
-        for i in range(len(sets) - 1):
-            assert sets[i + 1] <= sets[i]
-
 
 class TestReservoir:
     def test_first_offer_retained(self):
