@@ -9,6 +9,7 @@ The HSK_SEED environment variable overrides --seed everywhere.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -238,10 +239,10 @@ def cmd_build(args) -> int:
     d = points[0].dim
     if d != fam.dim:
         raise ConfigError(f"{args.algorithm} requires d={fam.dim}, stream has d={d}")
-    stream = np.fromiter((p.x for p in points), np.dtype((float, d)), len(points))
-    if d == 1:
-        stream = stream.reshape(-1)
-    else:  # d=2 families read the unit square: map the unit ball onto it, in place
+    stream = np.fromiter(itertools.chain.from_iterable(p.x for p in points), float,
+                         d * len(points))
+    if d == 2:  # d=2 families read the unit square: map the unit ball onto it, in place
+        stream = stream.reshape(-1, 2)
         stream += 1.0
         stream /= 2.0
     rec = {"written": args.out, "algorithm": args.algorithm, "points": len(points)}

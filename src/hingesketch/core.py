@@ -209,10 +209,12 @@ def simplified_objective(points, q, p: int = 1) -> float:
 
 
 def python_rows(a: np.ndarray):
-    """Rows of ``a`` as Python floats (or lists of them), converted 4096 rows at
-    a time so that a long stream never exists whole as Python objects."""
+    """Rows of ``a`` as Python floats (1-d) or tuples of them (2-d), converted
+    4096 rows at a time so that a long stream never exists whole as Python
+    objects."""
     for i in range(0, len(a), 4096):
-        yield from a[i : i + 4096].tolist()
+        chunk = a[i : i + 4096]
+        yield from chunk.tolist() if chunk.ndim == 1 else zip(*chunk.T.tolist())
 
 
 def distance_sums_1d(xs: np.ndarray, qs: np.ndarray, p: int = 1) -> np.ndarray:
