@@ -38,18 +38,14 @@ class Family:
     kappa: float = 1.0
 
 
-def _params(epsilon, n_hint, seed, W) -> SketchParams:
-    return SketchParams(epsilon=epsilon, W=W, n_hint=n_hint, seed=seed)
-
-
 FAMILIES = {f.name: f for f in (
     Family("offline1d", serialize.MAGIC_OFFLINE1D, mult1d.OfflineSketch1D, 1,
            lambda eps, n, seed, p, W: mult1d.OfflineSketch1D(eps)),
     Family("mult1d", serialize.MAGIC_MULT1D, mult1d.MultStream1D, 1,
-           lambda eps, n, seed, p, W: mult1d.MultStream1D(_params(eps, n, seed, W)),
+           lambda eps, n, seed, p, W: mult1d.MultStream1D(SketchParams(eps, W, n, seed=seed)),
            universe=True, kappa=mult1d.KAPPA),
     Family("dyn1d", serialize.MAGIC_DYN1D, dyn1d.DynSketch1D, 1,
-           lambda eps, n, seed, p, W: dyn1d.DynSketch1D(_params(eps, n, seed, W)),
+           lambda eps, n, seed, p, W: dyn1d.DynSketch1D(SketchParams(eps, W, n, seed=seed)),
            universe=True, kappa=dyn1d.KAPPA_QUERY),
     Family("add1d", serialize.MAGIC_BINTREE, add1d.Tree1D, 1,
            lambda eps, n, seed, p, W: add1d.additive_tree_1d(eps, n, p=p),
