@@ -372,7 +372,7 @@ def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
 
 def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
     rows = []
-    for algorithm in algorithms:
+    for name in algorithms:
         for eps in epsilons:
             errs = []
             space = 0
@@ -381,7 +381,7 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
             succ = []
             for s in range(seeds):
                 seed = seed0 + s
-                if algorithm == "pegasos":
+                if name == "pegasos":
                     lam = 0.1
                     pts = gen.gen_uniform(n, 1, seed=seed, low=-1.0, high=1.0,
                                           label_mode="random")
@@ -394,7 +394,7 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
                     errs.append(max(0.0, val - opt.value))
                     succ.append(val - opt.value <= eps)
                     continue
-                fam = families.FAMILIES[algorithm]
+                fam = families.FAMILIES[name]
                 stream, qs, exact, answer = _bench_workload(fam, n, seed, p)
                 t0 = time.perf_counter_ns()
                 sk = fam.make(eps, n, seed, p, BENCH_W)
@@ -415,7 +415,7 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
                 succ.extend(err <= fam.kappa * eps)
             errs_a = np.asarray(errs, dtype=float)
             rows.append(
-                f"{algorithm},{eps},{p},{space},{errs_a.mean():.6g},"
+                f"{name},{eps},{p},{space},{errs_a.mean():.6g},"
                 f"{np.percentile(errs_a, 95):.6g},{errs_a.max():.6g},"
                 f"{np.mean(np.asarray(succ, dtype=float)):.4f},{build_ns},{query_ns}"
             )
