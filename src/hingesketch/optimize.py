@@ -249,12 +249,12 @@ def build_estimator(points, family: str, epsilon: float, seed: int = 0,
 
 
 def median_estimate(estimates: np.ndarray) -> np.ndarray:
-    """Median over replicas: column medians of a (k, m) array; k must be odd."""
+    """Median over replicas: the middle value of each column of a (k, m) array; k must be odd."""
     estimates = np.asarray(estimates, dtype=float)
     k = estimates.shape[0]
     if k < 1 or k % 2 == 0:
         raise ValueError("need an odd number of replicas")
-    return np.median(estimates, axis=0)
+    return np.sort(estimates, axis=0)[k // 2]
 
 
 @dataclass
