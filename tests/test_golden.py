@@ -5,7 +5,10 @@ them is a change of behaviour: a sketch that replays different bytes, a
 query that answers differently, or an optimizer that returns a different
 candidate.  Builds and queries go through the CLI (``build`` writes
 ``to_bytes()``, ``query`` takes the median over the ``--sketch`` replicas),
-the optimizer through ``optimize_via_sketch``.
+the optimizer through ``optimize_via_sketch``.  Batch answers
+(``query_many`` of the sketches, ``estimate_bulk`` of the d=2 estimator) are
+pinned on sketches built in-process, on inputs that reach every branch of the
+query code.
 """
 
 import contextlib
@@ -18,9 +21,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from hingesketch import cli
-from hingesketch.core import LabeledPoint
+from hingesketch.add2d import additive_quadtree
+from hingesketch.core import LabeledPoint, SketchParams
+from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
-from hingesketch.optimize import optimize_via_sketch
+from hingesketch.mult1d import MultStream1D
+from hingesketch.optimize import GridSpec, build_estimator, grid_points, optimize_via_sketch
 
 Q_UNIVERSE = [0.5, 1.0, 3.7, 17.25, 40.0, 55.5, 63.9, 80.0]
 Q_UNIT = [-1.5, -0.9, -0.2, 0.0, 0.33, 0.95, 1.0, 1.4]
@@ -128,7 +134,115 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
            'dyn1d,0.2,1,608,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
            'add2d,0.2,1,160,0.00555126,0.0458804,0.061628,1.0000',
-           'pegasos,0.2,1,108,0.0202948,0.0202948,0.0202948,1.0000']}
+           'pegasos,0.2,1,108,0.0202948,0.0202948,0.0202948,1.0000'],
+ 'batch': {'add2d_p1': [0.3097246498974929,
+                        0.10627276756474498,
+                        0.29103153104184537,
+                        0.3097246498974929,
+                        0.10350508742655398,
+                        0.08449834178214563,
+                        0.03506714469420227,
+                        0.0,
+                        2.302327375103465,
+                        0.11500350190398619],
+           'add2d_p2': [0.14203744937066967,
+                        0.031630528835043935,
+                        0.1230938974616491,
+                        0.14203744937066967,
+                        0.03036731857113485,
+                        0.02452719989315682,
+                        0.005610763793186729,
+                        0.0,
+                        5.361700797386559,
+                        0.02387490124208999],
+           'dyn1d_anchor_mass': [0.0,
+                                 0.0,
+                                 3256.9557326148283,
+                                 34934.9350354745,
+                                 93418.70079150515,
+                                 133264.7829549546,
+                                 154858.78877256592,
+                                 196247.29992298764,
+                                 89.70212257581235,
+                                 448.5127786783542,
+                                 11726.152095845184,
+                                 247661.59948872885,
+                                 8.91867651162865,
+                                 55.958630266531856,
+                                 227.09501171313178,
+                                 1984.1746310723681,
+                                 6779.944274956437,
+                                 41050.34120164518],
+           'dyn1d_explicit': [0.0,
+                              0.0,
+                              9.393188190909434,
+                              339.6315030307538,
+                              2221.092282163941,
+                              4554.7808350011655,
+                              6161.266162126088,
+                              9381.266162126089,
+                              13381.266162126089],
+           'dyn1d_intervals': [0.0,
+                               0.0,
+                               1772.063011823993,
+                               20409.682962074563,
+                               85028.11139624582,
+                               124905.54826289453,
+                               146516.5463067558,
+                               187937.6258908232,
+                               42.924196281197425,
+                               409.3935511302394,
+                               10220.348679877572,
+                               239392.38313811185,
+                               1.3559081833574282,
+                               22.32670433654674,
+                               168.8015741673444,
+                               998.8400898932138,
+                               5049.301374750461,
+                               32618.54337928787],
+           'estimate_bulk_2d': [1.1485211974318743,
+                                1.0883206584073957,
+                                1.1577293225205956,
+                                1.2177463775514517,
+                                1.012978011013103,
+                                1.0742605987159373,
+                                1.1355431864187713,
+                                0.9262577045391875,
+                                0.9907918749112787,
+                                1.041883654249041,
+                                1.1669374476093177,
+                                1.0221861361018247,
+                                1.0834687238046585,
+                                1.1447513115074928,
+                                0.8774348245943318,
+                                0.9387174122971658,
+                                1.0,
+                                1.061282587702834,
+                                1.1225651754056682,
+                                0.8552486884925072,
+                                0.9165312761953414,
+                                0.9778138638981756,
+                                0.8330625523906826,
+                                0.9381427361099469,
+                                1.0092081250887213,
+                                1.0856568222333627,
+                                0.8644568135812288,
+                                0.9257394012840631,
+                                0.9870219889868971,
+                                0.796529925675362,
+                                0.8422706774794041,
+                                0.9087198854453349,
+                                0.8514788025681257],
+           'mult1d_boundary_mass': [0.0,
+                                    286.436513772533,
+                                    4215.717122595997,
+                                    4365.717122595997,
+                                    6051.717122595997,
+                                    49213.317122595996,
+                                    165174.7216050868,
+                                    165563.1216050868,
+                                    310386.1708976977,
+                                    40029186.1708977]}}
 
 
 def _write_streams(tmp_path):
@@ -204,6 +318,68 @@ def bench_columns():
     return [",".join(row.split(",")[:-2]) for row in text.strip().splitlines()]
 
 
+def _mult1d_sketch(xs, eps, seed):
+    sk = MultStream1D(SketchParams(eps, 64, xs.size, seed=seed))
+    sk.update_many(xs)
+    sk.freeze()
+    return sk
+
+
+def _dyn1d_sketch(xs, eps, seed):
+    sk = DynSketch1D(SketchParams(eps, 64, xs.size, seed=seed))
+    sk.update_many(xs)
+    sk.freeze()
+    return sk
+
+
+def batch_sketches():
+    """name: (sketch or estimator, query batch)."""
+    rng = np.random.default_rng(20201020)
+    # 3000 copies of 20.0 overflow both level-0 banks (576 and 768 values), so
+    # the boundary-mass term is live for every q > 20
+    dup = np.concatenate([rng.uniform(1.0, 10.0, 300), np.full(3000, 20.0),
+                          rng.uniform(20.0, 64.0, 700)])
+    rng.shuffle(dup)
+    mult = _mult1d_sketch(dup, 0.5, 5)
+    # 200 values stay below the explicit capacity (246 at eps=0.3)
+    explicit = _dyn1d_sketch(rng.uniform(1.0, 64.0, 200), 0.3, 6)
+    skewed = 1.0 + 63.0 * rng.uniform(0.0, 1.0, 5000) ** 2
+    intervals = _dyn1d_sketch(skewed, 0.5, 6)
+    # 400 copies of 1.0 fill the explicit points: the hidden anchor mass is live
+    anchored = _dyn1d_sketch(np.concatenate([np.full(400, 1.0), skewed]), 0.5, 7)
+    edges = [intervals.anchor] + [itv.boundary for itv in intervals.intervals[:-1]]
+    q_dyn = Q_UNIVERSE + [1.2, 2.0, 10.0, 100.0] + edges
+    disk = (np.array([p.x for p in gen_uniform(3000, 2, seed=11, low=-1.0)]) + 1.0) / 2.0
+    trees = {}
+    for p, seed in ((1, 7), (2, 8)):
+        trees[p] = additive_quadtree(0.1, len(disk), p=p, seed=seed)
+        trees[p].update_many(disk)
+    # unit rows, rows with |theta| < 1 (renormalized with b), empty and full halfplanes
+    rows = np.array([[0.6, 0.8, 1.0], [1.0, 0.0, 0.5], [-0.28, 0.96, 0.6],
+                     [0.3, 0.4, 0.5], [0.0, -0.5, -0.25], [0.05, 0.0, 0.02],
+                     [-0.6, -0.8, -0.9], [0.6, 0.8, -2.0], [0.6, 0.8, 3.0],
+                     [0.7071067811865476, 0.7071067811865476, 0.7]])
+    estimator = build_estimator(_separable_with_noise(300, 2), "add2d", 0.5, seed=3)
+    # 33 candidates, 5 of them with theta = 0
+    grid = grid_points(GridSpec(lam=4.0, epsilon=1.0, d=2))
+    return {
+        "mult1d_boundary_mass": (mult, [0.5, 5.0, 19.5, 20.0, 20.5, 33.3, 63.9, 64.0,
+                                        100.0, 1e4]),
+        "dyn1d_explicit": (explicit, Q_UNIVERSE + [100.0]),
+        "dyn1d_intervals": (intervals, q_dyn),
+        "dyn1d_anchor_mass": (anchored, q_dyn),
+        "add2d_p1": (trees[1], rows),
+        "add2d_p2": (trees[2], rows),
+        "estimate_bulk_2d": (estimator, grid),
+    }
+
+
+def batch_answers(sketches):
+    return {name: (obj.estimate_bulk(qs) if name.startswith("estimate_bulk")
+                   else obj.query_many(np.asarray(qs))).tolist()
+            for name, (obj, qs) in sketches.items()}
+
+
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     return build_and_query(tmp_path_factory.mktemp("golden"))
@@ -225,3 +401,25 @@ def test_optimize_results():
 
 def test_bench_columns():
     assert bench_columns() == GOLDEN["bench"]
+
+
+@pytest.fixture(scope="module")
+def batches():
+    return batch_sketches()
+
+
+def test_batch_inputs_reach_their_branches(batches):
+    mult, _ = batches["mult1d_boundary_mass"]
+    assert mult.query(20.5)[1].boundary_mass > 0
+    assert not batches["dyn1d_explicit"][0].intervals
+    assert batches["dyn1d_intervals"][0].interval_count() >= 5
+    anchored = batches["dyn1d_anchor_mass"][0]
+    assert anchored.anchor == 1.0 and anchored.explicit_capacity < 400 and anchored.intervals
+    grid = batches["estimate_bulk_2d"][1]
+    assert ((grid[:, 0] == 0) & (grid[:, 1] == 0)).sum() == 5
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["batch"]))
+def test_batch_answers(batches, name):
+    got = batch_answers({name: batches[name]})[name]
+    assert_array_equal(np.array(got), np.array(GOLDEN["batch"][name]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 from hypothesis import given, settings, strategies as st
 
 from hingesketch.core import SketchParams, distance_sums_1d
@@ -88,6 +89,28 @@ class TestStream:
         for b in sk.S.buffers:
             assert b.size <= sk.m2
         assert sk.space_words() <= sk.space_bound_words() + 2 * params.num_levels + 8
+
+    @pytest.mark.parametrize("stream", ["empty", "exact", "uniform", "duplicated_max"])
+    def test_query_many_matches_scalar_query(self, stream):
+        rng = np.random.default_rng(11)
+        params = small_params(seed=4)
+        xs = {
+            "empty": np.empty(0),
+            "exact": rng.integers(1, 2**10, 300).astype(float),
+            "uniform": rng.uniform(1.0, 2.0**10, 4000),
+            "duplicated_max": np.concatenate([rng.uniform(1.0, 50.0, 100), np.full(3000, 64.0),
+                                              rng.uniform(64.0, 2.0**10, 900)]),
+        }[stream]
+        sk = MultStream1D(params)
+        sk.update_many(xs)
+        sk.freeze()
+        p = max((float(b[-1]) for b in (sk.E.buffers[0], sk.S.buffers[0]) if b.size), default=0.0)
+        qs = np.concatenate([
+            rng.uniform(0.0, 2.0**11, 200),
+            [0.0, 1.0, p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), p + 0.5, p + 1.0,
+             p + 1.5, p + 2.0, p + 3.0, 2.0**10, 2.0**12, 1e12],
+        ])
+        assert_array_equal(sk.query_many(qs), [sk.query(q)[0] for q in qs])
 
     def test_query_requires_freeze(self):
         sk = MultStream1D(small_params())
