@@ -11,11 +11,12 @@ failure probability per query by Chebyshev).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .core import python_rows
+from .core import hypot_rows, python_rows
 from .sampler import Reservoir1, derive_seed
 from . import serialize
 from .serialize import Reader, Writer
@@ -31,6 +32,9 @@ KAPPA_SPACE_P2 = 96.0
 
 WORDS_PER_NODE_P1 = 8  # cell id, c, X, Y, reservoir (x, y, count), topology
 WORDS_PER_NODE_P2 = 11  # + Xvv, Yvv, Zxy
+
+# scan temporaries hold at most this many (node, halfplane) values (1 MB)
+_BLOCK_VALUES = 2**17
 
 
 class _QNode:
@@ -85,10 +89,12 @@ class QuadTree2D:
             for ix in range(g)
         ]
         self.count = 0
+        self._flat: np.ndarray | None = None
 
     def update(self, x: float, y: float) -> None:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise ValueError(f"point ({x}, {y}) outside unit square")
+        self._flat = None
         g = self.grid_size
         ix = min(int(x * g), g - 1)
         iy = min(int(y * g), g - 1)
@@ -155,62 +161,89 @@ class QuadTree2D:
         ``theta`` must be unit-norm; shorter vectors are normalized together
         with b (same geometry), the zero vector is rejected.
         """
-        return self._scan(theta, b)[0]
+        return float(self._scan(np.array([[theta[0], theta[1], b]], dtype=float))[0][0])
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         """``query`` for each row (theta_x, theta_y, b) of an (m, 3) array."""
-        return np.array([self.query((tx, ty), b)
-                         for tx, ty, b in np.asarray(qs, dtype=float).tolist()])
+        return self._scan(np.asarray(qs, dtype=float).reshape(-1, 3))[0]
 
     def crossing_cells(self, theta, b: float) -> int:
         """Number of nonempty cells crossing the line (diagnostic)."""
-        return self._scan(theta, b)[1]
+        return int(self._scan(np.array([[theta[0], theta[1], b]], dtype=float))[1][0])
 
-    def _scan(self, theta, b: float) -> tuple[float, int]:
-        """The estimate of ``query`` and the number of cells it sampled."""
-        tx, ty = float(theta[0]), float(theta[1])
-        norm = math.hypot(tx, ty)
-        if norm < 1e-300:
+    def _nodes(self) -> np.ndarray:
+        """A (12, N, 1) array over the N nonempty nodes in ``_walk`` order, by
+        rows: x0, x0 + size, y0, y0 + size, X, reservoir x, Y, reservoir y, c,
+        Xvv, Yvv, Zxy.  Cached until the next update."""
+        if self._flat is None:
+            rows = [(n.x0, n.x0 + n.size, n.y0, n.y0 + n.size, n.X, rx, n.Y, ry, n.c, n.Xvv,
+                     n.Yvv, n.Zxy)
+                    for n in self._walk() if n.c
+                    for rx, ry in [n.res.sample or (math.nan, math.nan)]]
+            flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                               count=12 * len(rows))
+            self._flat = flat.reshape(-1, 12).T.copy()[:, :, None]
+        return self._flat
+
+    def _scan(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The estimates of ``query`` for rows (theta_x, theta_y, b), and the
+        number of cells each one sampled.
+
+        Nodes run along axis 0 and rows along axis 1 of every block; each row's
+        node terms are added in walk order, as a scan of one halfplane node by
+        node adds them, so every answer is the same to the last bit.
+        """
+        if not np.isfinite(rows).all():
+            raise ValueError("halfplanes must be finite")
+        tx, ty, b = rows.T
+        norm = hypot_rows(tx, ty)
+        lo, hi = norm.min(initial=1.0), norm.max(initial=1.0)
+        if lo < 1e-300:
             raise ValueError("theta must be nonzero")
-        if norm > 1.0 + 1e-9:
+        if hi > 1.0 + 1e-9:
             raise ValueError("theta must have norm at most 1 (unit after normalization)")
-        if abs(norm - 1.0) > 1e-12:
-            tx, ty, b = tx / norm, ty / norm, b / norm
-        if self.count == 0:
-            return 0.0, 0
-        total = 0.0
-        crossing = 0
-        for node in self._walk():
-            if node.c == 0:
-                continue
-            s = node.size
-            corners = (
-                tx * node.x0 + ty * node.y0,
-                tx * (node.x0 + s) + ty * node.y0,
-                tx * node.x0 + ty * (node.y0 + s),
-                tx * (node.x0 + s) + ty * (node.y0 + s),
-            )
-            cmax = max(corners)
-            cmin = min(corners)
-            if cmax <= b:  # entirely inside: exact via moments
-                if self.p == 1:
-                    total += node.c * b - (tx * node.X + ty * node.Y)
-                else:
-                    total += (
-                        node.c * b * b
-                        - 2.0 * b * (tx * node.X + ty * node.Y)
-                        + tx * tx * node.Xvv
-                        + 2.0 * tx * ty * node.Zxy
-                        + ty * ty * node.Yvv
-                    )
-            elif cmin >= b and cmax > b:  # entirely outside
-                continue
-            else:  # crossing: reservoir estimate
-                crossing += 1
-                rx, ry = node.res.sample
-                dist = max(0.0, b - (tx * rx + ty * ry))
-                total += node.c * dist**self.p
-        return total / self.count, crossing
+        if max(1.0 - lo, hi - 1.0) > 1e-12:
+            scale = np.abs(norm - 1.0) > 1e-12
+            tx, ty, b = (np.where(scale, v / norm, v) for v in (tx, ty, b))
+        totals = np.zeros(len(rows))
+        crossing = np.zeros(len(rows), dtype=np.int64)
+        nodes = self._nodes()
+        if self.count == 0 or nodes.shape[1] == 0:
+            return totals, crossing
+        step = max(1, _BLOCK_VALUES // nodes.shape[1])
+        for start in range(0, len(rows), step):
+            blk = slice(start, start + step)
+            totals[blk], crossing[blk] = self._score(nodes, tx[blk], ty[blk], b[blk])
+        return totals / self.count, crossing
+
+    def _score(self, nodes, tx, ty, b):
+        """Summed node terms and crossing-cell counts of a block of halfplanes."""
+        ax, by = tx * nodes[0:2], ty * nodes[2:4]  # tx * (x0, x1), ty * (y0, y1)
+        # rounding is monotone, so the largest (smallest) of the four rounded
+        # corner values tx*x + ty*y is the rounded sum of the largest (smallest) terms
+        cmax = np.maximum(ax[0], ax[1]) + np.maximum(by[0], by[1])
+        cmin = np.minimum(ax[0], ax[1]) + np.minimum(by[0], by[1])
+        inside = cmax <= b  # exact via moments
+        crossing = (cmin < b) & ~inside  # reservoir estimate; the rest lies outside
+        # theta . (X, Y) and theta . (reservoir sample)
+        moment, sample = tx * nodes[4:6] + ty * nodes[6:8]
+        c = nodes[8]
+        if self.p == 1:
+            exact = c * b - moment
+        else:
+            Xvv, Yvv, Zxy = nodes[9:12]
+            exact = (c * b * b - 2.0 * b * moment + tx * tx * Xvv
+                     + 2.0 * tx * ty * Zxy + ty * ty * Yvv)
+        # fmax(d, 0) is max(0.0, d) (0 for NaN); the sign of a zero term never
+        # reaches the result, see the + 0.0 below
+        dist = np.fmax(b - sample, 0.0)
+        if self.p == 2:
+            # the C library's pow, as Python's ** calls it (np.power would square)
+            dist = np.float_power(dist, 2)
+        terms = np.where(inside, exact, np.where(crossing, c * dist, 0.0))
+        # accumulate adds in node order (a sum may add pairwise); + 0.0 because a
+        # scan starts from +0.0, so that an all-zero sum is never -0.0
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0, crossing.sum(axis=0)
 
     # -- serialization ------------------------------------------------------
 

@@ -297,6 +297,8 @@ def cmd_query(args) -> int:
             raise ConfigError("scalar queries need at least one --q")
         qs = np.array(args.q)
         out = [{"q": q} for q in args.q]
+    if not np.isfinite(qs).all():
+        raise ConfigError("--q, --theta and --b must be finite")
     estimates = optimize.median_estimate(np.stack([sk.query_many(qs) for sk in sketches]))
     for rec, est in zip(out, estimates.tolist()):
         rec.update(estimate=est, replicas=len(sketches))

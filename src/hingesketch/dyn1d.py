@@ -213,17 +213,29 @@ class DynSketch1D:
         self.frozen = True
 
     def query(self, q: float) -> float:
+        return float(self.query_many(np.asarray([q], dtype=float))[0])
+
+    def query_many(self, qs: np.ndarray) -> np.ndarray:
+        """Estimates of sum_{x <= q} (q - x), vectorized across the values q.
+
+        Below the anchor (the largest explicit point) the explicit points answer
+        exactly; above it each band adds its sample estimate, interval by
+        interval in boundary order, up to the last boundary below q.
+        """
         if not self.frozen:
             raise UnfrozenSketchError("freeze() the sketch before querying")
-        q = float(q)
+        qs = np.asarray(qs, dtype=float)
         expl = self._expl_sorted
         if expl.size == 0:
-            return 0.0
+            return np.zeros(qs.size)
+        c = np.searchsorted(expl, qs, side="right")
+        out = c * qs - self._expl_prefix[c]
         anchor = float(expl[-1])
-        if q <= anchor or not self.intervals:
-            c = int(np.searchsorted(expl, q, side="right"))
-            return c * q - float(self._expl_prefix[c])
-        total = expl.size * q - float(self._expl_prefix[expl.size])
+        far = np.flatnonzero(~(qs <= anchor))
+        if not self.intervals or far.size == 0:
+            return out
+        q = qs[far]
+        total = expl.size * q - self._expl_prefix[expl.size]
         # duplicates of the anchor value beyond the explicit capacity are in
         # no band; estimate them from the densest interval's sample
         kept = expl.size - int(np.searchsorted(expl, anchor, side="left"))
@@ -233,21 +245,20 @@ class DynSketch1D:
         hidden = max(0.0, (b0 - a0) / itv0.rho - kept)
         total += hidden * (q - anchor)
         prev_bd = anchor
+        below = np.ones(q.size, dtype=bool)  # every boundary so far is <= q
         for itv in self.intervals:
-            if itv.boundary > q:
+            below &= itv.boundary <= q
+            if not below.any():
                 break
             a = int(np.searchsorted(itv.sorted_samples, prev_bd, side="right"))
             b = int(np.searchsorted(itv.sorted_samples, itv.boundary, side="right"))
             cnt = b - a
             if cnt:
                 vsum = float(itv.prefix[b] - itv.prefix[a])
-                total += (cnt * q - vsum) / itv.rho
+                total[below] += (cnt * q[below] - vsum) / itv.rho
             prev_bd = itv.boundary
-        return total
-
-    def query_many(self, qs: np.ndarray) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        return np.fromiter((self.query(q) for q in qs), dtype=float, count=qs.size)
+        out[far] = total
+        return out
 
     # -- accounting, invariants, serialization --------------------------------
 
@@ -325,14 +336,14 @@ class DynSketch1D:
         params = SketchParams(epsilon=eps, W=W, n_hint=n_hint, C1=c1, C2=c2, C=c, p=p, seed=seed)
         sk = cls(params)
         sk.count = r.u64()
-        sk._heap = [-v for v in r.array()]
+        sk._heap = [-v for v in r.array().tolist()]
         heapq.heapify(sk._heap)
         m = r.u64()
         for _ in range(m):
             bd = r.f64()
             rho = r.f64()
             rho_star = r.f64()
-            itv = _Interval(bd, rho, list(r.array()))
+            itv = _Interval(bd, rho, r.array().tolist())
             itv.rho_star = rho_star
             sk.intervals.append(itv)
         r.done()

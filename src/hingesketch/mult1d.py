@@ -29,6 +29,21 @@ from .serialize import Reader, Writer
 KAPPA = 2.0
 
 
+def _ceil_log2(xs: np.ndarray) -> np.ndarray:
+    """``math.ceil(math.log2(x))`` for each positive finite x, without a call per value.
+
+    Exactly, ceil(log2(x)) is e, or e - 1 when m = 1/2, for x = m * 2**e with
+    1/2 <= m < 1.  ``math.log2`` can round log2(x) down to e - 1 only when m
+    lies just above 1/2: elsewhere log2(x) exceeds e - 1 by more than 2e-9,
+    far more than an ulp of e - 1.  Those values go through ``math.log2`` itself.
+    """
+    m, e = np.frexp(xs)
+    out = e.astype(np.int64) - (m == 0.5)
+    near = np.flatnonzero((m > 0.5) & (m < 0.5 + 1e-9))
+    out[near] = [math.ceil(math.log2(x)) for x in xs[near].tolist()]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Offline sketch
 # ---------------------------------------------------------------------------
@@ -202,8 +217,41 @@ class MultStream1D:
         c = int(np.searchsorted(b, hi, side="right"))
         return c - a, float(prefix[level][c] - prefix[level][a])
 
+    def _level0(self):
+        """The larger level-0 buffer and its prefix sums, or None if both are empty.
+
+        That buffer retains every point <= its max.
+        """
+        e0, s0 = self.E.buffers[0], self.S.buffers[0]
+        if e0.size == 0 and s0.size == 0:
+            return None
+        if s0.size == 0 or (e0.size and e0[-1] >= s0[-1]):
+            return e0, self._prefix_e[0]
+        return s0, self._prefix_s[0]
+
+    def _boundary_mass(self, buf: np.ndarray, p: float) -> float:
+        """Duplicates of p that overflowed the level-0 buffer: they fall in no
+        scale.  Their count is estimated from the sparsest fine level that still
+        holds a full quota of them (inactive unless p is massively duplicated)."""
+        kept_p = buf.size - int(np.searchsorted(buf, p, side="left"))
+        n_p_hat = kept_p
+        floor_large = math.ceil(1.0 / self.params.epsilon**2)
+        for i in reversed(range(1, self.params.num_levels)):
+            a = int(np.searchsorted(self.S.buffers[i], p, side="left"))
+            c = int(np.searchsorted(self.S.buffers[i], p, side="right")) - a
+            if c >= floor_large:
+                n_p_hat = c * 2.0**i
+                break
+        return max(0.0, n_p_hat - kept_p)
+
+    def _max_scales(self) -> int:
+        return 2 * math.ceil(math.log2(max(self.count, 2)))
+
     def query(self, q: float) -> tuple[float, QueryBreakdown1D]:
-        """Estimate sum_{x <= q} (q - x) with a per-scale breakdown."""
+        """Estimate sum_{x <= q} (q - x) with a per-scale breakdown.
+
+        The scalar reference of ``query_many``, which answers the same values.
+        """
         if not self.frozen:
             raise UnfrozenSketchError("freeze() the sketch before querying")
         params = self.params
@@ -211,14 +259,10 @@ class MultStream1D:
         lw = params.log2_w
         levels = params.num_levels
 
-        e0, s0 = self.E.buffers[0], self.S.buffers[0]
-        if e0.size == 0 and s0.size == 0:
+        level0 = self._level0()
+        if level0 is None:
             return 0.0, QueryBreakdown1D(q, -math.inf, 0.0, 0.0, exact_regime=True)
-        # The larger level-0 buffer retains every point <= its max.
-        if s0.size == 0 or (e0.size and e0[-1] >= s0[-1]):
-            buf, pre = e0, self._prefix_e[0]
-        else:
-            buf, pre = s0, self._prefix_s[0]
+        buf, pre = level0
         p = float(buf[-1])
 
         if q <= p:
@@ -229,25 +273,14 @@ class MultStream1D:
         d_scale = q - p
         exact_part = buf.size * q - float(pre[buf.size])
         num_j = max(1, min(math.ceil(math.log2(d_scale)) if d_scale > 1 else 1,
-                           2 * math.ceil(math.log2(max(self.count, 2)))))
+                           self._max_scales()))
         # the crude level must hold at least ceil(log2(D)) samples of a scale
         thr_e = max(1, math.ceil(math.log2(d_scale)) if d_scale >= 2 else 1)
         floor_large = math.ceil(1.0 / eps**2)
 
         bd = QueryBreakdown1D(q, p, d_scale, exact_part, num_intervals=num_j)
         total = exact_part
-        # duplicates of p that overflowed the level-0 buffer fall in no scale;
-        # estimate their count from the sparsest fine level that still holds a
-        # full quota of them (inactive unless p is massively duplicated)
-        kept_p = buf.size - int(np.searchsorted(buf, p, side="left"))
-        n_p_hat = kept_p
-        for i in reversed(range(1, levels)):
-            a = int(np.searchsorted(self.S.buffers[i], p, side="left"))
-            c = int(np.searchsorted(self.S.buffers[i], p, side="right")) - a
-            if c >= floor_large:
-                n_p_hat = c * 2.0**i
-                break
-        bd.boundary_mass = max(0.0, n_p_hat - kept_p)
+        bd.boundary_mass = self._boundary_mass(buf, p)
         total += bd.boundary_mass * (q - p)
         for j in range(1, num_j + 1):
             lo = q - d_scale / 2.0 ** (j - 1)
@@ -280,9 +313,82 @@ class MultStream1D:
         return total, bd
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
-        """Estimates alone, one ``query`` per value."""
+        """``query(q)[0]`` for every value of ``qs``, vectorized across the values.
+
+        Each step of ``query`` is one numpy operation over the values it
+        concerns, with the same float operations in the same order, so the
+        answers are bit-identical to the scalar ones.
+        """
+        if not self.frozen:
+            raise UnfrozenSketchError("freeze() the sketch before querying")
         qs = np.asarray(qs, dtype=float)
-        return np.fromiter((self.query(float(q))[0] for q in qs), dtype=float, count=qs.size)
+        if not np.isfinite(qs).all():
+            raise ValueError("queries must be finite")
+        level0 = self._level0()
+        if level0 is None:
+            return np.zeros(qs.size)
+        buf, pre = level0
+        p = float(buf[-1])
+        c = np.searchsorted(buf, qs, side="right")
+        out = c * qs - pre[c]  # exact below p
+        far = np.flatnonzero(qs > p)
+        if far.size == 0:
+            return out
+        q = qs[far]
+        d_scale = q - p
+        total = buf.size * q - pre[buf.size]
+        total += self._boundary_mass(buf, p) * d_scale
+        # query's special cases for D <= 1 and D < 2 give these same values
+        log_d = _ceil_log2(d_scale)
+        num_j = np.clip(log_d, 1, self._max_scales())
+        thr_e = np.maximum(log_d, 1)
+        for j in range(1, int(num_j.max()) + 1):
+            act = np.flatnonzero(num_j >= j)
+            qa, da = q[act], d_scale[act]
+            total[act] += self._scale_estimates(qa, qa - da / 2.0 ** (j - 1),
+                                                qa - da / 2.0**j, thr_e[act])
+        out[far] = total
+        return out
+
+    def _scale_estimates(self, q, lo, hi, thr_e):
+        """The contribution of the scale (lo, hi] to each query q, as in ``query``."""
+        eps = self.params.epsilon
+        lw = self.params.log2_w
+        levels = self.params.num_levels
+        # crude bank: the sparsest level holding thr_e samples of the scale
+        cnt_r = np.zeros(q.size, dtype=np.int64)
+        left = np.zeros(q.size, dtype=np.int64)
+        found = np.zeros(q.size, dtype=bool)
+        todo = np.arange(q.size)
+        for i in reversed(range(levels)):
+            b = self.E.buffers[i]
+            a = np.searchsorted(b, lo[todo], side="right")
+            c = np.searchsorted(b, hi[todo], side="right") - a
+            hit = c >= thr_e[todo]
+            idx = todo[hit]
+            cnt_r[idx], left[idx], found[idx] = c[hit], a[hit], True
+            todo = todo[~hit]
+            if todo.size == 0:
+                break
+        phi = np.where(left == 0, 1.0, np.minimum(1.0, cnt_r / np.maximum(left, 1)))
+        todo = np.flatnonzero(found & (phi > eps / lw))
+        floor = np.full(q.size, float(math.ceil(1.0 / eps**2)))
+        small = todo[phi[todo] < 1.0 / lw]
+        # the C library's pow, as Python's ** calls it (np.power would square)
+        floor[small] = np.ceil(np.float_power(phi[small] * lw / eps, 2))
+        # fine bank: the sparsest level holding floor samples of the scale
+        contrib = np.zeros(q.size)
+        for i in reversed(range(levels)):
+            if todo.size == 0:
+                break
+            b, pre = self.S.buffers[i], self._prefix_s[i]
+            a = np.searchsorted(b, lo[todo], side="right")
+            c = np.searchsorted(b, hi[todo], side="right")
+            hit = c - a >= floor[todo]
+            idx, a, c = todo[hit], a[hit], c[hit]
+            contrib[idx] = (2.0**i) * ((c - a) * q[idx] - (pre[c] - pre[a]))
+            todo = todo[~hit]
+        return contrib
 
     # -- accounting & serialization ----------------------------------------
 

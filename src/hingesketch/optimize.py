@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
+from .core import hypot_rows
 from .families import Family
 from .sampler import derive_seed, philox_generator
 
@@ -206,29 +207,33 @@ class HingeEstimator2D:
             self._trees[cls] = tree
 
     def estimate(self, theta, b: float) -> float:
-        if self.n == 0:
-            return 0.0
-        theta_x, theta_y = float(theta[0]), float(theta[1])
-        tot = 0.0
-        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
-            # sum over class of max{0, offset - (tx, ty).x} on ball coordinates
-            cnt = self._trees[cls].count
-            if cnt == 0:
-                continue
-            tx, ty = sign * theta_x, sign * theta_y
-            offset = 1.0 - sign * b
-            norm = math.hypot(tx, ty)
-            if norm < 1e-300:
-                tot += max(0.0, offset) * cnt
-                continue
-            # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
-            b2 = (offset + tx + ty) / (2.0 * norm)
-            tot += 2.0 * norm * self._trees[cls].query((tx / norm, ty / norm), b2) * cnt
-        return tot / self.n
+        return float(self.estimate_bulk(np.array([[theta[0], theta[1], b]], dtype=float))[0])
 
     def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
-        """``estimate`` for each candidate row (theta_x, theta_y, b)."""
-        return np.array([self.estimate(w[:2], w[2]) for w in np.asarray(ws).tolist()])
+        """(1/n) sum_i max{0, 1 - y_i(theta.x_i + b)} for each candidate row
+        (theta_x, theta_y, b)."""
+        ws = np.asarray(ws, dtype=float).reshape(-1, 3)
+        tot = np.zeros(len(ws))
+        if self.n == 0:
+            return tot
+        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
+            # sum over class of max{0, offset - (tx, ty).x} on ball coordinates
+            tree = self._trees[cls]
+            cnt = tree.count
+            if cnt == 0:
+                continue
+            tx, ty = sign * ws[:, 0], sign * ws[:, 1]
+            offset = 1.0 - sign * ws[:, 2]
+            norm = hypot_rows(tx, ty)
+            zero = norm < 1e-300
+            tot[zero] += np.where(offset[zero] > 0.0, offset[zero], 0.0) * cnt
+            nz = ~zero
+            tx, ty, offset, norm = tx[nz], ty[nz], offset[nz], norm[nz]
+            # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
+            b2 = (offset + tx + ty) / (2.0 * norm)
+            rows = np.stack([tx / norm, ty / norm, b2], axis=1)
+            tot[nz] += 2.0 * norm * tree.query_many(rows) * cnt
+        return tot / self.n
 
 
 def build_estimator(points, family: str, epsilon: float, seed: int = 0,

@@ -102,18 +102,26 @@ class LevelSampleBank:
 
 
 class Reservoir1:
-    """Uniform size-1 reservoir: after k offers each value is retained w.p. 1/k."""
+    """Uniform size-1 reservoir: after k offers each value is retained w.p. 1/k.
 
-    __slots__ = ("count_seen", "sample", "_rng")
+    The generator is seeded at the second offer, its first use: a loaded
+    sketch holds many reservoirs that never draw.
+    """
+
+    __slots__ = ("count_seen", "sample", "_seed", "_rng")
 
     def __init__(self, seed: int = 0):
         self.count_seen = 0
         self.sample = None
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng = None
 
     def offer(self, value) -> None:
         self.count_seen += 1
         if self.count_seen == 1:
             self.sample = value
-        elif self._rng.random() * self.count_seen < 1.0:
+            return
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        if self._rng.random() * self.count_seen < 1.0:
             self.sample = value

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+from hingesketch import add2d
 from hingesketch.add2d import (
     KAPPA_SPACE_P1,
     KAPPA_SPACE_P2,
@@ -146,6 +148,34 @@ class TestQuery:
             b = qrng.uniform(-1, 1.5)
             theta = (math.cos(ang), math.sin(ang))
             assert abs(tree.query(theta, b) - oracle(pts, theta, b, p=2)) <= 0.1
+
+
+    def test_query_many_independent_of_block_size(self, monkeypatch):
+        tree = additive_quadtree(0.1, 2000, p=2, seed=3)
+        tree.update_many(disk_square_points(2000, 5))
+        rng = np.random.default_rng(6)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 50)
+        rows = np.stack([np.cos(ang), np.sin(ang), rng.uniform(-1.0, 2.0, 50)], axis=1)
+        whole = tree.query_many(rows)
+        monkeypatch.setattr(add2d, "_BLOCK_VALUES", 7)
+        assert_array_equal(tree.query_many(rows), whole)
+        assert_array_equal([tree.query(r[:2], r[2]) for r in rows], whole)
+
+    def test_update_resets_node_columns(self):
+        tree = QuadTree2D(0.25, 100, seed=0)
+        tree.update(0.2, 0.2)
+        assert tree.query((1.0, 0.0), 0.9) == pytest.approx(0.7)
+        tree.update(0.3, 0.3)
+        assert tree.query((1.0, 0.0), 0.9) == pytest.approx(0.65)
+
+    def test_float_power_is_python_pow(self):
+        """Squares in the batch paths (p=2 crossing terms here, the fine-bank
+        quotas of mult1d) use np.float_power because it calls the C library's
+        pow, as Python's ** does; x * x differs from that in the last place for
+        about one value in 1200."""
+        scales = 2.0 ** np.arange(-20, 20).repeat(2000)
+        xs = np.random.default_rng(0).uniform(0.5, 1.0, scales.size) * scales
+        assert_array_equal(np.float_power(xs, 2), [x**2 for x in xs.tolist()])
 
 
 class TestSpace:

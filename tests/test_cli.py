@@ -184,6 +184,27 @@ class TestCommands:
             assert code == cli.EXIT_CONFIG and not out
             assert last_error(err) == "config"
 
+    @pytest.mark.parametrize("algorithm,value", [
+        ("mult1d", "inf"), ("dyn1d", "nan"), ("add1d", "nan"), ("offline1d", "-inf"),
+    ])
+    def test_non_finite_q_is_config_error(self, tmp_path, capsys, algorithm, value):
+        path, _ = build_1d(capsys, tmp_path, algorithm, "s.bin", "--epsilon", "0.2")
+        code, out, err = run(capsys, "query", "--sketch", path, "--q", "0.5", f"--q={value}")
+        assert code == cli.EXIT_CONFIG and not out
+        assert last_error(err) == "config"
+
+    @pytest.mark.parametrize("theta,b", [("nan,0", "0.5"), ("1,0", "inf")])
+    def test_non_finite_halfplane_is_config_error(self, tmp_path, capsys, theta, b):
+        stream = tmp_path / "u2.csv"
+        sketch = tmp_path / "u2.hsk"
+        run(capsys, "gen", "--kind", "uniform", "--n", "200", "--d", "2", "--out", str(stream))
+        run(capsys, "build", "--algorithm", "add2d", "--input", str(stream),
+            "--epsilon", "0.2", "--out", str(sketch))
+        code, out, err = run(capsys, "query", "--sketch", str(sketch), f"--theta={theta}",
+                             f"--b={b}")
+        assert code == cli.EXIT_CONFIG and not out
+        assert last_error(err) == "config"
+
     @pytest.mark.parametrize("algorithm,damage", [
         ("mult1d", "truncated"), ("mult1d", "reserved byte"), ("offline1d", "trailing"),
         ("mult1d", "trailing"), ("dyn1d", "trailing"), ("add1d", "trailing"),

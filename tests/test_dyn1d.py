@@ -44,6 +44,8 @@ class TestExplicitRegime:
         sk = build([1.0, 2.0])
         with pytest.raises(UnfrozenSketchError):
             sk.query(1.0)
+        with pytest.raises(UnfrozenSketchError):
+            sk.query_many(np.empty(0))
 
     def test_update_after_freeze_rejected(self):
         sk = build([1.0])

@@ -117,6 +117,8 @@ class TestStream:
         sk.update(3.0)
         with pytest.raises(UnfrozenSketchError):
             sk.query(1.0)
+        with pytest.raises(UnfrozenSketchError):
+            sk.query_many(np.empty(0))
 
     def test_update_after_freeze_rejected(self):
         sk = MultStream1D(small_params())
