@@ -231,7 +231,7 @@ class DynSketch1D:
         c = np.searchsorted(expl, qs, side="right")
         out = c * qs - self._expl_prefix[c]
         anchor = float(expl[-1])
-        far = np.flatnonzero(~(qs <= anchor))
+        far = np.flatnonzero(qs > anchor)
         if not self.intervals or far.size == 0:
             return out
         q = qs[far]
