@@ -56,98 +56,221 @@ def _err(kind: str, message: str, **extra) -> None:
 # ---------------------------------------------------------------------------
 
 
-def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
-    """Read a labeled stream; returns (points, row_errors).
+# rows per block of the stream readers
+_BLOCK_ROWS = 65536
 
-    CSV rows are "y,x1[,x2]" with y in {-1, 1}; binary streams carry an
-    8-byte header (magic "HSTR", u32 dimension) and records of one label
-    byte plus d little-endian float64 coordinates.  ``max_norm`` relaxes the
-    unit-ball check (the adversarial optimization instances deliberately
-    place one cluster at norm 1+delta).
+
+def record_dtype(d: int) -> np.dtype:
+    """One stream record, as HSTR stores it: a label byte and d float64 coordinates."""
+    return np.dtype([("y", "i1"), ("x", "<f8", (d,))])
+
+
+class _RowChecker:
+    """The per-row checks of a stream, and the single source of row errors.
+
+    The block readers call it only on rows a mask rejects, and on CSV blocks
+    that ``np.loadtxt`` cannot parse.  ``dim`` is fixed by the first row with a
+    valid label and parseable coordinates, even if that row then fails.
     """
-    points: list[LabeledPoint] = []
-    errors: list[str] = []
-    dim = None
 
-    def bad(lineno, msg):
-        errors.append(f"line {lineno}: {msg}")
-        if fail_fast:
+    def __init__(self, max_norm: float, fail_fast: bool):
+        self.max_norm = max_norm
+        self.fail_fast = fail_fast
+        self.dim: int | None = None
+        self.errors: list[str] = []
+
+    def bad(self, lineno: int, msg: str) -> None:
+        self.errors.append(f"line {lineno}: {msg}")
+        if self.fail_fast:
             raise DataError(f"line {lineno}: {msg}")
 
+    def point(self, lineno: int, coords, y: int):
+        """The coordinates of a point with a valid label, or None once its error is reported."""
+        try:
+            p = LabeledPoint(coords, y)
+        except ValueError as e:
+            self.bad(lineno, str(e))
+            return None
+        if p.norm() > self.max_norm + 1e-9:
+            self.bad(lineno, f"norm {p.norm():.6g} exceeds bound {self.max_norm:.6g}")
+            return None
+        return p.x
+
+    def csv_line(self, lineno: int, line: str):
+        """(y, coordinates) of a CSV line; None for a blank or '#' line, and once
+        the line's error is reported."""
+        line = line.strip()
+        if not line or line.startswith("#"):
+            return None
+        parts = line.split(",")
+        try:
+            label = float(parts[0])
+        except ValueError:
+            label = math.nan
+        if not math.isfinite(label):
+            self.bad(lineno, f"bad label {parts[0]!r}")
+            return None
+        if label not in (-1.0, 1.0):
+            self.bad(lineno, "label must be -1 or 1")
+            return None
+        try:
+            coords = tuple(float(v) for v in parts[1:])
+        except ValueError:
+            self.bad(lineno, "bad coordinate")
+            return None
+        if not coords:
+            self.bad(lineno, "missing coordinates")
+            return None
+        if self.dim is None:
+            self.dim = len(coords)
+        elif len(coords) != self.dim:
+            self.bad(lineno, f"dimension drift: {len(coords)} != {self.dim}")
+            return None
+        x = self.point(lineno, coords, int(label))
+        return None if x is None else (int(label), x)
+
+    def mask(self, y: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Rows that pass every check: labels +-1, finite, within the norm bound.
+
+        A NaN or infinite coordinate makes the norm NaN or infinite, which
+        fails the bound.  Python 3.12+ sums floats with compensation, which
+        can move a norm of ``_row_norms`` by an ulp for d >= 3, so rows within
+        1e-12 of the bound go to the per-row check.
+        """
+        limit = self.max_norm + 1e-9
+        return ((y == 1) | (y == -1)) & (_row_norms(X) <= limit - 1e-12 * abs(limit))
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean row norms, the squares added column by column as ``LabeledPoint.norm`` adds them."""
+    sq = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        sq += X[:, j] * X[:, j]
+    return np.sqrt(sq)
+
+
+def _records(y, X: np.ndarray) -> np.ndarray:
+    rec = np.empty(len(X), record_dtype(X.shape[1]))
+    rec["y"] = y
+    rec["x"] = X
+    return rec
+
+
+def _passing(y: np.ndarray, X: np.ndarray, ok: np.ndarray, check) -> np.ndarray:
+    """Records of the rows of a block that pass: the ``ok`` rows, and each
+    other row ``i`` for which the per-row ``check(i)`` returns (y, coordinates)."""
+    for i in np.flatnonzero(~ok).tolist():
+        res = check(i)
+        if res is not None:
+            ok[i] = True
+            X[i] = res[1]
+    return _records(y[ok], X[ok])
+
+
+def _csv_records(stream, chk: _RowChecker):
+    """Record blocks of a CSV stream, read _BLOCK_ROWS lines at a time."""
+    first = 1
+    while True:
+        lines = list(itertools.islice(stream, _BLOCK_ROWS))
+        if not lines:
+            return
+        linenos = np.arange(first, first + len(lines))
+        first += len(lines)
+        if min(lines) < "$":  # lines that are blank or '#' once stripped sort below "$"
+            lines = list(map(str.strip, lines))
+            keep = np.fromiter(map(len, lines), np.intp, len(lines)) > 0
+            keep &= ~np.fromiter(map(str.startswith, lines, itertools.repeat("#")),
+                                 bool, len(lines))
+            lines = list(itertools.compress(lines, keep.tolist()))
+            linenos = linenos[keep]
+            if not lines:
+                continue
+        try:
+            # comments=None: the default "#" would cut "1,0.5#x", a bad coordinate
+            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            a = None
+        # loadtxt skips empty lines: its rows must still map one to one onto lines
+        if a is None or len(a) != len(lines):
+            rows = [r for r in map(chk.csv_line, linenos.tolist(), lines) if r is not None]
+            if rows:
+                y, X = zip(*rows)
+                yield _records(y, np.array(X))
+            continue
+        y, X = a[:, 0], a[:, 1:]
+        if chk.dim is None and X.shape[1] and ((y == 1) | (y == -1)).any():
+            chk.dim = X.shape[1]
+        ok = chk.mask(y, X) if X.shape[1] == chk.dim else np.zeros(len(a), bool)
+        yield _passing(y, X, ok, lambda i: chk.csv_line(int(linenos[i]), lines[i]))
+
+
+def _hstr_records(f, chk: _RowChecker):
+    """Record blocks of an HSTR stream."""
+    head = f.read(8)
+    if len(head) < 8 or head[:4] != serialize.MAGIC_STREAM:
+        raise DataError("bad stream header (expected HSTR magic)")
+    chk.dim = struct.unpack("<I", head[4:8])[0]
+    if not 1 <= chk.dim < 2**31:  # numpy cannot shape a record of 2**31 coordinates
+        raise DataError(f"bad stream header (dimension {chk.dim})")
+    dtype = record_dtype(chk.dim)
+    # reads of at most 16 MB, or one record: a crafted dimension asks for no more
+    rows = max(1, min(_BLOCK_ROWS, (1 << 24) // dtype.itemsize))
+    done = 0
+    while True:
+        buf = f.read(dtype.itemsize * rows)
+        if not buf:
+            return
+        recs = np.frombuffer(buf, dtype, count=len(buf) // dtype.itemsize)
+        y, X = recs["y"], np.array(recs["x"])
+
+        def check(i):
+            if y[i] not in (-1, 1):
+                chk.bad(done + 1 + i, "label must be -1 or 1")
+                return None
+            x = chk.point(done + 1 + i, X[i].tolist(), int(y[i]))
+            return None if x is None else (int(y[i]), x)
+
+        yield _passing(y, X, chk.mask(y, X), check)
+        done += len(recs)
+        if len(buf) % dtype.itemsize:
+            chk.bad(done + 1, "truncated record")
+            return
+
+
+def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
+    """Read a labeled stream; returns (records, row_errors).
+
+    ``records`` is one structured array of ``record_dtype(d)``: the points
+    that pass every check, in stream order.  CSV rows are "y,x1[,x2]" with y
+    in {-1, 1}; binary streams carry an 8-byte header (magic "HSTR", u32
+    dimension) and records of one label byte plus d little-endian float64
+    coordinates.  ``max_norm`` relaxes the unit-ball check (the adversarial
+    optimization instances deliberately place one cluster at norm 1+delta).
+    Both formats are read in blocks; rows that fail a check, and CSV blocks
+    that ``np.loadtxt`` rejects, go through the per-row checks of
+    ``_RowChecker``, which write every row error.
+    """
+    chk = _RowChecker(max_norm, fail_fast)
     if fmt == "csv":
         stream = sys.stdin if path == "-" else open(path, "r")
         try:
-            for lineno, line in enumerate(stream, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    y = int(float(parts[0]))
-                except ValueError:
-                    bad(lineno, f"bad label {parts[0]!r}")
-                    continue
-                if y not in (-1, 1):
-                    bad(lineno, "label must be -1 or 1")
-                    continue
-                try:
-                    coords = tuple(float(v) for v in parts[1:])
-                except ValueError:
-                    bad(lineno, "bad coordinate")
-                    continue
-                if not coords:
-                    bad(lineno, "missing coordinates")
-                    continue
-                if dim is None:
-                    dim = len(coords)
-                elif len(coords) != dim:
-                    bad(lineno, f"dimension drift: {len(coords)} != {dim}")
-                    continue
-                try:
-                    p = LabeledPoint(coords, y)
-                except ValueError as e:
-                    bad(lineno, str(e))
-                    continue
-                if p.norm() > max_norm + 1e-9:
-                    bad(lineno, f"norm {p.norm():.6g} exceeds bound {max_norm:.6g}")
-                    continue
-                points.append(p)
+            blocks = [b for b in _csv_records(stream, chk) if len(b)]
         finally:
             if stream is not sys.stdin:
                 stream.close()
     elif fmt == "bin":
         with open(path, "rb") as f:
-            head = f.read(8)
-            if len(head) < 8 or head[:4] != serialize.MAGIC_STREAM:
-                raise DataError("bad stream header (expected HSTR magic)")
-            dim = struct.unpack("<I", head[4:8])[0]
-            rec = 1 + 8 * dim
-            idx = 0
-            while True:
-                chunk = f.read(rec)
-                if not chunk:
-                    break
-                idx += 1
-                if len(chunk) < rec:
-                    bad(idx, "truncated record")
-                    break
-                yb = struct.unpack("<b", chunk[:1])[0]
-                if yb not in (-1, 1):
-                    bad(idx, "label must be -1 or 1")
-                    continue
-                coords = struct.unpack(f"<{dim}d", chunk[1:])
-                try:
-                    p = LabeledPoint(coords, yb)
-                except ValueError as e:
-                    bad(idx, str(e))
-                    continue
-                if p.norm() > max_norm + 1e-9:
-                    bad(idx, f"norm {p.norm():.6g} exceeds bound {max_norm:.6g}")
-                    continue
-                points.append(p)
+            blocks = [b for b in _hstr_records(f, chk) if len(b)]
     else:
         raise ConfigError(f"unknown stream format {fmt!r}")
-    return points, errors
+    records = np.concatenate(blocks) if blocks else np.empty(0, record_dtype(chk.dim or 1))
+    return records, chk.errors
+
+
+def points_of(records: np.ndarray) -> list[LabeledPoint]:
+    """The records of ``ingest`` as LabeledPoints."""
+    return [LabeledPoint(tuple(x), y)
+            for y, x in zip(records["y"].tolist(), records["x"].tolist())]
 
 
 def write_stream(points, path: str, fmt: str) -> None:
@@ -229,23 +352,23 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
-    points, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
-                            max_norm=args.max_norm)
+    records, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
+                             max_norm=args.max_norm)
     for e in errors:
         _err("data", e)
-    if not points:
+    if not len(records):
         raise DataError("no valid points in stream")
     fam = families.FAMILIES[args.algorithm]
-    d = points[0].dim
+    d = records["x"].shape[1]
     if d != fam.dim:
         raise ConfigError(f"{args.algorithm} requires d={fam.dim}, stream has d={d}")
-    stream = np.fromiter(itertools.chain.from_iterable(p.x for p in points), float,
-                         d * len(points))
-    if d == 2:  # d=2 families read the unit square: map the unit ball onto it, in place
-        stream = stream.reshape(-1, 2)
+    stream = np.ascontiguousarray(records["x"], dtype=float)
+    if d == 1:
+        stream = stream.reshape(-1)
+    else:  # d=2 families read the unit square: map the unit ball onto it, in place
         stream += 1.0
         stream /= 2.0
-    rec = {"written": args.out, "algorithm": args.algorithm, "points": len(points)}
+    rec = {"written": args.out, "algorithm": args.algorithm, "points": len(records)}
     builds = [(args.out, args.seed)]
     if args.replicas > 1:
         # repeat-and-median boosting: independent replica per derived seed,
@@ -254,7 +377,7 @@ def cmd_build(args) -> int:
                   for i in range(args.replicas)]
         rec.update(written=[path for path, _ in builds], replicas=args.replicas)
     for path, seed in builds:
-        sk = fam.make(args.epsilon, args.n_hint or len(points), seed, args.p, args.W)
+        sk = fam.make(args.epsilon, args.n_hint or len(records), seed, args.p, args.W)
         sk.update_many(stream)
         sk.freeze()
         with open(path, "wb") as f:
@@ -300,19 +423,21 @@ def cmd_query(args) -> int:
     if not np.isfinite(qs).all():
         raise ConfigError("--q, --theta and --b must be finite")
     estimates = optimize.median_estimate(np.stack([sk.query_many(qs) for sk in sketches]))
-    for rec, est in zip(out, estimates.tolist()):
+    # + 0.0 turns the -0.0 of c * q with c = 0 (a value below every point) into 0.0
+    for rec, est in zip(out, (estimates + 0.0).tolist()):
         rec.update(estimate=est, replicas=len(sketches))
         print(json.dumps(rec))
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    points, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
-                            max_norm=args.max_norm)
+    records, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
+                             max_norm=args.max_norm)
     for e in errors:
         _err("data", e)
-    if not points:
+    if not len(records):
         raise DataError("no valid points in stream")
+    points = points_of(records)
     if args.algorithm == "pegasos":
         theta, b = optimize.sgd_baseline(points, args.lam, args.epsilon, seed=args.seed)
         value = hinge_objective(points, HyperplaneQuery(theta, b), args.lam)

@@ -46,7 +46,8 @@ class _Interval:
     __slots__ = ("boundary", "rho", "rho_star", "samples", "sorted_samples",
                  "prefix", "unsplittable")
 
-    def __init__(self, boundary: float, rho: float, samples: list):
+    def __init__(self, boundary: float, rho: float, samples):
+        # samples: a list while streaming, the array read from the file once loaded
         self.boundary = boundary
         self.rho = rho
         self.rho_star = math.inf
@@ -68,7 +69,9 @@ class DynSketch1D:
         eps = params.epsilon
         self.log_n = math.log2(max(params.n_hint, 2))
         self.explicit_capacity = math.ceil(params.C * self.log_n / eps**3)
-        self._heap: list[float] = []  # negated values: max-heap over kept points
+        # negated kept points as a min-heap: a list while streaming, an
+        # ascending array (also a heap) once loaded
+        self._heap: list[float] = []
         self.intervals: list[_Interval] = []
         self.count = 0
         self.frozen = False
@@ -82,7 +85,7 @@ class DynSketch1D:
 
     @property
     def anchor(self) -> float:
-        return -self._heap[0] if self._heap else -math.inf
+        return -self._heap[0] if len(self._heap) else -math.inf
 
     def _offer_explicit(self, x: float) -> None:
         if len(self._heap) < self.explicit_capacity:
@@ -94,6 +97,8 @@ class DynSketch1D:
         if self.frozen:
             raise UnfrozenSketchError("sketch is frozen; no further updates")
         x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"stream values must be finite, got {x}")
         self.count += 1
         if not self.intervals:
             if len(self._heap) < self.explicit_capacity:
@@ -205,7 +210,7 @@ class DynSketch1D:
     # -- freeze & query -------------------------------------------------------
 
     def freeze(self) -> None:
-        self._expl_sorted = np.sort(np.asarray([-v for v in self._heap], dtype=float))
+        self._expl_sorted = np.sort(-np.asarray(self._heap, dtype=float))
         self._expl_prefix = np.concatenate([[0.0], np.cumsum(self._expl_sorted)])
         for itv in self.intervals:
             itv.sorted_samples = np.sort(np.asarray(itv.samples, dtype=float))
@@ -315,7 +320,7 @@ class DynSketch1D:
         w.u8(pr.p)
         w.i64(pr.seed)
         w.u64(self.count)
-        w.array(np.sort(np.asarray([-v for v in self._heap], dtype=float)))
+        w.array(np.sort(-np.asarray(self._heap, dtype=float)))
         w.u64(len(self.intervals))
         for itv in self.intervals:
             w.f64(itv.boundary)
@@ -336,16 +341,15 @@ class DynSketch1D:
         params = SketchParams(epsilon=eps, W=W, n_hint=n_hint, C1=c1, C2=c2, C=c, p=p, seed=seed)
         sk = cls(params)
         sk.count = r.u64()
-        sk._heap = [-v for v in r.array().tolist()]
-        heapq.heapify(sk._heap)
+        sk._heap = -np.sort(r.array())[::-1]
         m = r.u64()
         for _ in range(m):
             bd = r.f64()
             rho = r.f64()
             rho_star = r.f64()
-            itv = _Interval(bd, rho, r.array().tolist())
+            itv = _Interval(bd, rho, r.array())
             itv.rho_star = rho_star
             sk.intervals.append(itv)
         r.done()
-        sk.freeze()
+        sk.freeze()  # sorts: a crafted file may store unsorted arrays
         return sk

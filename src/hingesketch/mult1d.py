@@ -199,6 +199,8 @@ class MultStream1D:
         if self.frozen:
             raise UnfrozenSketchError("sketch is frozen; no further updates")
         xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            raise ValueError("stream values must be finite")
         self.count += int(xs.size)
         self.E.offer_many(xs)
         self.S.offer_many(xs)

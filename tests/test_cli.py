@@ -37,8 +37,8 @@ class TestIngest:
         f.write_text("1,0.5\n-1,-0.25\n")
         pts, errs = cli.ingest(str(f), "csv")
         assert not errs
-        assert pts[0].x == (0.5,) and pts[0].y == 1
-        assert pts[1].y == -1
+        assert pts["x"][0].tolist() == [0.5] and pts["y"][0] == 1
+        assert pts["y"][1] == -1
 
     def test_bad_label_reported_with_line(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -46,6 +46,38 @@ class TestIngest:
         pts, errs = cli.ingest(str(f), "csv")
         assert len(pts) == 1
         assert errs == ["line 2: label must be -1 or 1"]
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan"])
+    def test_non_finite_label_is_bad_label(self, tmp_path, label):
+        f = tmp_path / "s.csv"
+        f.write_text(f"1,0.5\n{label},0.5\n")
+        pts, errs = cli.ingest(str(f), "csv")
+        assert len(pts) == 1
+        assert errs == [f"line 2: bad label {label!r}"]
+
+    @pytest.mark.parametrize("label", ["1.5", "-1.9", "0.5", "1.0000000000000002"])
+    def test_fractional_label_rejected(self, tmp_path, label):
+        f = tmp_path / "s.csv"
+        f.write_text(f"{label},0.5\n-1,0.2\n")
+        pts, errs = cli.ingest(str(f), "csv")
+        assert pts["y"].tolist() == [-1]
+        assert errs == ["line 1: label must be -1 or 1"]
+
+    def test_float_spelled_labels_accepted(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("1.0,0.5\n1e0,0.25\n-1.0,0.2\n-1e0,0.1\n")
+        pts, errs = cli.ingest(str(f), "csv")
+        assert not errs
+        assert pts["y"].tolist() == [1, 1, -1, -1]
+
+    @pytest.mark.parametrize("label", ["inf", "1.5"])
+    def test_bad_label_fail_fast_exits_3(self, tmp_path, capsys, label):
+        f = tmp_path / "s.csv"
+        f.write_text(f"1,0.5\n{label},0.5\n")
+        code, _, err = run(capsys, "build", "--algorithm", "add1d", "--input", str(f),
+                           "--epsilon", "0.2", "--fail-fast", "--out", str(tmp_path / "s.hsk"))
+        assert code == cli.EXIT_DATA
+        assert json.loads(err.strip().splitlines()[-1])["message"].startswith("line 2: ")
 
     def test_dimension_drift(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -57,7 +89,7 @@ class TestIngest:
         f = tmp_path / "s.csv"
         f.write_text("1,0.9,0.9\n")
         pts, errs = cli.ingest(str(f), "csv")
-        assert not pts and "exceeds" in errs[0]
+        assert len(pts) == 0 and "exceeds" in errs[0]
         pts2, errs2 = cli.ingest(str(f), "csv", max_norm=1.5)
         assert len(pts2) == 1 and not errs2
 
@@ -80,15 +112,26 @@ class TestIngest:
         b = tmp_path / "s.bin"
         cli.write_stream(pts, str(c), "csv")
         via_csv, _ = cli.ingest(str(c), "csv")
-        cli.write_stream(via_csv, str(b), "bin")
+        cli.write_stream(cli.points_of(via_csv), str(b), "bin")
         via_bin, _ = cli.ingest(str(b), "bin")
-        assert via_bin == pts
+        assert cli.points_of(via_bin) == pts
 
     def test_bin_header_check(self, tmp_path):
         f = tmp_path / "bad.bin"
         f.write_bytes(b"XXXX" + struct.pack("<I", 1))
         with pytest.raises(cli.DataError, match="header"):
             cli.ingest(str(f), "bin")
+
+    @pytest.mark.parametrize("d", [0, 2**32 - 1])
+    def test_bin_header_dimension_out_of_range(self, tmp_path, capsys, d):
+        f = tmp_path / "d.bin"
+        f.write_bytes(MAGIC_STREAM + struct.pack("<I", d) + b"\x01" * 5)
+        with pytest.raises(cli.DataError, match=rf"bad stream header \(dimension {d}\)"):
+            cli.ingest(str(f), "bin")
+        code, _, err = run(capsys, "build", "--algorithm", "add2d", "--format", "bin",
+                           "--input", str(f), "--epsilon", "0.2", "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_DATA
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestCommands:
@@ -106,7 +149,7 @@ class TestCommands:
         assert code == 0
         rec = json.loads(out.splitlines()[0])
         pts, _ = cli.ingest(str(stream), "csv")
-        xs = np.array([p.x[0] for p in pts])
+        xs = pts["x"][:, 0]
         truth = float(np.mean(np.maximum(0.0, 0.5 - xs)))
         assert abs(rec["estimate"] - truth) <= 0.1
 
@@ -192,6 +235,23 @@ class TestCommands:
         code, out, err = run(capsys, "query", "--sketch", path, "--q", "0.5", f"--q={value}")
         assert code == cli.EXIT_CONFIG and not out
         assert last_error(err) == "config"
+
+    @pytest.mark.parametrize("algorithm", ["mult1d", "dyn1d"])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_query_below_every_point_prints_positive_zero(self, tmp_path, capsys, algorithm,
+                                                          replicas):
+        stream = tmp_path / "s.csv"
+        xs = np.random.default_rng(5).uniform(-1.0, 1.0, 2000).tolist()
+        stream.write_text("".join(f"1,{x!r}\n" for x in xs))
+        out = str(tmp_path / "s.hsk")
+        code, _, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                           "--epsilon", "0.3", "--replicas", str(replicas), "--out", out)
+        assert code == 0, err
+        files = [out] if replicas == 1 else [f"{out}.{i}" for i in range(replicas)]
+        code, out, _ = run(capsys, "query", *sum((["--sketch", f] for f in files), []),
+                           "--q=-1.2")
+        assert code == 0
+        assert '"estimate": 0.0,' in out
 
     @pytest.mark.parametrize("theta,b", [("nan,0", "0.5"), ("1,0", "inf")])
     def test_non_finite_halfplane_is_config_error(self, tmp_path, capsys, theta, b):

@@ -53,6 +53,13 @@ class TestExplicitRegime:
         with pytest.raises(UnfrozenSketchError):
             sk.update(2.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_update_rejected(self, x):
+        sk = build([0.5] * 3)
+        with pytest.raises(ValueError, match="finite"):
+            sk.update(x)
+        assert sk.count == 3
+
 
 class TestSplitRule:
     def test_split_index_is_ceil_fraction(self):
@@ -190,6 +197,17 @@ class TestSerialization:
         back = DynSketch1D.from_bytes(sk.to_bytes())
         for q in rng.uniform(0, 1, 60):
             assert sk.query(q) == back.query(q)
+
+    @pytest.mark.parametrize("n", [40, 12000])
+    def test_loaded_sketch_replays_bytes_and_space(self, n):
+        sk = build(np.random.default_rng(15).uniform(0, 1, n), eps=0.3, seed=15)
+        sk.freeze()
+        data = sk.to_bytes()
+        back = DynSketch1D.from_bytes(data)
+        assert back.to_bytes() == data
+        assert back.space_words() == sk.space_words()
+        assert back.interval_count() == sk.interval_count()
+        assert back.anchor == sk.anchor
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(12)

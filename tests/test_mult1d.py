@@ -126,6 +126,13 @@ class TestStream:
         with pytest.raises(UnfrozenSketchError):
             sk.update(1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_update_rejected(self, bad):
+        sk = MultStream1D(small_params())
+        with pytest.raises(ValueError, match="finite"):
+            sk.update_many(np.array([2.0, bad, 3.0]))
+        assert sk.count == 0
+
     def test_determinism_replay(self):
         xs = np.random.default_rng(7).integers(1, 2**10, 3000).astype(float)
         a = MultStream1D(small_params(seed=5))
