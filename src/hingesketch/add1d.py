@@ -46,6 +46,14 @@ class _Node:
         self.s2 = 0.0
         self.children = None
 
+    def write(self, w: Writer) -> None:
+        w.u64(self.c)
+        w.f64(self.s)
+        w.f64(self.s2)
+
+    def read(self, r: Reader) -> None:
+        self.c, self.s, self.s2 = r.u64(), r.f64(), r.f64()
+
 
 class Tree1D:
     """Adaptive binary tree with per-node moment counters.
@@ -54,17 +62,12 @@ class Tree1D:
     eps^(1/3) for p=2), the split quota (the same fraction of n_declared),
     and the depth cap (3*log2(1/eps), below which intervals are too small to
     matter).  n_declared must be supplied up front because the split quota
-    depends on it.
+    depends on it.  A decoder passes the ``init_depth`` its file stores,
+    which must be the one the parameters give, before any root is built.
     """
 
-    def __init__(
-        self,
-        eps_struct: float,
-        n_declared: int,
-        p: int = 1,
-        lo: float = -1.0,
-        hi: float = 1.0,
-    ):
+    def __init__(self, eps_struct: float, n_declared: int, p: int = 1,
+                 lo: float = -1.0, hi: float = 1.0, *, init_depth: int | None = None):
         if not (0 < eps_struct < 1):
             raise ValueError("eps_struct must be in (0, 1)")
         if n_declared < 1:
@@ -79,8 +82,13 @@ class Tree1D:
         frac = math.sqrt(eps_struct) if p == 1 else eps_struct ** (1.0 / 3.0)
         self.split_threshold = max(1, math.ceil(frac * self.n_declared))
         width = self.hi - self.lo
+        # width / frac >= width, as frac < 1: finite only on a finite domain
+        if not (self.lo < self.hi and math.isfinite(width / frac)):
+            raise ValueError(f"domain [{lo}, {hi}] must be finite with lo < hi")
         # leaves of width ~frac, rounded to the nearest power-of-two partition
         self.init_depth = max(0, round(math.log2(width / frac)))
+        if init_depth not in (None, self.init_depth):
+            raise serialize.FormatError("initial depth mismatch")
         self.depth_cap = math.ceil(3.0 * math.log2(1.0 / eps_struct))
         ncells = 2**self.init_depth
         cw = width / ncells
@@ -98,21 +106,25 @@ class Tree1D:
         ncells = len(self.roots)
         idx = min(int((x - self.lo) / (self.hi - self.lo) * ncells), ncells - 1)
         node = self.roots[idx]
-        while node.children is not None:
+        # a full leaf splits if it can, and x goes on into one of its halves
+        while node.children is not None or (node.c >= self.split_threshold
+                                            and self._split(node)):
             node = node.children[0] if x < node.children[1].lo else node.children[1]
-        if node.c >= self.split_threshold and node.depth <= self.depth_cap:
-            mid = 0.5 * (node.lo + node.hi)
-            node.children = (
-                _Node(node.lo, mid, node.depth + 1),
-                _Node(mid, node.hi, node.depth + 1),
-            )
-            node = node.children[0] if x < mid else node.children[1]
         node.c += 1
         d = node.hi - x
         node.s += d
         if self.p == 2:
             node.s2 += d * d
         self.count += 1
+
+    def _split(self, node: _Node) -> bool:
+        """Give ``node`` its two halves unless it lies past the depth cap;
+        returns whether it did."""
+        if node.depth > self.depth_cap:
+            return False
+        mid = 0.5 * (node.lo + node.hi)
+        node.children = (_Node(node.lo, mid, node.depth + 1), _Node(mid, node.hi, node.depth + 1))
+        return True
 
     def update_many(self, xs: np.ndarray) -> None:
         for x in python_rows(np.asarray(xs, dtype=float)):
@@ -125,12 +137,7 @@ class Tree1D:
         return (self.eps_struct, self.n_declared, self.p, self.lo, self.hi)
 
     def _walk(self):
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.extend(node.children)
+        return serialize.walk(self.roots, mirror=True)
 
     def node_count(self) -> int:
         return sum(1 for _ in self._walk())
@@ -198,49 +205,18 @@ class Tree1D:
         w.f64(self.hi)
         w.u64(self.count)
         w.u16(self.init_depth)
-
-        def emit(node: _Node):
-            w.u8(1 if node.children is not None else 0)
-            w.u64(node.c)
-            w.f64(node.s)
-            w.f64(node.s2)
-            if node.children is not None:
-                emit(node.children[0])
-                emit(node.children[1])
-
-        for root in self.roots:
-            emit(root)
+        serialize.write_tree(w, self.roots)
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tree1D":
         r = Reader(data, serialize.MAGIC_BINTREE)
-        eps = r.f64()
-        n_declared = r.u64()
-        p = r.u8()
-        lo, hi = r.f64(), r.f64()
-        tree = cls(eps, n_declared, p=p, lo=lo, hi=hi)
-        tree.count = r.u64()
-        depth = r.u16()
-        if depth != tree.init_depth:
-            raise serialize.FormatError("initial depth mismatch")
-
-        def read(node: _Node):
-            has_children = r.u8()
-            node.c = r.u64()
-            node.s = r.f64()
-            node.s2 = r.f64()
-            if has_children:
-                mid = 0.5 * (node.lo + node.hi)
-                node.children = (
-                    _Node(node.lo, mid, node.depth + 1),
-                    _Node(mid, node.hi, node.depth + 1),
-                )
-                read(node.children[0])
-                read(node.children[1])
-
-        for root in tree.roots:
-            read(root)
+        eps, n_declared, p, lo, hi = r.f64(), r.u64(), r.u8(), r.f64(), r.f64()
+        count, depth = r.u64(), r.u16()
+        r.need(25 * 2**depth, f"a root grid of depth {depth}")  # 25 bytes a node
+        tree = cls(eps, n_declared, p=p, lo=lo, hi=hi, init_depth=depth)
+        tree.count = count
+        serialize.read_tree(r, tree.roots, tree._split)
         r.done()
         return tree
 
@@ -249,6 +225,5 @@ def additive_tree_1d(
     epsilon: float, n_declared: int, p: int = 1, lo: float = -1.0, hi: float = 1.0
 ) -> Tree1D:
     """Tree sized so the end-to-end additive error is at most ``epsilon``."""
-    tree = Tree1D(epsilon / kappa_log(epsilon), n_declared, p=p, lo=lo, hi=hi)
-    return tree
+    return Tree1D(epsilon / kappa_log(epsilon), n_declared, p=p, lo=lo, hi=hi)
 

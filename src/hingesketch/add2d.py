@@ -57,16 +57,34 @@ class _QNode:
         self.res = Reservoir1(seed=derive_seed(seed, "qt", depth, ix, iy))
         self.children = None
 
+    def write(self, w: Writer) -> None:
+        w.u64(self.c)
+        for v in (self.X, self.Y, self.Xvv, self.Yvv, self.Zxy):
+            w.f64(v)
+        w.u64(self.res.count_seen)
+        w.u8(self.res.sample is not None)
+        for v in self.res.sample or ():
+            w.f64(v)
+
+    def read(self, r: Reader) -> None:
+        self.c = r.u64()
+        self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = (r.f64() for _ in range(5))
+        self.res.count_seen = r.u64()
+        if r.u8():
+            self.res.sample = (r.f64(), r.f64())
+
 
 class QuadTree2D:
     """Adaptive quad-tree with moment counters and one reservoir per node.
 
     ``eps_struct`` fixes the initial depth (cells of side ~sqrt(eps)), the
     per-node quota eps*n_declared, and the depth cap (cells never shrink
-    below side eps^2).
+    below side eps^2).  A decoder passes the ``init_depth`` its file stores,
+    which must be the one ``eps_struct`` gives, before any root is built.
     """
 
-    def __init__(self, eps_struct: float, n_declared: int, p: int = 1, seed: int = 0):
+    def __init__(self, eps_struct: float, n_declared: int, p: int = 1, seed: int = 0, *,
+                 init_depth: int | None = None):
         if not (0 < eps_struct < 1):
             raise ValueError("eps_struct must be in (0, 1)")
         if n_declared < 1:
@@ -78,6 +96,8 @@ class QuadTree2D:
         self.p = p
         self.seed = int(seed)
         self.init_depth = max(0, round(math.log2(1.0 / math.sqrt(eps_struct))))
+        if init_depth not in (None, self.init_depth):
+            raise serialize.FormatError("initial depth mismatch")
         self.depth_cap = math.ceil(2.0 * math.log2(1.0 / eps_struct))
         self.threshold = max(1, math.ceil(eps_struct * n_declared))
         g = 2**self.init_depth
@@ -99,17 +119,8 @@ class QuadTree2D:
         ix = min(int(x * g), g - 1)
         iy = min(int(y * g), g - 1)
         node = self.roots[iy * g + ix]
-        while node.children is not None:
-            node = self._child_for(node, x, y)
-        if node.c >= self.threshold and node.depth < self.depth_cap:
-            half = node.size / 2.0
-            d = node.depth + 1
-            node.children = (
-                _QNode(node.x0, node.y0, half, d, self.seed),
-                _QNode(node.x0 + half, node.y0, half, d, self.seed),
-                _QNode(node.x0, node.y0 + half, half, d, self.seed),
-                _QNode(node.x0 + half, node.y0 + half, half, d, self.seed),
-            )
+        # a full leaf splits if it can, and the point goes on into a quadrant
+        while node.children is not None or (node.c >= self.threshold and self._split(node)):
             node = self._child_for(node, x, y)
         node.c += 1
         node.X += x
@@ -121,6 +132,17 @@ class QuadTree2D:
         node.res.offer((x, y))
         self.count += 1
 
+    def _split(self, node: _QNode) -> bool:
+        """Give ``node`` its quadrants SW, SE, NW, NE unless it lies at the
+        depth cap; returns whether it did."""
+        if node.depth >= self.depth_cap:
+            return False
+        half, d = node.size / 2.0, node.depth + 1
+        node.children = tuple(_QNode(x0, y0, half, d, self.seed)
+                              for y0 in (node.y0, node.y0 + half)
+                              for x0 in (node.x0, node.x0 + half))
+        return True
+
     @staticmethod
     def _child_for(node: _QNode, x: float, y: float) -> _QNode:
         # boundary points route to the lexicographically smallest child
@@ -130,12 +152,7 @@ class QuadTree2D:
         return node.children[(2 if top else 0) + (1 if right else 0)]
 
     def _walk(self):
-        stack = list(self.roots)
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.extend(node.children)
+        return serialize.walk(self.roots, mirror=True)
 
     def node_count(self) -> int:
         return sum(1 for _ in self._walk())
@@ -255,68 +272,18 @@ class QuadTree2D:
         w.i64(self.seed)
         w.u64(self.count)
         w.u16(self.init_depth)
-
-        def emit(node: _QNode):
-            w.u8(1 if node.children is not None else 0)
-            w.u64(node.c)
-            w.f64(node.X)
-            w.f64(node.Y)
-            w.f64(node.Xvv)
-            w.f64(node.Yvv)
-            w.f64(node.Zxy)
-            w.u64(node.res.count_seen)
-            if node.res.sample is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.f64(node.res.sample[0])
-                w.f64(node.res.sample[1])
-            if node.children is not None:
-                for ch in node.children:
-                    emit(ch)
-
-        for root in self.roots:
-            emit(root)
+        serialize.write_tree(w, self.roots)
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "QuadTree2D":
         r = Reader(data, serialize.MAGIC_QUADTREE)
-        eps = r.f64()
-        n_declared = r.u64()
-        p = r.u8()
-        seed = r.i64()
-        tree = cls(eps, n_declared, p=p, seed=seed)
-        tree.count = r.u64()
-        depth = r.u16()
-        if depth != tree.init_depth:
-            raise serialize.FormatError("initial depth mismatch")
-
-        def read(node: _QNode):
-            has_children = r.u8()
-            node.c = r.u64()
-            node.X = r.f64()
-            node.Y = r.f64()
-            node.Xvv = r.f64()
-            node.Yvv = r.f64()
-            node.Zxy = r.f64()
-            node.res.count_seen = r.u64()
-            if r.u8():
-                node.res.sample = (r.f64(), r.f64())
-            if has_children:
-                half = node.size / 2.0
-                d = node.depth + 1
-                node.children = (
-                    _QNode(node.x0, node.y0, half, d, tree.seed),
-                    _QNode(node.x0 + half, node.y0, half, d, tree.seed),
-                    _QNode(node.x0, node.y0 + half, half, d, tree.seed),
-                    _QNode(node.x0 + half, node.y0 + half, half, d, tree.seed),
-                )
-                for ch in node.children:
-                    read(ch)
-
-        for root in tree.roots:
-            read(root)
+        eps, n_declared, p, seed = r.f64(), r.u64(), r.u8(), r.i64()
+        count, depth = r.u64(), r.u16()
+        r.need(58 * 4**depth, f"a root grid of depth {depth}")  # 58+ bytes a node
+        tree = cls(eps, n_declared, p=p, seed=seed, init_depth=depth)
+        tree.count = count
+        serialize.read_tree(r, tree.roots, tree._split)
         r.done()
         return tree
 

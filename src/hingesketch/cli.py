@@ -255,6 +255,8 @@ def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
         stream = sys.stdin if path == "-" else open(path, "r")
         try:
             blocks = [b for b in _csv_records(stream, chk) if len(b)]
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: {e}") from e
         finally:
             if stream is not sys.stdin:
                 stream.close()

@@ -65,6 +65,8 @@ class DynSketch1D:
     """One-pass dynamic-interval sketch for sum_{x <= q} (q - x)."""
 
     def __init__(self, params: SketchParams, collect_events: bool = False):
+        if params.p != 1:
+            raise ValueError(f"dyn1d answers p=1 only, not p={params.p}")
         self.params = params
         eps = params.epsilon
         self.log_n = math.log2(max(params.n_hint, 2))

@@ -57,12 +57,15 @@ class OfflineSketch1D:
     largest stored rank with x_j <= q, which never overestimates.
 
     The sketch is offline: ``update_many`` keeps the points and ``freeze``
-    sorts them and builds the index.
+    sorts them and builds the index.  It answers first powers only: ``p``
+    other than 1 is rejected, not ignored.
     """
 
-    def __init__(self, epsilon: float):
+    def __init__(self, epsilon: float, p: int = 1):
         if not (0 < epsilon):
             raise ValueError("epsilon must be positive")
+        if p != 1:
+            raise ValueError(f"offline1d answers p=1 only, not p={p}")
         self.epsilon = float(epsilon)
         self._pending: list[np.ndarray] = []
         self._index(np.empty(0))
@@ -90,7 +93,10 @@ class OfflineSketch1D:
         self.sums = self.ranks * self.xs - pre[self.ranks]
 
     def update_many(self, xs: np.ndarray) -> None:
-        self._pending.append(np.asarray(xs, dtype=float))
+        xs = np.asarray(xs, dtype=float)
+        if not np.isfinite(xs).all():
+            raise ValueError("stream values must be finite")
+        self._pending.append(xs)
 
     def freeze(self) -> None:
         self._index(np.sort(np.concatenate([np.empty(0), *self._pending])))
@@ -181,6 +187,8 @@ class MultStream1D:
     """One-pass multiplicative sketch over a d=1 value stream."""
 
     def __init__(self, params: SketchParams):
+        if params.p != 1:
+            raise ValueError(f"mult1d answers p=1 only, not p={params.p}")
         self.params = params
         m1, m2 = bank_capacities(params)
         self.m1, self.m2 = m1, m2

@@ -89,8 +89,52 @@ class Reader:
         n = self.u64()
         return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
 
+    def need(self, nbytes: int, what: str) -> None:
+        """Reject ``what`` unless at least ``nbytes`` bytes are left to read."""
+        if nbytes > len(self._data) - self._pos:
+            raise FormatError(f"{what} needs more bytes than the file has left")
+
     def done(self) -> None:
         """Reject bytes left over after the payload."""
         extra = len(self._data) - self._pos
         if extra:
             raise FormatError(f"{extra} trailing bytes after the sketch payload")
+
+
+# -- adaptive trees ---------------------------------------------------------
+#
+# A tree node has ``children``, None or a tuple, and ``write(w)``/``read(r)``
+# for its record.  A file holds the roots' subtrees in order, each in
+# pre-order: the node's has-children u8, its record, then its children's
+# subtrees.
+
+
+def walk(roots, mirror: bool = False):
+    """Every node in pre-order, or with ``mirror`` in the pre-order of the
+    mirrored tree (roots and children last to first).  A node's children are
+    looked up after the caller has had the node, so a decoder may add them."""
+    order = slice(None) if mirror else slice(None, None, -1)
+    stack = list(roots[order])
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.children is not None:
+            stack.extend(node.children[order])
+
+
+def write_tree(w: Writer, roots) -> None:
+    for node in walk(roots):
+        w.u8(node.children is not None)
+        node.write(w)
+
+
+def read_tree(r: Reader, roots, split) -> None:
+    """Read the subtrees of ``roots``; ``split(node)`` gives a node its children
+    and returns False where the tree could not have split it."""
+    for node in walk(roots):
+        has_children = r.u8()
+        if has_children > 1:
+            raise FormatError(f"bad has-children byte {has_children}")
+        if has_children and not split(node):
+            raise FormatError(f"node at depth {node.depth} split past the depth cap")
+        node.read(r)

@@ -178,3 +178,22 @@ class TestSerialization:
         assert np.array_equal(tree.query_many(qs), back.query_many(qs))
         assert back.to_bytes() == tree.to_bytes()
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # eps_struct 1e-300 on a domain narrower than a leaf: one root, depth cap 2990
+        tree = Tree1D(1e-300, 1, lo=0.0, hi=1e-151)
+        assert tree.init_depth == 0 and tree.depth_cap == 2990
+        node = tree.roots[0]
+        for _ in range(2500):
+            assert tree._split(node)
+            node = node.children[0]
+        data = tree.to_bytes()
+        back = Tree1D.from_bytes(data)
+        assert back.node_count() == 5001
+        assert back.to_bytes() == data
+
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0),
+                                       (1.0, -1.0)])
+    def test_bad_domain_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="domain"):
+            Tree1D(0.1, 10, lo=lo, hi=hi)
+

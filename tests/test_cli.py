@@ -1,12 +1,16 @@
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hingesketch import cli
-from hingesketch.serialize import MAGIC_STREAM
+from hingesketch.add1d import additive_tree_1d
+from hingesketch.add2d import additive_quadtree
+from hingesketch.serialize import MAGIC_BINTREE, MAGIC_QUADTREE, MAGIC_STREAM
 
 
 def run(capsys, *argv):
@@ -115,6 +119,15 @@ class TestIngest:
         cli.write_stream(cli.points_of(via_csv), str(b), "bin")
         via_bin, _ = cli.ingest(str(b), "bin")
         assert cli.points_of(via_bin) == pts
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"1,0.5\n\xff,0.2\n")
+        code, out, err = run(capsys, "build", "--algorithm", "add1d", "--input", str(f),
+                             "--epsilon", "0.2", "--out", str(tmp_path / "s.hsk"))
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1
+        assert last_error(err) == "data" and str(f) in err
 
     def test_bin_header_check(self, tmp_path):
         f = tmp_path / "bad.bin"
@@ -283,6 +296,27 @@ class TestCommands:
         assert code == cli.EXIT_DATA and not out
         assert last_error(err) == "data"
 
+    @pytest.mark.parametrize("algorithm", ["mult1d", "dyn1d"])
+    def test_p2_header_is_data_error(self, tmp_path, capsys, algorithm):
+        path, _ = build_1d(capsys, tmp_path, algorithm, "s.bin", "--epsilon", "0.2")
+        data = bytearray(open(path, "rb").read())
+        assert data[54] == 1  # p follows eps, W, n_hint and C1, C2, C
+        data[54] = 2
+        open(path, "wb").write(data)
+        code, out, err = run(capsys, "query", "--sketch", path, "--q", "0.5")
+        assert code == cli.EXIT_DATA and not out
+        assert last_error(err) == "data" and f"{algorithm} answers p=1 only" in err
+
+    @pytest.mark.parametrize("algorithm", ["offline1d", "mult1d", "dyn1d"])
+    def test_build_p2_of_a_p1_family_is_config_error(self, tmp_path, capsys, algorithm):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "50", "--out", str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                             "--epsilon", "0.2", "--p", "2", "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_CONFIG and not out
+        assert last_error(err) == "config" and f"{algorithm} answers p=1 only" in err
+        assert not (tmp_path / "s").exists()
+
     def test_offline_space_words_counts_three_per_entry(self, tmp_path, capsys):
         path, rec = build_1d(capsys, tmp_path, "offline1d", "o.hsko", "--epsilon", "0.2")
         sk = cli.load_sketch(path)
@@ -342,6 +376,106 @@ class TestCommands:
         assert meta["per_bit"] == 100
 
 
+# node records of the tree files, all counters zero
+HSKB_NODE = struct.Struct("<BQdd")  # has-children, c, s, s2
+HSKQ_NODE = struct.Struct("<BQ5dQB")  # has-children, c, X..Zxy, reservoir count, has-sample
+
+
+def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4):
+    """An HSKB file of n_declared 100; eps 0.01 gives 16 roots and depth cap 20."""
+    head = MAGIC_BINTREE + struct.pack("<HdQBddQH", 1, eps, 100, 1, lo, hi, 0, depth)
+    return head + b"".join(HSKB_NODE.pack(f, 0, 0.0, 0.0) for f in flags)
+
+
+def hskq(flags=(0,) * 64, eps=0.01, depth=3):
+    """An HSKQ file of n_declared 100; eps 0.01 gives 64 roots and depth cap 14."""
+    head = MAGIC_QUADTREE + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, 0, depth)
+    return head + b"".join(HSKQ_NODE.pack(f, 0, *[0.0] * 5, 0, 0) for f in flags)
+
+
+def chain(depth, arity, roots):
+    """Has-children flags of a first root split ``depth`` times down its first
+    child, in pre-order: the splits, the last first child, its siblings on the
+    way up, then the other roots."""
+    return [1] * depth + [0] * (1 + (arity - 1) * depth + roots - 1)
+
+
+# name: (file, what the error line says)
+CRAFTED_TREES = {
+    "hskb_chain": (hskb(chain(5000, 2, 16)), "past the depth cap"),
+    "hskq_chain": (hskq(chain(5000, 4, 64)), "past the depth cap"),
+    # eps 2^-34 asks for 2^18 roots (4^17 in a quad-tree): the file holds none
+    "hskb_root_grid": (hskb((), eps=2.0**-34, depth=18), "root grid of depth 18"),
+    "hskq_root_grid": (hskq((), eps=2.0**-34, depth=17), "root grid of depth 17"),
+    # ... and a stored depth of 0 must not let the constructor build them
+    "hskb_root_grid_depth_mismatch": (hskb((0,), eps=2.0**-34, depth=0), "initial depth"),
+    "hskq_root_grid_depth_mismatch": (hskq((0,), eps=2.0**-34, depth=0), "initial depth"),
+    "hskb_minus_inf_domain": (hskb(lo=-np.inf), "domain"),
+    "hskb_empty_domain": (hskb(lo=1.0, hi=1.0), "domain"),
+}
+
+
+def tree_container(algorithm, p):
+    """The bytes of a small add1d or add2d sketch."""
+    xs = np.random.default_rng(p).uniform(0.0, 1.0, (300, 2))
+    if algorithm == "add1d":
+        sk = additive_tree_1d(0.3, len(xs), p=p)
+        sk.update_many(xs[:, 0])
+    else:
+        sk = additive_quadtree(0.3, len(xs), p=p, seed=p)
+        sk.update_many(xs)
+    return sk.to_bytes()
+
+
+class TestCraftedTrees:
+    def test_intact_files_load(self, tmp_path):
+        for name, data in [("b", hskb()), ("q", hskq())]:
+            (tmp_path / name).write_bytes(data)
+            assert cli.load_sketch(str(tmp_path / name)).to_bytes() == data
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_TREES))
+    def test_crafted_file_is_data_error(self, tmp_path, capsys, name):
+        data, says = CRAFTED_TREES[name]
+        path = tmp_path / name
+        path.write_bytes(data)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "query", "--sketch", str(path), "--q", "0.5")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
+        assert says in err
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["add1d", "add2d"])
+    def test_roundtrip_bytes(self, tmp_path, algorithm, p):
+        data = tree_container(algorithm, p)
+        (tmp_path / "s").write_bytes(data)
+        assert cli.load_sketch(str(tmp_path / "s")).to_bytes() == data
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(algorithm=st.sampled_from(["add1d", "add2d"]), p=st.sampled_from([1, 2]),
+           damage=st.sampled_from(["truncate", "flip", "extend"]),
+           where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7),
+           tail=st.binary(min_size=1, max_size=64))
+    def test_damaged_container_loads_or_is_data_error(self, tmp_path, algorithm, p, damage,
+                                                      where, bit, tail):
+        data = bytearray(tree_container(algorithm, p))
+        at = int(where * len(data))
+        if damage == "truncate":
+            data = data[:at]
+        elif damage == "flip":
+            data[at] ^= 1 << bit
+        else:
+            data += tail
+        path = tmp_path / "s"
+        path.write_bytes(bytes(data))
+        try:
+            cli.load_sketch(str(path))
+        except cli.DataError:
+            pass
+
+
 class TestBench:
     def test_bench_csv_shape_and_determinism(self, tmp_path, capsys):
         args = ["bench", "--algorithms", "offline1d,add1d", "--epsilons",
@@ -354,6 +488,13 @@ class TestBench:
         code, out2, _ = run(capsys, *args)
         strip_ns = lambda text: [",".join(r.split(",")[:-2]) for r in text.splitlines()]
         assert strip_ns(out1) == strip_ns(out2)
+
+    @pytest.mark.parametrize("algorithm", ["offline1d", "mult1d", "dyn1d"])
+    def test_p2_of_a_p1_family_is_config_error(self, capsys, algorithm):
+        code, out, err = run(capsys, "bench", "--algorithms", f"add1d,{algorithm}",
+                             "--epsilons", "0.2", "--n", "200", "--seeds", "1", "--p", "2")
+        assert code == cli.EXIT_CONFIG and not out
+        assert last_error(err) == "config" and f"{algorithm} answers p=1 only" in err
 
     def test_space_scaling_columns(self, capsys):
         # two eps-halvings: aggregate add1d growth within [1.2^2, 1.7^2]

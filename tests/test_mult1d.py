@@ -133,6 +133,14 @@ class TestStream:
             sk.update_many(np.array([2.0, bad, 3.0]))
         assert sk.count == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_offline_non_finite_update_rejected(self, bad):
+        sk = OfflineSketch1D(0.25)
+        with pytest.raises(ValueError, match="finite"):
+            sk.update_many(np.array([0.5, bad]))
+        sk.freeze()
+        assert len(sk) == 0
+
     def test_determinism_replay(self):
         xs = np.random.default_rng(7).integers(1, 2**10, 3000).astype(float)
         a = MultStream1D(small_params(seed=5))
