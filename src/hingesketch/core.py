@@ -124,8 +124,13 @@ class SketchParams:
             raise ValueError("W must be >= 2")
         if min(self.C1, self.C2, self.C) < 1:
             raise ValueError("sampling constants must be >= 1")
+        if not all(map(math.isfinite, (self.C1, self.C2, self.C))):
+            raise ValueError("sampling constants must be finite")
         if self.p not in (1, 2):
             raise ValueError("p must be 1 or 2")
+        if not (self.epsilon**3 > 0 and all(map(math.isfinite, self.sample_sizes()))):
+            raise ValueError(
+                f"epsilon {self.epsilon!r} is too small: the sample sizes it implies overflow")
 
     def replica_key(self) -> tuple:
         """Every field but the seed: replicas of one sketch differ only in their seeds."""
@@ -134,6 +139,13 @@ class SketchParams:
     @property
     def log2_w(self) -> float:
         return math.log2(self.W)
+
+    def sample_sizes(self) -> tuple[float, float, float]:
+        """mult1d's crude and fine bank capacities and dyn1d's explicit-point
+        capacity, before rounding up."""
+        lw, eps = self.log2_w, self.epsilon
+        return (self.C1 * lw * lw / eps, self.C2 * lw / eps**2,
+                self.C * math.log2(max(self.n_hint, 2)) / eps**3)
 
     @property
     def num_levels(self) -> int:

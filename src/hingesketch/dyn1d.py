@@ -10,18 +10,23 @@ reaches 1+6*eps are split at the ~2.5/6 quantile of the band samples;
 adjacent intervals that are both unsaturated (ratio < 1+eps) are merged by
 deleting the intermediate boundary.  Queries sum per-band sample estimates
 up to the last boundary below q, exactly like the offline prefix sketch.
+
+Every coin and thinning draw is the next value of one buffered uniform
+stream, so the bytes depend on the seed and the stream, not on how the
+stream is chunked into ``update_many`` calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SketchParams, UnfrozenSketchError, python_rows
-from .sampler import philox_generator
+from .sampler import UniformStream, philox_generator
 from . import serialize
 from .serialize import Reader, Writer
 
@@ -68,18 +73,23 @@ class DynSketch1D:
         if params.p != 1:
             raise ValueError(f"dyn1d answers p=1 only, not p={params.p}")
         self.params = params
-        eps = params.epsilon
-        self.log_n = math.log2(max(params.n_hint, 2))
-        self.explicit_capacity = math.ceil(params.C * self.log_n / eps**3)
+        # rho* = C*log2(n) / (Zhat*eps^3)
+        self._c_log = params.C * math.log2(max(params.n_hint, 2))
+        self._eps3 = params.epsilon**3
+        self.explicit_capacity = math.ceil(params.sample_sizes()[2])
         # negated kept points as a min-heap: a list while streaming, an
         # ascending array (also a heap) once loaded
         self._heap: list[float] = []
         self.intervals: list[_Interval] = []
+        # in step with the intervals: their boundaries, and the ratio chain
+        # [len(heap), z_hat of each interval]
+        self._bounds: list[float] = []
+        self._z: list[float] = []
         self.count = 0
         self.frozen = False
         self.events: list[AdjacencyEvent] = []
         self.collect_events = collect_events
-        self._rng = philox_generator(params.seed, "dyn")
+        self._uniforms = UniformStream(philox_generator(params.seed, "dyn"))
         self._expl_sorted: np.ndarray | None = None
         self._expl_prefix: np.ndarray | None = None
 
@@ -89,90 +99,110 @@ class DynSketch1D:
     def anchor(self) -> float:
         return -self._heap[0] if len(self._heap) else -math.inf
 
-    def _offer_explicit(self, x: float) -> None:
-        if len(self._heap) < self.explicit_capacity:
-            heapq.heappush(self._heap, -x)
-        elif x < -self._heap[0]:
-            heapq.heapreplace(self._heap, -x)
-
     def update(self, x: float) -> None:
         if self.frozen:
             raise UnfrozenSketchError("sketch is frozen; no further updates")
         x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"stream values must be finite, got {x}")
-        self.count += 1
-        if not self.intervals:
-            if len(self._heap) < self.explicit_capacity:
-                heapq.heappush(self._heap, -x)
-                return
-            # explicit regime ends: open the tail interval over everything
-            tail = _Interval(math.inf, 1.0, [-v for v in self._heap] + [x])
-            self._offer_explicit(x)
-            self.intervals.append(tail)
-            self._recompute(tail)
-            self._maintain()
-            return
-        self._offer_explicit(x)
-        lo = 0
-        while lo < len(self.intervals) and self.intervals[lo].boundary < x:
-            lo += 1
-        k = len(self.intervals) - lo
-        if k > 0:
-            coins = self._rng.random(k)
-            for off in range(k):
-                itv = self.intervals[lo + off]
-                if coins[off] < itv.rho:
-                    itv.samples.append(x)
-                    itv.unsplittable = False  # band composition changed
-                    self._recompute(itv)
-        self._maintain()
+        self._step(x)
 
     def update_many(self, xs: np.ndarray) -> None:
-        for x in python_rows(np.asarray(xs, dtype=float)):
-            self.update(x)
+        """``update`` each value in turn; a non-finite value raises ValueError
+        after the values before it are in."""
+        xs = np.asarray(xs, dtype=float)
+        if self.frozen and xs.size:
+            raise UnfrozenSketchError("sketch is frozen; no further updates")
+        bad = np.flatnonzero(~np.isfinite(xs))
+        step = self._step
+        for x in python_rows(xs[: bad[0]] if bad.size else xs):
+            step(x)
+        if bad.size:
+            raise ValueError(f"stream values must be finite, got {float(xs[bad[0]])}")
 
-    def _recompute(self, itv: _Interval) -> None:
-        """Refresh rho* and restore the rho <= 2*rho* cap by thinning."""
-        eps = self.params.epsilon
+    def _step(self, x: float) -> None:
+        """The per-point step: keep x explicitly or sample it into the
+        intervals whose prefix it falls in, then restore the fixpoint."""
+        self.count += 1
+        heap = self._heap
+        itvs = self.intervals
+        if not itvs:
+            if len(heap) < self.explicit_capacity:
+                heapq.heappush(heap, -x)
+            else:
+                self._open_tail(x)
+            return
+        if x < -heap[0]:  # the explicit points stay at capacity
+            heapq.heapreplace(heap, -x)
+        lo = bisect.bisect_left(self._bounds, x)
+        zs = self._z
+        first = last = -1
+        for j, u in enumerate(self._uniforms.take(len(itvs) - lo), lo):
+            itv = itvs[j]
+            if u < itv.rho:
+                itv.samples.append(x)
+                itv.unsplittable = False  # band composition changed
+                zs[j + 1] = self._recompute(itv)
+                if first < 0:
+                    first = j
+                last = j
+        if first >= 0:
+            self._maintain(first, last)
+
+    def _open_tail(self, x: float) -> None:
+        """The explicit regime ends: open the tail interval over everything."""
+        tail = _Interval(math.inf, 1.0, [-v for v in self._heap] + [x])
+        heapq.heappushpop(self._heap, -x)
+        self.intervals.append(tail)
+        self._recompute(tail)
+        self._bounds = [math.inf]
+        self._z = self._chain()
+        self._maintain()
+
+    def _recompute(self, itv: _Interval) -> float:
+        """Refresh rho* and restore the rho <= 2*rho* cap by thinning; returns z_hat."""
+        samples, rho = itv.samples, itv.rho
         for _ in range(64):
-            z = itv.z_hat
-            itv.rho_star = math.inf if z == 0 else self.params.C * self.log_n / (z * eps**3)
-            if itv.rho <= 2.0 * itv.rho_star * (1.0 + 1e-12):
-                return
-            new_rho = 2.0 * itv.rho_star
-            keep = new_rho / itv.rho
-            m = len(itv.samples)
-            drops = int(self._rng.binomial(m, 1.0 - keep)) if m else 0
-            for _ in range(drops):
-                j = int(self._rng.integers(len(itv.samples)))
-                itv.samples[j] = itv.samples[-1]
-                itv.samples.pop()
-            itv.rho = new_rho
+            z = len(samples) / rho
+            rho_star = itv.rho_star = math.inf if z == 0 else self._c_log / (z * self._eps3)
+            if rho <= 2.0 * rho_star * (1.0 + 1e-12):
+                return z
+            new_rho = 2.0 * rho_star
+            if samples:
+                self._uniforms.thin(samples, 1.0 - new_rho / rho)
+            rho = itv.rho = new_rho
+        return itv.z_hat
 
     def _chain(self) -> list[float]:
         return [float(len(self._heap))] + [itv.z_hat for itv in self.intervals]
 
-    def _maintain(self) -> None:
+    def _maintain(self, first: int = 0, last: int | None = None) -> None:
+        """Split and merge, scanning left to right, until no condition holds.
+
+        No condition held anywhere at the previous fixpoint.  After hits at
+        intervals first..last only the conditions at first..last+2 can hold (a
+        hit at j moves the ratios j and j+1), so the first scan looks there
+        only; a split or merge moves the rest, so later scans look everywhere.
+        """
         eps = self.params.epsilon
-        hi = 1.0 + 6.0 * eps
-        lo = 1.0 + eps
+        hi, lo = 1.0 + 6.0 * eps, 1.0 + eps
+        itvs, z = self.intervals, self._z
+        stop = len(itvs) if last is None else min(last + 3, len(itvs))
         for _ in range(10_000):
-            z = self._chain()
-            ratios = [z[i + 1] / z[i] if z[i] > 0 else math.inf for i in range(len(self.intervals))]
-            acted = False
-            for i, r in enumerate(ratios):
-                if r >= hi and not self.intervals[i].unsplittable:
+            prev = z[first] / z[first - 1] if first >= 1 and z[first - 1] > 0 else math.inf
+            for i in range(first, stop):
+                r = z[i + 1] / z[i] if z[i] > 0 else math.inf
+                if r >= hi and not itvs[i].unsplittable:
                     if self._split(i):
-                        acted = True
                         break
-                    self.intervals[i].unsplittable = True
-                if i >= 1 and r < lo and ratios[i - 1] < lo:
+                    itvs[i].unsplittable = True
+                if r < lo and prev < lo:
                     self._merge(i - 1)
-                    acted = True
                     break
-            if not acted:
+                prev = r
+            else:
                 return
+            first, stop = 0, len(itvs)
         raise RuntimeError("interval maintenance did not reach a fixpoint")
 
     def _split(self, i: int) -> bool:
@@ -189,8 +219,10 @@ class DynSketch1D:
         newitv = _Interval(new_bd, itv.rho, [s for s in itv.samples if s <= new_bd])
         if not newitv.samples:
             return False
-        self._recompute(newitv)
+        z = self._recompute(newitv)
         self.intervals.insert(i, newitv)
+        self._bounds.insert(i, new_bd)
+        self._z.insert(i + 1, z)
         itv.unsplittable = False
         if self.collect_events:
             prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
@@ -202,6 +234,8 @@ class DynSketch1D:
     def _merge(self, i: int) -> None:
         # drop the intermediate boundary: interval i disappears, i+1 absorbs its span
         del self.intervals[i]
+        del self._bounds[i]
+        del self._z[i + 1]
         if self.collect_events:
             prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
             if prev_z > 0:
@@ -288,26 +322,25 @@ class DynSketch1D:
         """Structural invariants; empty list means clean."""
         out = []
         eps = self.params.epsilon
-        for idx, itv in enumerate(self.intervals):
-            if not (itv.rho_star <= itv.rho * (1.0 + 1e-9)):
-                out.append(f"interval {idx}: rho* {itv.rho_star:.4g} > rho {itv.rho:.4g}")
-            if not (itv.rho <= 2.0 * itv.rho_star * (1.0 + 1e-9)):
-                out.append(f"interval {idx}: rho {itv.rho:.4g} > 2*rho* {2*itv.rho_star:.4g}")
-            if abs(itv.z_hat - len(itv.samples) / itv.rho) > 1e-9 * max(1.0, itv.z_hat):
-                out.append(f"interval {idx}: z_hat inconsistent")
+        lo, hi = 1.0 + eps, (1.0 + 6.0 * eps) * (1.0 + 1e-9)
+        z = self._chain()
         bds = [itv.boundary for itv in self.intervals]
         if bds != sorted(bds):
             out.append("boundaries out of order")
-        z = self._chain()
-        ratios = [z[i + 1] / z[i] if z[i] > 0 else math.inf for i in range(len(self.intervals))]
-        lo = 1.0 + eps
-        for i in range(1, len(ratios)):
-            if ratios[i] < lo and ratios[i - 1] < lo:
+        if self.intervals and (self._bounds != bds or self._z != z):
+            out.append("boundary list or ratio chain out of step with the intervals")
+        prev = math.inf
+        for i, itv in enumerate(self.intervals):
+            if not (itv.rho_star <= itv.rho * (1.0 + 1e-9)):
+                out.append(f"interval {i}: rho* {itv.rho_star:.4g} > rho {itv.rho:.4g}")
+            if not (itv.rho <= 2.0 * itv.rho_star * (1.0 + 1e-9)):
+                out.append(f"interval {i}: rho {itv.rho:.4g} > 2*rho* {2*itv.rho_star:.4g}")
+            r = z[i + 1] / z[i] if z[i] > 0 else math.inf
+            if r < lo and prev < lo:
                 out.append(f"adjacent unsaturated intervals at {i - 1},{i}")
-        hi = 1.0 + 6.0 * eps
-        for i, r in enumerate(ratios):
-            if r >= hi * (1.0 + 1e-9) and not self.intervals[i].unsplittable:
+            if r >= hi and not itv.unsplittable:
                 out.append(f"interval {i}: ratio {r:.4g} >= 1+6eps unsplit")
+            prev = r
         return out
 
     def to_bytes(self) -> bytes:
@@ -353,5 +386,7 @@ class DynSketch1D:
             itv.rho_star = rho_star
             sk.intervals.append(itv)
         r.done()
+        sk._bounds = [itv.boundary for itv in sk.intervals]
+        sk._z = sk._chain()
         sk.freeze()  # sorts: a crafted file may store unsorted arrays
         return sk

@@ -140,6 +140,8 @@ class OfflineSketch1D:
         sk.xs = r.array()
         sk.sums = r.array()
         r.done()
+        if not sk.ranks.size == sk.xs.size == sk.sums.size:
+            raise serialize.FormatError("HSKO rank, position and sum arrays differ in length")
         return sk
 
 
@@ -172,10 +174,8 @@ class QueryBreakdown1D:
 
 
 def bank_capacities(params: SketchParams) -> tuple[int, int]:
-    lw = params.log2_w
-    m1 = math.ceil(params.C1 * lw * lw / params.epsilon)
-    m2 = math.ceil(params.C2 * lw / params.epsilon**2)
-    return m1, m2
+    m1, m2, _ = params.sample_sizes()
+    return math.ceil(m1), math.ceil(m2)
 
 
 def space_bound_words(params: SketchParams) -> int:

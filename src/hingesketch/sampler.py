@@ -1,7 +1,8 @@
 """Seeded sampling primitives shared by every sketch.
 
-Two building blocks: per-level Bernoulli subsampling with keep-smallest
-retention (LevelSampleBank) and size-1 reservoir sampling (Reservoir1).
+Three building blocks: per-level Bernoulli subsampling with keep-smallest
+retention (LevelSampleBank), size-1 reservoir sampling (Reservoir1), and a
+buffered stream of uniforms that also thins lists (UniformStream).
 All randomness is derived from a counter-based generator keyed by
 (seed, domain tags), so identical seed + identical offer sequence replays
 byte-for-byte, independent of chunking.
@@ -10,6 +11,7 @@ byte-for-byte, independent of chunking.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 
@@ -36,6 +38,65 @@ def philox_generator(seed: int, *tags) -> np.random.Generator:
 def derive_seed(seed: int, *tags) -> int:
     """64-bit integer seed for the (seed, tags) domain (for random.Random)."""
     return int.from_bytes(_digest(seed, *tags)[:8], "little")
+
+
+class UniformStream:
+    """Uniforms on [0, 1) from one generator, handed out in draw order.
+
+    They are drawn ``BLOCK`` at a time into a Python list.  A Philox
+    generator's doubles run on across ``random`` calls, so the values handed
+    out do not depend on how many are asked for at once.
+    """
+
+    BLOCK = 2048
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def take(self, k: int) -> list[float]:
+        """The next k uniforms."""
+        end = self._pos + k
+        if end > len(self._buf):
+            self._buf = self._buf[self._pos:] + self._rng.random(max(k, self.BLOCK)).tolist()
+            self._pos, end = 0, k
+        out = self._buf[self._pos:end]
+        self._pos = end
+        return out
+
+    def thin(self, values: list, q: float) -> None:
+        """Drop each of ``values`` independently with probability q in (0, 1].
+
+        The walk jumps from drop to drop with geometric skips
+        floor(log(1-U)/log1p(-q)), so it takes one uniform per drop plus one.
+        Dropped values are swapped with the last and popped: the survivors'
+        order changes.
+        """
+        if q >= 1.0:
+            values.clear()
+            return
+        m = len(values)
+        lq = math.log1p(-q)
+        buf, pos = self._buf, self._pos
+        drops = []
+        j = -1
+        while True:
+            if pos == len(buf):
+                buf = self._buf = self._rng.random(self.BLOCK).tolist()
+                pos = 0
+            skip = math.log(1.0 - buf[pos]) / lq
+            pos += 1
+            if skip >= m:  # also when a tiny q makes it inf
+                break
+            j += 1 + int(skip)
+            if j >= m:
+                break
+            drops.append(j)
+        self._pos = pos
+        for j in reversed(drops):
+            values[j] = values[-1]
+            values.pop()
 
 
 class LevelSampleBank:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hingesketch import cli
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import additive_quadtree
-from hingesketch.serialize import MAGIC_BINTREE, MAGIC_QUADTREE, MAGIC_STREAM
+from hingesketch.serialize import MAGIC_BINTREE, MAGIC_OFFLINE1D, MAGIC_QUADTREE, MAGIC_STREAM
 
 
 def run(capsys, *argv):
@@ -474,6 +474,49 @@ class TestCraftedTrees:
             cli.load_sketch(str(path))
         except cli.DataError:
             pass
+
+
+class TestCraftedParams:
+    """HSK1/HSKD headers and build flags whose sample sizes overflow, and HSKO
+    arrays of different lengths."""
+
+    # offsets in the shared HSK1/HSKD header: epsilon at 6, C1 at 30, C at 46
+    @pytest.mark.parametrize("algorithm,offset,value", [
+        ("mult1d", 30, np.inf), ("mult1d", 6, 5e-324), ("dyn1d", 46, np.inf),
+        ("dyn1d", 6, 5e-324),
+    ])
+    def test_header_is_data_error(self, tmp_path, capsys, algorithm, offset, value):
+        path, _ = build_1d(capsys, tmp_path, algorithm, "s.bin", "--epsilon", "0.2")
+        data = bytearray(open(path, "rb").read())
+        struct.pack_into("<d", data, offset, value)
+        open(path, "wb").write(data)
+        code, out, err = run(capsys, "query", "--sketch", path, "--q", "0.5")
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
+
+    @pytest.mark.parametrize("algorithm,epsilon", [("mult1d", "1e-320"), ("dyn1d", "1e-110")])
+    def test_tiny_epsilon_flag_is_config_error(self, tmp_path, capsys, algorithm, epsilon):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "50", "--out", str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                             "--epsilon", epsilon, "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert "too small" in err and not (tmp_path / "s").exists()
+
+    def test_hsko_arrays_of_different_lengths_is_data_error(self, tmp_path, capsys):
+        def array(*values):
+            return struct.pack(f"<Q{len(values)}d", len(values), *values)
+        # one rank, three positions, one sum
+        data = (MAGIC_OFFLINE1D + struct.pack("<Hd", 1, 0.1) + array(1.0)
+                + array(0.1, 0.2, 0.3) + array(0.0))
+        assert len(data) == 78
+        path = tmp_path / "s"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "query", "--sketch", str(path), "--q", "0.5")
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
+        assert "differ in length" in err
 
 
 class TestBench:

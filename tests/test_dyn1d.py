@@ -229,3 +229,56 @@ class TestSerialization:
             + 8
         )
         assert sk.space_words() == expected
+
+
+def three_bands(n_each=4000, seed=5):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0.8, 1.0, n_each), rng.uniform(0.0, 0.1, n_each),
+                           rng.uniform(0.4, 0.5, n_each)])
+
+
+class TestDeterminism:
+    def test_bytes_do_not_depend_on_chunking(self):
+        xs = three_bands()
+        params = SketchParams(epsilon=0.3, n_hint=xs.size, C=1.0, seed=6)
+        per_point = DynSketch1D(params, collect_events=True)
+        for x in xs:
+            per_point.update(float(x))
+        kinds = {e.kind for e in per_point.events}
+        assert {"split-left", "merge"} <= kinds, "stream must split and merge"
+        assert min(itv.rho for itv in per_point.intervals) < 0.5, "stream must thin"
+        want = per_point.to_bytes()
+        for chunk in (1, 7, 65536):
+            sk = DynSketch1D(params)
+            for i in range(0, xs.size, chunk):
+                sk.update_many(xs[i : i + chunk])
+            assert sk.to_bytes() == want, chunk
+
+    @pytest.mark.parametrize("stream", ["bands", "descending", "duplicates"])
+    def test_local_maintenance_matches_full_scan(self, stream):
+        # a point moves only the ratios next to the intervals it hit, so
+        # checking there must act exactly as a full scan after every point
+        rng = np.random.default_rng(16)
+        xs = {"bands": three_bands(),
+              "descending": np.sort(rng.uniform(0, 1, 12000))[::-1],
+              "duplicates": np.round(rng.uniform(0, 1, 12000) ** 3, 2)}[stream]
+        params = SketchParams(epsilon=0.3, n_hint=xs.size, C=1.0, seed=17)
+        local, full = DynSketch1D(params, collect_events=True), DynSketch1D(params, collect_events=True)
+        full_scan = full._maintain
+        full._maintain = lambda first=0, last=None: full_scan()
+        local.update_many(xs)
+        full.update_many(xs)
+        assert local.events and local.events == full.events
+        assert local.to_bytes() == full.to_bytes()
+
+    def test_update_many_applies_values_before_a_bad_one(self):
+        xs = np.random.default_rng(18).uniform(0, 1, 3000)
+        want = build(xs[:2000], eps=0.4, n_hint=3000)
+        params = SketchParams(epsilon=0.4, n_hint=3000, C=1.0, seed=0)
+        sk = DynSketch1D(params)
+        bad = xs.copy()
+        bad[2000] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            sk.update_many(bad)
+        assert sk.count == 2000 and sk.interval_count() >= 1
+        assert sk.to_bytes() == want.to_bytes()

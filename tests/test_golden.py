@@ -85,15 +85,15 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                           125378.84685045302,
                           145621.08253790793,
                           223625.59253498522]),
-           'dyn1d': (['934e2dac9e99544bce99b60d7d39d682283808ede04e227acb42cc0683209fff'],
+           'dyn1d': (['df61bb8038de84ec8d7b9aad159b3a07a0561ab58590d25cecb82d055648e44c'],
                      [0.0,
                       0.0,
                       229.59897092501677,
-                      7938.739437411747,
-                      40523.90054059124,
-                      86145.59369172237,
-                      107245.91458613596,
-                      147688.19630042865]),
+                      5612.048065175914,
+                      40690.824663925596,
+                      86010.07242312857,
+                      107226.35747863565,
+                      147890.9038350242]),
            'add1d': (['4335d1d1d3520b3851c5575bcf5c46d19c9db1ea3e68bd78e5bd91c618a8bef1'],
                      [0.0,
                       0.0023346892607310076,
@@ -157,22 +157,22 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                         0.02387490124208999],
            'dyn1d_anchor_mass': [0.0,
                                  0.0,
-                                 3256.9557326148283,
-                                 34934.9350354745,
-                                 93418.70079150515,
-                                 133264.7829549546,
-                                 154858.78877256592,
-                                 196247.29992298764,
-                                 89.70212257581235,
-                                 448.5127786783542,
-                                 11726.152095845184,
-                                 247661.59948872885,
-                                 8.91867651162865,
-                                 55.958630266531856,
-                                 227.09501171313178,
-                                 1984.1746310723681,
-                                 6779.944274956437,
-                                 41050.34120164518],
+                                 1916.357622520984,
+                                 33586.56966943885,
+                                 91042.75777682262,
+                                 130188.73209174343,
+                                 151403.3246237005,
+                                 192064.62697661825,
+                                 76.19058819108562,
+                                 685.1889924917353,
+                                 6478.923722041141,
+                                 242575.56157651608,
+                                 7.575054689035217,
+                                 84.20132259994095,
+                                 492.66117440448613,
+                                 1495.3816967869438,
+                                 4205.525809507956,
+                                 36695.57700537761],
            'dyn1d_explicit': [0.0,
                               0.0,
                               9.393188190909434,
@@ -184,22 +184,22 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                               13381.266162126089],
            'dyn1d_intervals': [0.0,
                                0.0,
-                               1772.063011823993,
-                               20409.682962074563,
-                               85028.11139624582,
-                               124905.54826289453,
-                               146516.5463067558,
-                               187937.6258908232,
-                               42.924196281197425,
-                               409.3935511302394,
-                               10220.348679877572,
-                               239392.38313811185,
+                               2037.7413147781829,
+                               23775.945817180283,
+                               91913.72649197877,
+                               134517.417799824,
+                               157605.86986343047,
+                               201858.73631867615,
+                               19.18717606647988,
+                               449.4737265910969,
+                               11761.096406676283,
+                               256831.24123202485,
                                1.3559081833574282,
-                               22.32670433654674,
-                               168.8015741673444,
-                               998.8400898932138,
-                               5049.301374750461,
-                               32618.54337928787],
+                               50.565110343700695,
+                               290.8354861870638,
+                               1435.4962900550672,
+                               6558.894997759007,
+                               32766.124380673657],
            'estimate_bulk_2d': [1.1485211974318743,
                                 1.0883206584073957,
                                 1.1577293225205956,

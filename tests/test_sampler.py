@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hingesketch.sampler import LevelSampleBank, Reservoir1, derive_seed, philox_generator
+from hingesketch.sampler import (LevelSampleBank, Reservoir1, UniformStream, derive_seed,
+                                 philox_generator)
 
 
 class TestBank:
@@ -119,3 +122,80 @@ class TestDerivation:
         a = g1.random(10)
         b = np.concatenate([g2.random(4), g2.random(6)])
         assert np.array_equal(a, b)
+
+
+def binomial_pmf(m, q):
+    k = np.arange(m + 1)
+    logc = np.array([math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1) for i in k])
+    with np.errstate(divide="ignore"):
+        return np.exp(logc + k * np.log(q) + (m - k) * np.log1p(-q))
+
+
+def chi_square(observed, expected):
+    """Pearson's statistic over bins pooled (from both ends) until each expects >= 5,
+    and the 1 - 1e-4 quantile of its law (Wilson-Hilferty)."""
+    obs, exp = [], []
+    o = e = 0.0
+    for a, b in zip(observed, expected):
+        o, e = o + a, e + b
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o = e = 0.0
+    obs[-1] += o
+    exp[-1] += e
+    obs, exp = np.array(obs), np.array(exp)
+    df = len(obs) - 1
+    z = 3.719  # the 1 - 1e-4 normal quantile
+    bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    return float(((obs - exp) ** 2 / exp).sum()), bound
+
+
+class TestUniformStream:
+    def test_values_do_not_depend_on_how_many_are_taken(self):
+        want = philox_generator(3, "u").random(3 * UniformStream.BLOCK)
+        s = UniformStream(philox_generator(3, "u"))
+        got = []
+        for k in (1, 7, UniformStream.BLOCK + 5, 0, 300, 2):
+            got += s.take(k)
+        assert got == want[: len(got)].tolist()
+
+    @pytest.mark.parametrize("m,q", [(50, 0.02), (200, 0.5), (33221, 3e-5), (10, 0.999)])
+    def test_thinning_law(self, m, q):
+        """Drop counts follow Binomial(m, q), and each index is dropped at rate q."""
+        trials = 3000
+        s = UniformStream(philox_generator(4, "thin", m))
+        counts = np.zeros(m + 1)
+        per_index = np.zeros(m)
+        single = np.zeros(10)  # where the one dropped index of a trial falls
+        base = list(range(m))
+        for _ in range(trials):
+            values = base.copy()
+            s.thin(values, q)
+            counts[m - len(values)] += 1
+            if m <= 200:
+                kept = np.zeros(m, dtype=bool)
+                kept[values] = True
+                per_index += ~kept
+            elif len(values) == m - 1:
+                single[(m * (m - 1) // 2 - sum(values)) * 10 // m] += 1
+        stat, bound = chi_square(counts, trials * binomial_pmf(m, q))
+        assert stat <= bound, (stat, bound)
+        if m <= 200:  # every index on its own: within 5 sigma of trials * q
+            sigma = math.sqrt(trials * q * (1 - q))
+            assert np.abs(per_index - trials * q).max() <= 5 * sigma + 1
+        else:  # too few drops per index: a lone drop is uniform over 10 bins of indices
+            stat, bound = chi_square(single, np.full(10, single.sum() / 10))
+            assert stat <= bound, (stat, bound)
+
+    def test_q_one_drops_everything(self):
+        values = list(range(100))
+        UniformStream(philox_generator(5, "thin")).thin(values, 1.0)
+        assert values == []
+
+    def test_tiny_q_takes_one_uniform(self):
+        s = UniformStream(philox_generator(6, "thin"))
+        values = list(range(1000))
+        s.thin(values, 1e-300)
+        assert values == list(range(1000))
+        assert s.take(1) == UniformStream(philox_generator(6, "thin")).take(2)[1:]
