@@ -269,12 +269,6 @@ def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
     return records, chk.errors
 
 
-def points_of(records: np.ndarray) -> list[LabeledPoint]:
-    """The records of ``ingest`` as LabeledPoints."""
-    return [LabeledPoint(tuple(x), y)
-            for y, x in zip(records["y"].tolist(), records["x"].tolist())]
-
-
 def write_stream(points, path: str, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w") as f:
@@ -439,15 +433,15 @@ def cmd_optimize(args) -> int:
         _err("data", e)
     if not len(records):
         raise DataError("no valid points in stream")
-    points = points_of(records)
     if args.algorithm == "pegasos":
-        theta, b = optimize.sgd_baseline(points, args.lam, args.epsilon, seed=args.seed)
-        value = hinge_objective(points, HyperplaneQuery(theta, b), args.lam)
+        theta, b = optimize.sgd_baseline(records, args.lam, args.epsilon, seed=args.seed)
+        value = hinge_objective(records, HyperplaneQuery(theta, b), args.lam)
         rec = {"algorithm": "pegasos", "theta": list(theta), "b": b, "value": value,
-               "space_words": optimize.sgd_space_words(args.lam, args.epsilon, points[0].dim)}
+               "space_words": optimize.sgd_space_words(args.lam, args.epsilon,
+                                                       records["x"].shape[1])}
     else:
         res = optimize.optimize_via_sketch(
-            points, args.lam, args.epsilon, family=args.algorithm,
+            records, args.lam, args.epsilon, family=args.algorithm,
             k=args.replicas, seed=args.seed,
         )
         rec = {"algorithm": args.algorithm, "theta": list(res.theta), "b": res.b,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,13 +54,6 @@ class LabeledPoint:
 
     def norm(self) -> float:
         return math.sqrt(sum(v * v for v in self.x))
-
-
-def check_unit_ball(points: Iterable[LabeledPoint], bound: float = 1.0) -> None:
-    """Reject points outside the ball of radius ``bound`` (ingestion check)."""
-    for i, p in enumerate(points):
-        if p.norm() > bound * (1 + 1e-12):
-            raise ValueError(f"point {i} has norm {p.norm():.6g} > {bound:.6g}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +125,23 @@ class SketchParams:
             raise ValueError(
                 f"epsilon {self.epsilon!r} is too small: the sample sizes it implies overflow")
 
+    def write(self, w) -> None:
+        """The parameter header that HSK1 and HSKD share, to a ``serialize.Writer``."""
+        w.f64(self.epsilon)
+        w.u64(self.W)
+        w.u64(self.n_hint)
+        for c in (self.C1, self.C2, self.C):
+            w.f64(c)
+        w.u8(self.p)
+        w.i64(self.seed)
+
+    @classmethod
+    def read(cls, r) -> "SketchParams":
+        """The header ``write`` wrote, from a ``serialize.Reader``; invalid
+        parameters raise ValueError, as the constructor does."""
+        return cls(epsilon=r.f64(), W=r.u64(), n_hint=r.u64(), C1=r.f64(), C2=r.f64(),
+                   C=r.f64(), p=r.u8(), seed=r.i64())
+
     def replica_key(self) -> tuple:
         """Every field but the seed: replicas of one sketch differ only in their seeds."""
         return dataclasses.astuple(dataclasses.replace(self, seed=0))
@@ -152,7 +162,14 @@ class SketchParams:
         return math.ceil(math.log2(max(self.n_hint, 2))) + 1
 
 
-def _as_matrix(points: Sequence[LabeledPoint]):
+def _as_matrix(points):
+    """(xs, ys): the (n, d) coordinates and the n labels, as float arrays, of a
+    LabeledPoint sequence or of an ingest record array (fields ``y`` and ``x``).
+    An empty sequence gives d=1."""
+    if isinstance(points, np.ndarray):
+        return np.ascontiguousarray(points["x"], dtype=float), points["y"].astype(float)
+    if not len(points):
+        return np.empty((0, 1)), np.empty(0)
     d = points[0].dim
     xs = np.empty((len(points), d))
     ys = np.empty(len(points))
@@ -164,10 +181,9 @@ def _as_matrix(points: Sequence[LabeledPoint]):
     return xs, ys
 
 
-def hinge_objective(
-    points: Sequence[LabeledPoint], q: HyperplaneQuery, lam: float
-) -> float:
-    """Regularized hinge objective lam/2*||(theta,b)||^2 + mean hinge loss."""
+def hinge_objective(points, q: HyperplaneQuery, lam: float) -> float:
+    """Regularized hinge objective lam/2*||(theta,b)||^2 + mean hinge loss over a
+    LabeledPoint sequence or an ingest record array."""
     if len(points) == 0:
         raise ValueError("empty dataset")
     if lam < 0:
@@ -265,10 +281,6 @@ class OptResult:
     b: float
     value: float
     evals: int = field(default=0, repr=False)
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.array(list(self.theta) + [self.b])
 
 
 def _objective_fn(points: Sequence[LabeledPoint], lam: float):

@@ -52,7 +52,7 @@ class _Interval:
                  "prefix", "unsplittable")
 
     def __init__(self, boundary: float, rho: float, samples):
-        # samples: a list while streaming, the array read from the file once loaded
+        # samples: a list while streaming, a sorted array once frozen
         self.boundary = boundary
         self.rho = rho
         self.rho_star = math.inf
@@ -246,10 +246,13 @@ class DynSketch1D:
     # -- freeze & query -------------------------------------------------------
 
     def freeze(self) -> None:
-        self._expl_sorted = np.sort(-np.asarray(self._heap, dtype=float))
-        self._expl_prefix = np.concatenate([[0.0], np.cumsum(self._expl_sorted)])
+        expl = -np.asarray(self._heap, dtype=float)
+        expl.sort()
+        self._expl_sorted = expl
+        self._expl_prefix = np.concatenate([[0.0], np.cumsum(expl)])
         for itv in self.intervals:
-            itv.sorted_samples = np.sort(np.asarray(itv.samples, dtype=float))
+            # the samples no longer change: keep the sorted copy only
+            itv.samples = itv.sorted_samples = np.sort(np.asarray(itv.samples, dtype=float))
             itv.prefix = np.concatenate([[0.0], np.cumsum(itv.sorted_samples)])
         self.frozen = True
 
@@ -345,15 +348,7 @@ class DynSketch1D:
 
     def to_bytes(self) -> bytes:
         w = Writer(serialize.MAGIC_DYN1D)
-        pr = self.params
-        w.f64(pr.epsilon)
-        w.u64(pr.W)
-        w.u64(pr.n_hint)
-        w.f64(pr.C1)
-        w.f64(pr.C2)
-        w.f64(pr.C)
-        w.u8(pr.p)
-        w.i64(pr.seed)
+        self.params.write(w)
         w.u64(self.count)
         w.array(np.sort(-np.asarray(self._heap, dtype=float)))
         w.u64(len(self.intervals))
@@ -367,16 +362,10 @@ class DynSketch1D:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DynSketch1D":
         r = Reader(data, serialize.MAGIC_DYN1D)
-        eps = r.f64()
-        W = r.u64()
-        n_hint = r.u64()
-        c1, c2, c = r.f64(), r.f64(), r.f64()
-        p = r.u8()
-        seed = r.i64()
-        params = SketchParams(epsilon=eps, W=W, n_hint=n_hint, C1=c1, C2=c2, C=c, p=p, seed=seed)
-        sk = cls(params)
+        sk = cls(SketchParams.read(r))
         sk.count = r.u64()
-        sk._heap = -np.sort(r.array())[::-1]
+        # the explicit points, negated: freeze() sorts them, then they become the heap
+        sk._heap = -r.array()
         m = r.u64()
         for _ in range(m):
             bd = r.f64()
@@ -386,7 +375,9 @@ class DynSketch1D:
             itv.rho_star = rho_star
             sk.intervals.append(itv)
         r.done()
+        sk.freeze()  # sorts: a crafted file may store unsorted arrays
+        # the ascending negated points are a valid heap
+        sk._heap = -sk._expl_sorted[::-1]
         sk._bounds = [itv.boundary for itv in sk.intervals]
         sk._z = sk._chain()
-        sk.freeze()  # sorts: a crafted file may store unsorted arrays
         return sk

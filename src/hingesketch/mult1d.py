@@ -415,20 +415,12 @@ class MultStream1D:
 
     def to_bytes(self) -> bytes:
         w = Writer(serialize.MAGIC_MULT1D)
-        pr = self.params
-        w.f64(pr.epsilon)
-        w.u64(pr.W)
-        w.u64(pr.n_hint)
-        w.f64(pr.C1)
-        w.f64(pr.C2)
-        w.f64(pr.C)
-        w.u8(pr.p)
-        w.i64(pr.seed)
+        self.params.write(w)
         w.u8(0)  # reserved
         w.u64(self.count)
-        w.u16(pr.num_levels)
+        w.u16(self.params.num_levels)
         for bank in (self.E, self.S):
-            for i in range(pr.num_levels):
+            for i in range(self.params.num_levels):
                 w.u64(bank.survived[i])
                 w.array(bank.buffers[i])
         return w.getvalue()
@@ -436,15 +428,9 @@ class MultStream1D:
     @classmethod
     def from_bytes(cls, data: bytes) -> "MultStream1D":
         r = Reader(data, serialize.MAGIC_MULT1D)
-        eps = r.f64()
-        W = r.u64()
-        n_hint = r.u64()
-        c1, c2, c = r.f64(), r.f64(), r.f64()
-        p = r.u8()
-        seed = r.i64()
+        params = SketchParams.read(r)
         if r.u8() != 0:
             raise serialize.FormatError("reserved byte must be 0")
-        params = SketchParams(epsilon=eps, W=W, n_hint=n_hint, C1=c1, C2=c2, C=c, p=p, seed=seed)
         sk = cls(params)
         sk.count = r.u64()
         levels = r.u16()

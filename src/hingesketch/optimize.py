@@ -6,8 +6,12 @@ sqrt(2/lambda), evaluates the data term of the objective at every candidate
 through median-boosted sketch queries, adds the exact regularizer, and
 returns the argmin.  Hinge sums decompose per label class: for y=+1 the
 per-point loss max{0, 1 - (theta.x + b)} equals a one-sided distance query
-with offset 1-b, for y=-1 one with direction -theta and offset 1+b, so each
-replica holds per-class (and, for d=1, per-orientation) sub-sketches.
+with offset 1-b, for y=-1 one with direction -theta and offset 1+b.  So each
+replica is one HingeEstimator holding a sub-sketch per class: for d=1 two
+sketches of a d=1 family (one per sign of theta), for d=2 a quad-tree.
+
+Every entry point takes a LabeledPoint sequence or the record array that
+``cli.ingest`` returns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .core import hypot_rows
+from .core import _as_matrix, hypot_rows
 from .families import Family
 from .sampler import derive_seed, philox_generator
 
@@ -82,170 +86,141 @@ def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Backend adapters
+# The hinge estimator
 # ---------------------------------------------------------------------------
 
 
-def _split_classes(points):
-    pos, neg = [], []
-    for p in points:
-        (pos if p.y == 1 else neg).append(p.x)
-    return np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+class _Class1D:
+    """sum_i max{0, offset - theta*x_i} over the d=1 points of one label class.
 
-
-class _Sum1D:
-    """Distance-sum estimator sum max{0, q - x} for one coordinate array.
-
-    Wraps one d=1 sketch family; coordinates are affinely mapped into the
-    sketch's domain: [-1, 1] for the normalized families, the universe
-    [1, SKETCH_W] for the others.
+    Holds two sketches of one family, on the coordinates (orientation +1) and
+    on their negations (-1), so that either sign of theta becomes the distance
+    query sum max{0, q - x}.  Coordinates are mapped affinely from [-scale,
+    scale] into the sketch's domain: [-1, 1] for the normalized families, the
+    universe [1, SKETCH_W] for the others.
     """
 
-    def __init__(self, xs: np.ndarray, family: Family, epsilon: float, seed: int,
-                 scale_hint: float = 1.0):
+    def __init__(self, xs: np.ndarray, family: Family, epsilon: float, seed: int, cls: str,
+                 scale: float):
         self.n = xs.size
         self.normalized = family.normalized
-        # map [-scale, scale] onto the sketch domain
-        self.scale = max(scale_hint, float(np.abs(xs).max()) if xs.size else 1.0)
-        self._sk = family.make(epsilon, max(self.n, 1), seed, 1, SKETCH_W)
-        if self.normalized:
-            self._sk.update_many(xs / self.scale)
-        else:
-            # shift to [1, W]: u = 1 + (x/scale + 1)/2 * (W - 1)
-            self._sk.update_many(1.0 + (xs / self.scale + 1.0) / 2.0 * (SKETCH_W - 1))
-        self._sk.freeze()
+        self.scale = scale
+        self._sk = {}
+        for orient in (1, -1):
+            sk = family.make(epsilon, max(self.n, 1), derive_seed(seed, "est", cls, orient), 1,
+                             SKETCH_W)
+            sk.update_many(self._to_domain(orient * xs))
+            sk.freeze()
+            self._sk[orient] = sk
 
-    def query_many(self, qs: np.ndarray) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(len(qs))
+    def _to_domain(self, v: np.ndarray) -> np.ndarray:
         if self.normalized:
-            qq = np.asarray(qs, dtype=float) / self.scale
+            return v / self.scale
+        # shift to [1, W]: u = 1 + (x/scale + 1)/2 * (W - 1)
+        return 1.0 + (v / self.scale + 1.0) / 2.0 * (SKETCH_W - 1)
+
+    def _distance_sums(self, orient: int, qs: np.ndarray) -> np.ndarray:
+        """sum_i max{0, q - orient*x_i} for each q."""
+        qq = self._to_domain(qs)
+        if self.normalized:
             # beyond the domain every point lies left of q: the counters answer exactly
-            clipped = np.clip(qq, -1.0, 1.0)
-            vals = self._sk.query_many(clipped) * self.n
+            vals = self._sk[orient].query_many(np.clip(qq, -1.0, 1.0)) * self.n
             vals += self.n * np.maximum(0.0, qq - 1.0)
             return np.where(qq <= -1.0, 0.0, vals) * self.scale
-        back = self.scale * 2.0 / (SKETCH_W - 1)
-        return self._sk.query_many(1.0 + (qs / self.scale + 1.0) / 2.0 * (SKETCH_W - 1)) * back
+        return self._sk[orient].query_many(qq) * (self.scale * 2.0 / (SKETCH_W - 1))
+
+    def add_sums(self, out: np.ndarray, cols: list, offset: np.ndarray) -> None:
+        theta = cols[0]
+        for orient in (1, -1):
+            # one mask at a time: holding both made the 251k-candidate opthard
+            # grid ~20% slower with glibc's default malloc settings
+            mask = theta > 0 if orient == 1 else theta < 0
+            if mask.any():
+                t = np.abs(theta[mask])
+                out[mask] += t * self._distance_sums(orient, offset[mask] / t)
+        zero = theta == 0
+        if zero.any():
+            out[zero] += np.maximum(0.0, offset[zero]) * self.n
 
 
-class HingeEstimator1D:
-    """Normalized hinge-sum estimator for d=1 labeled streams.
+class _Class2D:
+    """sum_i max{0, offset - theta.x_i} over the d=2 points of one label class.
 
-    Keeps, per label class, one sub-sketch on the raw coordinates and one on
-    the negated coordinates so queries with either sign of theta reduce to
-    the canonical +1-orientation distance query.
+    Points are mapped from the unit ball into [0,1]^2 by x -> (x+1)/2; a
+    query then becomes a halfplane query against the quad-tree with
+    direction theta/||theta|| and a matching offset.
     """
 
-    def __init__(self, points, family: Family, epsilon: float = 0.05,
-                 seed: int = 0, norm_budget: float = 1.0):
-        if any(p.dim != 1 for p in points):
-            raise ValueError("HingeEstimator1D requires d=1 points")
-        pos, neg = _split_classes(points)
-        pos = pos.reshape(-1) if pos.size else pos.reshape(0)
-        neg = neg.reshape(-1) if neg.size else neg.reshape(0)
-        self.n = len(points)
-        eps_pe = epsilon / max(norm_budget, 1.0)
-        scale = max(
-            1.0,
-            float(np.abs(pos).max()) if pos.size else 1.0,
-            float(np.abs(neg).max()) if neg.size else 1.0,
-        )
-        self._subs = {}
-        for cls, xs in (("pos", pos), ("neg", neg)):
-            for orient in (1, -1):
-                key = (cls, orient)
-                self._subs[key] = _Sum1D(
-                    orient * xs, family, eps_pe,
-                    derive_seed(seed, "est", cls, orient), scale_hint=scale,
-                )
+    def __init__(self, xs: np.ndarray, family: Family, epsilon: float, seed: int, cls: str):
+        self.n = len(xs)
+        self._tree = family.make(epsilon, max(self.n, 1), derive_seed(seed, "est2", cls), 1,
+                                 SKETCH_W)
+        self._tree.update_many((xs + 1.0) / 2.0)
+        self._tree.freeze()
 
-    def estimate(self, theta: float, b: float) -> float:
-        """(1/n) sum_i max{0, 1 - y_i(theta x_i + b)}."""
-        return float(self.estimate_bulk(np.array([[theta, b]], dtype=float))[0])
+    def add_sums(self, out: np.ndarray, cols: list, offset: np.ndarray) -> None:
+        tx, ty = cols
+        norm = hypot_rows(tx, ty)
+        zero = norm < 1e-300
+        out[zero] += np.where(offset[zero] > 0.0, offset[zero], 0.0) * self.n
+        nz = ~zero
+        tx, ty, offset, norm = tx[nz], ty[nz], offset[nz], norm[nz]
+        # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
+        b2 = (offset + tx + ty) / (2.0 * norm)
+        rows = np.stack([tx / norm, ty / norm, b2], axis=1)
+        out[nz] += 2.0 * norm * self._tree.query_many(rows) * self.n
+
+
+class HingeEstimator:
+    """Normalized hinge-sum estimator (1/n) sum_i max{0, 1 - y_i(theta.x_i + b)}.
+
+    ``xs`` is the (n, d) coordinate array and ``ys`` the n labels.  Each
+    label class keeps one sub-sketch of ``family``: for y=+1 the class term
+    is a one-sided distance sum with direction theta and offset 1-b, for
+    y=-1 one with direction -theta and offset 1+b.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, family: Family, epsilon: float = 0.05,
+                 seed: int = 0, norm_budget: float = 1.0):
+        self.n, self.d = xs.shape
+        eps_pe = epsilon / max(norm_budget, 1.0)
+        # one scale max(1, max|x|) for every d=1 sub-sketch
+        scale = float(np.abs(xs).max(initial=1.0))
+        self._classes = []
+        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
+            cx = xs[ys == sign]
+            if self.d == 1:
+                sub = _Class1D(cx[:, 0], family, eps_pe, seed, cls, scale)
+            else:
+                sub = _Class2D(cx, family, eps_pe, seed, cls)
+            self._classes.append((sign, sub))
+
+    def estimate(self, theta, b: float) -> float:
+        return float(self.estimate_bulk(np.append(theta, b))[0])
 
     def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
-        """Vectorized estimate over candidate rows (theta, b)."""
-        if self.n == 0:
-            return np.zeros(len(ws))
+        """The estimate for each candidate row (theta..., b)."""
+        ws = np.asarray(ws, dtype=float).reshape(-1, self.d + 1)
         out = np.zeros(len(ws))
-        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
-            theta = sign * ws[:, 0]
-            offset = 1.0 - sign * ws[:, 1]
-            for orient in (1, -1):
-                mask = theta > 0 if orient == 1 else theta < 0
-                if mask.any():
-                    t = np.abs(theta[mask])
-                    out[mask] += t * self._subs[(cls, orient)].query_many(offset[mask] / t)
-            zero = theta == 0
-            if zero.any():
-                out[zero] += np.maximum(0.0, offset[zero]) * self._subs[(cls, 1)].n
+        if self.n == 0:
+            return out
+        for sign, sub in self._classes:
+            if sub.n:
+                cols = [sign * ws[:, j] for j in range(self.d)]
+                sub.add_sums(out, cols, 1.0 - sign * ws[:, self.d])
         return out / self.n
 
 
-class HingeEstimator2D:
-    """Normalized hinge-sum estimator for d=2 labeled streams (quad-tree backend).
-
-    Points are mapped from the unit ball into [0,1]^2 by x -> (x+1)/2; a
-    query (theta, b) then becomes a halfplane query against the mapped tree
-    with direction theta/||theta|| and a matching offset.
-    """
-
-    def __init__(self, points, family: Family, epsilon: float = 0.05, seed: int = 0,
-                 norm_budget: float = 1.0):
-        if any(p.dim != 2 for p in points):
-            raise ValueError("HingeEstimator2D requires d=2 points")
-        self.n = len(points)
-        eps_pe = epsilon / max(norm_budget, 1.0)
-        self._trees = {}
-        for cls, y in (("pos", 1), ("neg", -1)):
-            xs = np.array([p.x for p in points if p.y == y], dtype=float).reshape(-1, 2)
-            tree = family.make(eps_pe, max(len(xs), 1), derive_seed(seed, "est2", cls), 1,
-                               SKETCH_W)
-            tree.update_many((xs + 1.0) / 2.0)
-            tree.freeze()
-            self._trees[cls] = tree
-
-    def estimate(self, theta, b: float) -> float:
-        return float(self.estimate_bulk(np.array([[theta[0], theta[1], b]], dtype=float))[0])
-
-    def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
-        """(1/n) sum_i max{0, 1 - y_i(theta.x_i + b)} for each candidate row
-        (theta_x, theta_y, b)."""
-        ws = np.asarray(ws, dtype=float).reshape(-1, 3)
-        tot = np.zeros(len(ws))
-        if self.n == 0:
-            return tot
-        for cls, sign in (("pos", 1.0), ("neg", -1.0)):
-            # sum over class of max{0, offset - (tx, ty).x} on ball coordinates
-            tree = self._trees[cls]
-            cnt = tree.count
-            if cnt == 0:
-                continue
-            tx, ty = sign * ws[:, 0], sign * ws[:, 1]
-            offset = 1.0 - sign * ws[:, 2]
-            norm = hypot_rows(tx, ty)
-            zero = norm < 1e-300
-            tot[zero] += np.where(offset[zero] > 0.0, offset[zero], 0.0) * cnt
-            nz = ~zero
-            tx, ty, offset, norm = tx[nz], ty[nz], offset[nz], norm[nz]
-            # x = 2u - 1 on [0,1]^2: offset - theta.x = (offset + tx + ty) - 2*theta.u
-            b2 = (offset + tx + ty) / (2.0 * norm)
-            rows = np.stack([tx / norm, ty / norm, b2], axis=1)
-            tot[nz] += 2.0 * norm * tree.query_many(rows) * cnt
-        return tot / self.n
-
-
 def build_estimator(points, family: str, epsilon: float, seed: int = 0,
-                    norm_budget: float = 1.0):
+                    norm_budget: float = 1.0) -> HingeEstimator:
+    """A HingeEstimator over a LabeledPoint sequence or an ingest record array."""
     if family not in families.FAMILIES:
         raise ValueError(f"unknown backend {family!r}")
     fam = families.FAMILIES[family]
-    d = points[0].dim if points else 1
-    if d != fam.dim:
+    xs, ys = _as_matrix(points)
+    if xs.shape[1] != fam.dim:
         raise ValueError(f"backend {family} supports d={fam.dim} only")
-    estimator = HingeEstimator1D if d == 1 else HingeEstimator2D
-    return estimator(points, fam, epsilon, seed, norm_budget)
+    return HingeEstimator(xs, ys, fam, epsilon, seed, norm_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +264,10 @@ def optimize_via_sketch(
     for the deterministic add1d backend; randomized backends should pass an
     odd k (default_replication gives the union-bound-safe choice).
     """
-    if not points:
+    xs, _ = _as_matrix(points)
+    if not len(xs):
         raise ValueError("empty dataset")
-    d = points[0].dim
-    spec = GridSpec(lam=lam, epsilon=epsilon, d=d, k=k)
+    spec = GridSpec(lam=lam, epsilon=epsilon, d=xs.shape[1], k=k)
     grid = grid_points(spec, budget=budget)
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),
@@ -341,13 +316,14 @@ def sgd_baseline(
     """
     if lam <= 0 or epsilon <= 0:
         raise ValueError("lambda and epsilon must be positive")
+    xs, ys = _as_matrix(points)
     rng = philox_generator(seed, "sgd")
     capacity = math.ceil(1.0 / (lam * epsilon))
-    res = reservoir_sample(points, capacity, rng)
+    res = reservoir_sample(range(len(xs)), capacity, rng)
     if not res:
         raise ValueError("empty dataset")
-    d = res[0].dim
-    zs = np.array([[*p.x, 1.0] for p in res]) * np.array([[p.y] for p in res])
+    d = xs.shape[1]
+    zs = np.concatenate([xs[res], np.ones((len(res), 1))], axis=1) * ys[res, None]
     steps = max(len(res), math.ceil(20.0 / (lam * epsilon)))
     radius = math.sqrt(2.0 / lam)
     w = np.zeros(d + 1)

@@ -121,29 +121,21 @@ class LevelSampleBank:
             raise ValueError("num_levels must be >= 1")
         self.capacity = int(capacity)
         self.num_levels = int(num_levels)
-        self.offered = 0
         self.survived = [0] * num_levels
         self.buffers: list[np.ndarray] = [
             np.empty(0, dtype=np.float64) for _ in range(num_levels)
         ]
         self._gens = [philox_generator(seed, domain, i) for i in range(num_levels)]
 
-    def rate(self, level: int) -> float:
-        return 2.0 ** (-level)
-
-    def offer(self, x: float) -> None:
-        self.offer_many(np.asarray([x], dtype=np.float64))
-
     def offer_many(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.size == 0:
             return
-        self.offered += int(xs.size)
         for i in range(self.num_levels):
             if i == 0:
                 surv = xs
             else:
-                surv = xs[self._gens[i].random(xs.size) < self.rate(i)]
+                surv = xs[self._gens[i].random(xs.size) < 2.0 ** (-i)]
             if surv.size == 0:
                 continue
             self.survived[i] += int(surv.size)
@@ -153,13 +145,6 @@ class LevelSampleBank:
 
     def retained(self) -> int:
         return int(sum(b.size for b in self.buffers))
-
-    def state_bytes(self) -> bytes:
-        parts = [struct.pack("<qq", self.offered, self.capacity)]
-        for i, b in enumerate(self.buffers):
-            parts.append(struct.pack("<qq", i, b.size))
-            parts.append(b.tobytes())
-        return b"".join(parts)
 
 
 class Reservoir1:

@@ -87,7 +87,12 @@ class Reader:
 
     def array(self) -> np.ndarray:
         n = self.u64()
-        return np.frombuffer(self._take(8 * n), dtype="<f8").copy()
+        if self._pos + 8 * n > len(self._data):
+            raise FormatError("truncated sketch file")
+        # one copy, straight from the file's bytes
+        out = np.frombuffer(self._data, dtype="<f8", count=n, offset=self._pos).copy()
+        self._pos += 8 * n
+        return out
 
     def need(self, nbytes: int, what: str) -> None:
         """Reject ``what`` unless at least ``nbytes`` bytes are left to read."""

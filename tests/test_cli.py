@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hingesketch import cli
+from hingesketch import cli, optimize
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import additive_quadtree
+from hingesketch.core import HyperplaneQuery, hinge_objective
+from hingesketch.gen import gen_uniform
 from hingesketch.serialize import MAGIC_BINTREE, MAGIC_OFFLINE1D, MAGIC_QUADTREE, MAGIC_STREAM
 
 
@@ -115,10 +117,12 @@ class TestIngest:
         c = tmp_path / "s.csv"
         b = tmp_path / "s.bin"
         cli.write_stream(pts, str(c), "csv")
-        via_csv, _ = cli.ingest(str(c), "csv")
-        cli.write_stream(cli.points_of(via_csv), str(b), "bin")
-        via_bin, _ = cli.ingest(str(b), "bin")
-        assert cli.points_of(via_bin) == pts
+        cli.write_stream(pts, str(b), "bin")
+        for path, fmt in ((c, "csv"), (b, "bin")):
+            records, errors = cli.ingest(str(path), fmt)
+            assert not errors
+            assert records["y"].tolist() == [p.y for p in pts]
+            assert records["x"].tolist() == [list(p.x) for p in pts]
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
@@ -379,6 +383,49 @@ class TestCommands:
 # node records of the tree files, all counters zero
 HSKB_NODE = struct.Struct("<BQdd")  # has-children, c, s, s2
 HSKQ_NODE = struct.Struct("<BQ5dQB")  # has-children, c, X..Zxy, reservoir count, has-sample
+
+
+class TestOptimizeRecords:
+    """``optimize`` feeds ingest's records straight to the library: its output
+    equals the library's on the LabeledPoint list of the same rows."""
+
+    # algorithm: (d, lambda, epsilon, replicas)
+    CASES = {"add1d": (1, 0.5, 0.3, 1), "mult1d": (1, 0.5, 0.4, 3),
+             "dyn1d": (1, 0.5, 0.3, 3), "add2d": (2, 0.5, 0.5, 1), "pegasos": (1, 0.5, 0.2, 1)}
+
+    def run_optimize(self, capsys, tmp_path, algorithm, labels):
+        d, lam, eps, k = self.CASES[algorithm]
+        pts = gen_uniform(300, d, seed=21, low=-1.0)
+        if labels == "halfplane":  # the side of sum(x) = 0.1, 10% of the labels flipped
+            flip = np.random.default_rng(22).uniform(size=len(pts)) < 0.1
+            pts = [cli.LabeledPoint(p.x, (1 if sum(p.x) > 0.1 else -1) * (-1 if f else 1))
+                   for p, f in zip(pts, flip.tolist())]
+        stream = tmp_path / f"{algorithm}-{labels}.csv"
+        cli.write_stream(pts, str(stream), "csv")
+        code, out, err = run(capsys, "optimize", "--algorithm", algorithm, "--input",
+                             str(stream), "--lam", str(lam), "--epsilon", str(eps),
+                             "--replicas", str(k), "--seed", "4")
+        assert code == 0 and not err
+        return json.loads(out), pts, lam, eps, k
+
+    # "positive": every label +1, so the y=-1 class is empty
+    @pytest.mark.parametrize("algorithm, labels", [
+        ("add1d", "halfplane"), ("mult1d", "halfplane"), ("dyn1d", "halfplane"),
+        ("add2d", "halfplane"), ("add1d", "positive"), ("add2d", "positive")])
+    def test_sketch_backends(self, capsys, tmp_path, algorithm, labels):
+        rec, pts, lam, eps, k = self.run_optimize(capsys, tmp_path, algorithm, labels)
+        assert {p.y for p in pts} == ({1} if labels == "positive" else {-1, 1})
+        assert rec["value"] < 1.0  # not the origin's value: the data moved the argmin
+        res = optimize.optimize_via_sketch(pts, lam, eps, family=algorithm, k=k, seed=4)
+        assert rec == {"algorithm": algorithm, "theta": list(res.theta), "b": res.b,
+                       "value": res.value, "grid_size": res.grid_size, "k": k}
+
+    def test_pegasos(self, capsys, tmp_path):
+        rec, pts, lam, eps, _ = self.run_optimize(capsys, tmp_path, "pegasos", "halfplane")
+        theta, b = optimize.sgd_baseline(pts, lam, eps, seed=4)
+        assert rec == {"algorithm": "pegasos", "theta": list(theta), "b": b,
+                       "value": hinge_objective(pts, HyperplaneQuery(theta, b), lam),
+                       "space_words": optimize.sgd_space_words(lam, eps, 1)}
 
 
 def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4):

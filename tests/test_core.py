@@ -9,7 +9,6 @@ from hingesketch.core import (
     HyperplaneQuery,
     LabeledPoint,
     SketchParams,
-    check_unit_ball,
     distance_sums_1d,
     exact_optimize,
     hinge_objective,
@@ -30,12 +29,6 @@ class TestTypes:
     def test_finite_coords(self):
         with pytest.raises(ValueError):
             LabeledPoint((float("nan"),), 1)
-
-    def test_unit_ball_check(self):
-        check_unit_ball([lp(1.0), lp(-1.0)])
-        with pytest.raises(ValueError, match="norm"):
-            check_unit_ball([lp(1.5)])
-        check_unit_ball([lp(1.1)], bound=1.1)
 
     def test_query_norm_budget(self):
         HyperplaneQuery((1.0,), 1.0)  # unchecked by default

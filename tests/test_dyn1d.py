@@ -5,6 +5,7 @@ import pytest
 
 from hingesketch.core import SketchParams, distance_sums_1d
 from hingesketch.dyn1d import DynSketch1D, KAPPA_COUNT, KAPPA_QUERY, UnfrozenSketchError
+from hingesketch.serialize import MAGIC_DYN1D, Writer
 
 
 def build(xs, eps=0.3, n_hint=None, seed=0, C=1.0, collect_events=False):
@@ -208,6 +209,31 @@ class TestSerialization:
         assert back.space_words() == sk.space_words()
         assert back.interval_count() == sk.interval_count()
         assert back.anchor == sk.anchor
+
+    def test_reversed_arrays_load_as_the_sorted_file(self):
+        sk = build(np.random.default_rng(16).uniform(0, 1, 12000), eps=0.3, seed=16)
+        sk.freeze()
+        assert sk.intervals
+        data = sk.to_bytes()
+        # the HSKD layout with the explicit and sample arrays stored in reverse order
+        w = Writer(MAGIC_DYN1D)
+        sk.params.write(w)
+        w.u64(sk.count)
+        w.array(sk._expl_sorted[::-1])
+        w.u64(len(sk.intervals))
+        for itv in sk.intervals:
+            w.f64(itv.boundary)
+            w.f64(itv.rho)
+            w.f64(itv.rho_star)
+            w.array(itv.sorted_samples[::-1])
+        crafted = w.getvalue()
+        assert crafted != data and len(crafted) == len(data)
+        qs = np.concatenate([[-1.0, sk.anchor], np.linspace(0.0, 1.2, 200)])
+        back, want = DynSketch1D.from_bytes(crafted), DynSketch1D.from_bytes(data)
+        assert np.array_equal(back.query_many(qs), want.query_many(qs))
+        assert np.array_equal(back.query_many(qs), sk.query_many(qs))
+        assert back.anchor == sk.anchor
+        assert back.to_bytes() == data
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(12)
