@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import serialize
-from .core import python_rows
+from .core import check_positive, python_rows
 from .serialize import Reader, Writer
 
 # Node-count constant: measured node count stays below
@@ -225,5 +225,6 @@ def additive_tree_1d(
     epsilon: float, n_declared: int, p: int = 1, lo: float = -1.0, hi: float = 1.0
 ) -> Tree1D:
     """Tree sized so the end-to-end additive error is at most ``epsilon``."""
+    check_positive("epsilon", epsilon)
     return Tree1D(epsilon / kappa_log(epsilon), n_declared, p=p, lo=lo, hi=hi)
 

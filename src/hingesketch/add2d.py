@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import hypot_rows, python_rows
+from .core import check_positive, hypot_rows, python_rows
 from .sampler import Reservoir1, derive_seed
 from . import serialize
 from .serialize import Reader, Writer
@@ -294,6 +294,7 @@ class QuadTree2D:
 
 def additive_quadtree(epsilon: float, n_declared: int, p: int = 1, seed: int = 0) -> QuadTree2D:
     """Quad-tree sized for an end-to-end additive-epsilon guarantee per query."""
+    check_positive("epsilon", epsilon)
     if p == 1:
         eps_struct = min(0.99, RESCALE_P1 * epsilon ** (4.0 / 5.0))
     else:

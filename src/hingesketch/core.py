@@ -89,6 +89,12 @@ class HyperplaneQuery:
         return len(self.theta)
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a parameter that is not a positive finite number, naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, not {value!r}")
+
+
 @dataclass
 class SketchParams:
     """Shared sketch configuration.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SketchParams, UnfrozenSketchError
+from .core import SketchParams, UnfrozenSketchError, check_positive
 from .sampler import LevelSampleBank
 from . import serialize
 from .serialize import Reader, Writer
@@ -62,8 +62,7 @@ class OfflineSketch1D:
     """
 
     def __init__(self, epsilon: float, p: int = 1):
-        if not (0 < epsilon):
-            raise ValueError("epsilon must be positive")
+        check_positive("epsilon", epsilon)
         if p != 1:
             raise ValueError(f"offline1d answers p=1 only, not p={p}")
         self.epsilon = float(epsilon)
@@ -84,9 +83,9 @@ class OfflineSketch1D:
     def _index(self, xs: np.ndarray) -> None:
         n = xs.size
         t_max = int(math.floor(math.log(max(n, 1), 1.0 + self.epsilon))) + 1
-        ranks = np.unique(
-            np.ceil((1.0 + self.epsilon) ** np.arange(0, t_max + 1)).astype(np.int64)
-        )
+        # ranks above n are dropped: clip first, so a huge epsilon cannot overflow int64
+        ladder = np.minimum((1.0 + self.epsilon) ** np.arange(0, t_max + 1), n + 1)
+        ranks = np.unique(np.ceil(ladder).astype(np.int64))
         self.ranks = ranks[ranks <= n]
         pre = np.concatenate([[0.0], np.cumsum(xs)])
         self.xs = xs[self.ranks - 1].copy()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .core import _as_matrix, hypot_rows
+from .core import _as_matrix, check_positive, hypot_rows
 from .families import Family
 from .sampler import derive_seed, philox_generator
 
@@ -46,8 +46,8 @@ class GridSpec:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.epsilon <= 0:
-            raise ValueError("lambda and epsilon must be positive")
+        check_positive("lambda", self.lam)
+        check_positive("epsilon", self.epsilon)
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.R == 0.0:
@@ -78,11 +78,32 @@ def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
             f"grid would enumerate up to {box} candidates (budget {budget}); "
             "increase epsilon or lambda"
         )
-    axes = [np.arange(-kmax, kmax + 1)] * dims
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1).astype(float) * spec.delta
-    keep = (pts**2).sum(axis=1) <= spec.R**2 * (1.0 + 1e-12)
-    return pts[keep]
+    axis = np.arange(-kmax, kmax + 1).astype(float) * spec.delta
+    sq = axis**2
+    # squared norms of the box, summed left to right as a row-wise sum would
+    norm2 = sq
+    for _ in range(spec.d):
+        norm2 = np.add.outer(norm2, sq)
+    inside = norm2 <= spec.R**2 * (1.0 + 1e-12)
+    # Each prefix (theta...) keeps a run of b centred on 0, axis[kmax-h .. kmax+h]
+    # (cnt = 2h+1 values): norm2 is symmetric in b and, rounding being monotone,
+    # grows with |b|.  Prefixes and runs come in row-major, that is lexicographic,
+    # order; listing them from the counts allocates less than np.nonzero.
+    cnt = np.count_nonzero(inside, axis=-1).ravel()
+    first = np.cumsum(cnt) - cnt
+    out = np.empty((int(cnt.sum()), dims))
+    out[:, -1] = axis[np.arange(len(out)) - np.repeat(first - (kmax - cnt // 2), cnt)]
+    prefix = np.arange(cnt.size)
+    for j in reversed(range(spec.d)):
+        prefix, i = np.divmod(prefix, axis.size)
+        out[:, j] = np.repeat(axis[i], cnt)
+    return out
+
+
+def regularizer(grid: np.ndarray, lam: float) -> np.ndarray:
+    """(lam/2)*||w||^2 for each candidate row w of ``grid``."""
+    # column by column, left to right: the order of a row-wise sum, to the bit
+    return 0.5 * lam * sum(c**2 for c in grid.T)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +295,7 @@ def optimize_via_sketch(
                         norm_budget=spec.R)
         for i in range(k)
     ]
-    reg = 0.5 * lam * (grid**2).sum(axis=1)
+    reg = regularizer(grid, lam)
     data_term = median_estimate(np.stack([r.estimate_bulk(grid) for r in replicas]))
     values = reg + data_term
     best_val = values.min()
@@ -314,8 +335,8 @@ def sgd_baseline(
     strongly convex SGD schedule over them, projecting onto the ball of
     radius sqrt(2/lam); returns the suffix-averaged iterate.
     """
-    if lam <= 0 or epsilon <= 0:
-        raise ValueError("lambda and epsilon must be positive")
+    check_positive("lambda", lam)
+    check_positive("epsilon", epsilon)
     xs, ys = _as_matrix(points)
     rng = philox_generator(seed, "sgd")
     capacity = math.ceil(1.0 / (lam * epsilon))

@@ -566,6 +566,60 @@ class TestCraftedParams:
         assert "differ in length" in err
 
 
+class TestNonFiniteParams:
+    """A NaN or infinite --epsilon or --lam is a config error that names the flag."""
+
+    def expect_config_error(self, capsys, name, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert f"{name} must be positive and finite" in err
+
+    @pytest.mark.parametrize("algorithm,d,epsilon", [
+        ("offline1d", 1, "inf"), ("offline1d", 1, "nan"), ("mult1d", 1, "inf"),
+        ("dyn1d", 1, "nan"), ("add1d", 1, "nan"), ("add1d", 1, "inf"), ("add2d", 2, "nan"),
+        ("add2d", 2, "inf"),
+    ])
+    def test_build(self, tmp_path, capsys, algorithm, d, epsilon):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--d", str(d), "--out",
+            str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                             "--epsilon", epsilon, "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        # mult1d and dyn1d say "epsilon must be in (0, 1)"
+        assert "epsilon must be" in err and not (tmp_path / "s").exists()
+
+    def test_huge_finite_epsilon_builds_offline1d(self, tmp_path, capsys):
+        # the rank ladder (1+eps)^t would overflow int64 before its ranks above n are dropped
+        path, rec = build_1d(capsys, tmp_path, "offline1d", "s.hsko", "--epsilon", "1e308")
+        assert rec["space_words"] == 3
+        code, out, _ = run(capsys, "query", "--sketch", path, "--q", "2.0")
+        assert code == 0 and json.loads(out)["estimate"] > 0
+
+    @pytest.mark.parametrize("algorithm,epsilon", [
+        ("offline1d", "inf"), ("add1d", "nan"), ("add2d", "inf"), ("pegasos", "inf"),
+        ("pegasos", "nan"),
+    ])
+    def test_bench(self, capsys, algorithm, epsilon):
+        self.expect_config_error(capsys, "epsilon", "bench", "--algorithms", algorithm,
+                                 "--epsilons", f"0.2,{epsilon}", "--n", "100", "--seeds", "1")
+
+    @pytest.mark.parametrize("algorithm,d,lam,epsilon", [
+        ("add1d", 1, "inf", "0.2"), ("add1d", 1, "nan", "0.2"), ("dyn1d", 1, "nan", "0.2"),
+        ("add2d", 2, "inf", "0.5"), ("pegasos", 1, "nan", "0.2"), ("pegasos", 2, "inf", "0.2"),
+        ("add1d", 1, "0.5", "nan"), ("add2d", 2, "0.5", "inf"), ("pegasos", 1, "0.5", "inf"),
+    ])
+    def test_optimize(self, tmp_path, capsys, algorithm, d, lam, epsilon):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--d", str(d), "--labels",
+            "random", "--out", str(stream))
+        name = "lambda" if lam in ("inf", "nan") else "epsilon"
+        self.expect_config_error(capsys, name, "optimize", "--algorithm", algorithm, "--input",
+                                 str(stream), "--lam", lam, "--epsilon", epsilon)
+
+
 class TestBench:
     def test_bench_csv_shape_and_determinism(self, tmp_path, capsys):
         args = ["bench", "--algorithms", "offline1d,add1d", "--epsilons",

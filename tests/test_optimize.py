@@ -20,6 +20,7 @@ from hingesketch.optimize import (
     grid_points,
     median_estimate,
     optimize_via_sketch,
+    regularizer,
     reservoir_sample,
     sgd_baseline,
     sgd_space_words,
@@ -27,7 +28,39 @@ from hingesketch.optimize import (
 from hingesketch.sampler import philox_generator
 
 
+def box_grid(spec):
+    """Reference enumeration: the whole integer box, filtered by row-wise squared norms."""
+    kmax = int(math.floor(spec.R / spec.delta + 1e-12))
+    axes = [np.arange(-kmax, kmax + 1)] * (spec.d + 1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1).astype(float) * spec.delta
+    return pts[(pts**2).sum(axis=1) <= spec.R**2 * (1.0 + 1e-12)]
+
+
+def sweep_specs(count=120, budget=200_000):
+    """Specs with points on the sphere, the origin alone, and random (lam, eps) pairs."""
+    specs = [GridSpec(lam=2.0, epsilon=1.0, d=d) for d in (1, 2)]
+    specs += [GridSpec(lam=2.0, epsilon=1.0, d=d, delta=3.0) for d in (1, 2)]
+    rng = np.random.default_rng(8)
+    for d in (1, 2):
+        drawn = 0
+        while drawn < count:
+            spec = GridSpec(lam=10 ** rng.uniform(-3, 1), epsilon=10 ** rng.uniform(-1.5, 0.5), d=d)
+            if (2 * math.floor(spec.R / spec.delta + 1e-12) + 1) ** (d + 1) <= budget:
+                specs.append(spec)
+                drawn += 1
+    return specs
+
+
 class TestGrid:
+    def test_same_bytes_as_box_enumeration(self):
+        for spec in sweep_specs():
+            g = grid_points(spec, budget=200_000)
+            assert g.flags.c_contiguous and g.shape[1] == spec.d + 1
+            assert g.tobytes() == box_grid(spec).tobytes(), spec
+            want = 0.5 * spec.lam * (g**2).sum(axis=1)
+            assert regularizer(g, spec.lam).tobytes() == want.tobytes(), spec
+
     def test_thirteen_points(self):
         spec = GridSpec(lam=2.0, epsilon=1.0, d=1)
         assert spec.R == 1.0 and spec.delta == 0.5
