@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import serialize
-from .core import check_positive, python_rows
+from .core import add_in_order, check_positive, insert_runs
 from .serialize import Reader, Writer
 
 # Node-count constant: measured node count stays below
@@ -127,8 +127,41 @@ class Tree1D:
         return True
 
     def update_many(self, xs: np.ndarray) -> None:
-        for x in python_rows(np.asarray(xs, dtype=float)):
-            self.update(x)
+        """``update`` each value in turn, to the same counters bit for bit; a
+        value outside the domain raises ValueError after the values before it
+        are in."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1:
+            raise ValueError("values must be a 1-d array")
+        bad = np.flatnonzero(~((self.lo <= xs) & (xs <= self.hi)))
+        end = int(bad[0]) if bad.size else len(xs)
+        if end:
+            self._flat = None
+            self.count += end
+            insert_runs(self.roots, [xs[:end]], self._root_of, self.split_threshold,
+                        self._split, self._absorb, self._partition)
+        if bad.size:
+            self.update(float(xs[end]))  # raises update's ValueError
+
+    def _root_of(self, x: np.ndarray) -> np.ndarray:
+        """``update``'s root index, as one expression over an array."""
+        ncells = len(self.roots)
+        return np.minimum(((x - self.lo) / (self.hi - self.lo) * ncells).astype(np.int64),
+                          ncells - 1)
+
+    def _absorb(self, node: _Node, cols: list) -> None:
+        (x,) = cols
+        node.c += len(x)
+        d = node.hi - x
+        node.s = add_in_order(node.s, d)
+        if self.p == 2:
+            node.s2 = add_in_order(node.s2, d * d)
+
+    @staticmethod
+    def _partition(node: _Node, cols: list) -> list:
+        (x,) = cols
+        right = x >= node.children[1].lo
+        return [(node.children[0], [x[~right]]), (node.children[1], [x[right]])]
 
     def freeze(self) -> None:
         """Nothing to do: queries read the counters as they stand."""

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import check_positive, hypot_rows, python_rows
+from .core import add_in_order, check_positive, hypot_rows, insert_runs
 from .sampler import Reservoir1, derive_seed
 from . import serialize
 from .serialize import Reader, Writer
@@ -76,6 +76,22 @@ class _QNode:
         self.res.count_seen = r.u64()
         if r.u8():
             self.res.sample = (r.f64(), r.f64())
+
+
+class _Points:
+    """The points (x[i], y[i]) of two coordinate arrays, as a sequence of
+    tuples of floats made only when read."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        return float(self.x[i]), float(self.y[i])
 
 
 class QuadTree2D:
@@ -166,9 +182,52 @@ class QuadTree2D:
         return self.node_count() * per
 
     def update_many(self, pts: np.ndarray) -> None:
-        """Insert an (n, 2) array of points of the unit square."""
-        for x, y in python_rows(np.asarray(pts, dtype=float)):
-            self.update(x, y)
+        """``update`` each row of an (n, 2) array of points of the unit square
+        in turn, to the same counters and reservoirs bit for bit; a point
+        outside the square raises ValueError after the points before it are in."""
+        pts = np.asarray(pts, dtype=float)
+        if pts.size == 0:
+            return
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must be an (n, 2) array")
+        xs, ys = pts.T
+        bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0)))
+        end = int(bad[0]) if bad.size else len(xs)
+        if end:
+            self._flat = None
+            self.count += end
+            insert_runs(self.roots, [xs[:end], ys[:end]], self._root_of, self.threshold,
+                        self._split, self._absorb, self._partition)
+        if bad.size:
+            self.update(float(xs[end]), float(ys[end]))  # raises update's ValueError
+
+    def _root_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``update``'s root index, as one expression over arrays."""
+        g = self.grid_size
+        return np.minimum((y * g).astype(np.int64), g - 1) * g + np.minimum(
+            (x * g).astype(np.int64), g - 1)
+
+    def _absorb(self, node: _QNode, cols: list) -> None:
+        x, y = cols
+        node.c += len(x)
+        node.X = add_in_order(node.X, x)
+        node.Y = add_in_order(node.Y, y)
+        if self.p == 2:
+            node.Xvv = add_in_order(node.Xvv, x * x)
+            node.Yvv = add_in_order(node.Yvv, y * y)
+            node.Zxy = add_in_order(node.Zxy, x * y)
+        node.res.offer_many(_Points(x, y))
+
+    @staticmethod
+    def _partition(node: _QNode, cols: list) -> list:
+        """``_child_for`` over arrays of points."""
+        x, y = cols
+        half = node.size / 2.0
+        quad = (2 * (y > node.y0 + half) + (x > node.x0 + half)).astype(np.uint8)
+        order = np.argsort(quad, kind="stable")
+        x, y = x[order], y[order]
+        cuts = np.bincount(quad, minlength=4).cumsum().tolist()
+        return [(child, [x[a:b], y[a:b]]) for child, a, b in zip(node.children, [0, *cuts], cuts)]
 
     def freeze(self) -> None:
         """Nothing to do: queries read the counters as they stand."""

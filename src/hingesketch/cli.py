@@ -610,8 +610,7 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
 
     tree = add1d.additive_tree_1d(0.1, 2000)
     data = rng.uniform(-1, 1, 2000)
-    for x in data:
-        tree.update(float(x))
+    tree.update_many(data)
     got = sum(node.c for node in tree._walk())
     results.append(("add1d conservation sum c_v = n", got == 2000, f"{got}"))
     qs1 = rng.uniform(-1, 1, 100)
@@ -622,8 +621,7 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
 
     qt = add2d.additive_quadtree(0.1, 1000, seed=seed)
     pts2 = rng.uniform(0, 1, (1000, 2))
-    for x, y in pts2:
-        qt.update(float(x), float(y))
+    qt.update_many(pts2)
     est = qt.query((1.0, 0.0), 2.0)
     orc = float(np.mean(2.0 - pts2[:, 0]))
     results.append(("add2d exact when no cell crosses", abs(est - orc) < 1e-9,
@@ -632,8 +630,7 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
     inst = gen.gen_index1d([1, 0, 1, 1], 0.01, 2000)
     bxs = np.array([p.x[0] for p in inst.points])
     tree1 = add1d.additive_tree_1d(0.003, max(len(bxs), 1), lo=0.0, hi=1.0)
-    for x in bxs:
-        tree1.update(float(x))
+    tree1.update_many(bxs)
     dec = inst.decode(lambda q: tree1.query(q) * len(bxs))
     results.append(("index1d end-to-end decode", dec == list(inst.bits), f"{dec}"))
 

@@ -251,6 +251,58 @@ def python_rows(a: np.ndarray):
         yield from chunk.tolist() if chunk.ndim == 1 else zip(*chunk.T.tolist())
 
 
+def add_in_order(start: float, values: np.ndarray) -> float:
+    """start + values[0] + values[1] + ..., added left to right as repeated
+    ``+=`` adds them: np.sum adds pairwise, and the builtin sum compensates
+    on Python 3.12+."""
+    if len(values) < 64:  # below this the loop beats numpy's per-call cost
+        for v in values.tolist():
+            start += v
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+
+
+# insert_runs takes this many points at a time, so that its temporaries stay
+# small however long the stream
+INSERT_BLOCK = 2**16
+
+
+def insert_runs(roots, cols: list, root_of, quota: int, split, absorb, partition) -> None:
+    """Insert points into an adaptive tree, leaving every node as one
+    ``update`` per point, in stream order, would leave it.
+
+    ``cols`` holds the points' coordinate arrays; ``root_of(*cols)`` gives the
+    index in ``roots`` of each point's root.  A node sees its points in stream
+    order, and nothing outside its subtree depends on them, so each node takes
+    its whole run at once.  A leaf absorbs up to ``quota`` points
+    (``absorb(node, cols)``).  Points beyond that go on to the children that
+    ``split(node)`` gives it, through ``partition(node, cols)`` ->
+    [(child, cols)], or stay in the leaf where ``split`` returns False.
+    """
+    for i in range(0, len(cols[0]), INSERT_BLOCK):
+        blk = [c[i : i + INSERT_BLOCK] for c in cols]
+        cell = root_of(*blk)
+        # a stable sort of keys of 16 bits or fewer is a radix sort
+        order = np.argsort(cell.astype(np.min_scalar_type(len(roots) - 1)), kind="stable")
+        cell = cell[order]
+        blk = [c[order] for c in blk]
+        cuts = [0, *(np.flatnonzero(cell[1:] != cell[:-1]) + 1).tolist(), len(cell)]
+        stack = [(roots[cell[a]], [c[a:b] for c in blk]) for a, b in zip(cuts, cuts[1:])]
+        while stack:
+            node, run = stack.pop()
+            if node.children is None:
+                room = quota - node.c
+                if len(run[0]) <= room or not split(node):
+                    absorb(node, run)
+                    continue
+                if room > 0:
+                    absorb(node, [c[:room] for c in run])
+                    run = [c[room:] for c in run]
+            for child, sub in partition(node, run):
+                if len(sub[0]):
+                    stack.append((child, sub))
+
+
 def hypot_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``math.hypot(x, y)`` for each pair, as an array.  np.hypot may differ
     from it in the last place."""

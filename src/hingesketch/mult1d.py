@@ -63,6 +63,8 @@ class OfflineSketch1D:
 
     def __init__(self, epsilon: float, p: int = 1):
         check_positive("epsilon", epsilon)
+        if 1.0 + epsilon == 1.0:
+            raise ValueError(f"epsilon {epsilon!r} is too small: 1 + epsilon rounds to 1")
         if p != 1:
             raise ValueError(f"offline1d answers p=1 only, not p={p}")
         self.epsilon = float(epsilon)
@@ -82,10 +84,16 @@ class OfflineSketch1D:
 
     def _index(self, xs: np.ndarray) -> None:
         n = xs.size
-        t_max = int(math.floor(math.log(max(n, 1), 1.0 + self.epsilon))) + 1
+        base = 1.0 + self.epsilon
+        t_max = int(math.floor(math.log(max(n, 1), base))) + 1
+        # Below base**t_dense the ladder's steps are at most 1/2, so its ceilings
+        # there are every integer up to ceil(base**t_dense): list those directly
+        # and the ladder only above.  That is O(n) entries, where the whole
+        # ladder has ~log(n)/epsilon.
+        t_dense = min(t_max, max(0, int(math.log(0.5 / (base - 1.0), base))))
         # ranks above n are dropped: clip first, so a huge epsilon cannot overflow int64
-        ladder = np.minimum((1.0 + self.epsilon) ** np.arange(0, t_max + 1), n + 1)
-        ranks = np.unique(np.ceil(ladder).astype(np.int64))
+        ladder = np.ceil(np.minimum(base ** np.arange(t_dense, t_max + 1), n + 1))
+        ranks = np.unique(np.concatenate([np.arange(1, ladder[0] + 1), ladder]).astype(np.int64))
         self.ranks = ranks[ranks <= n]
         pre = np.concatenate([[0.0], np.cumsum(xs)])
         self.xs = xs[self.ranks - 1].copy()

@@ -139,7 +139,12 @@ class LevelSampleBank:
             if surv.size == 0:
                 continue
             self.survived[i] += int(surv.size)
-            merged = np.concatenate([self.buffers[i], surv])
+            buf = self.buffers[i]
+            if buf.size == self.capacity:
+                # a stable sort puts survivors at or above a full buffer's max past
+                # capacity: drop them before sorting (NaNs stay, and sort last)
+                surv = surv[~(surv >= buf[-1])]
+            merged = np.concatenate([buf, surv])
             merged.sort(kind="stable")
             self.buffers[i] = merged[: self.capacity]
 
@@ -171,3 +176,20 @@ class Reservoir1:
             self._rng = random.Random(self._seed)
         if self._rng.random() * self.count_seen < 1.0:
             self.sample = value
+
+    def offer_many(self, values) -> None:
+        """``offer`` each of ``values`` (a sequence) in turn: the same draws and
+        the same sample.  Only the value kept is read."""
+        m = len(values)
+        seen = self.count_seen
+        self.count_seen += m
+        first = 1 if seen == 0 and m else 0
+        if first:
+            self.sample = values[0]
+        if m > first:
+            if self._rng is None:
+                self._rng = random.Random(self._seed)
+            u = np.fromiter(iter(self._rng.random, None), dtype=float, count=m - first)
+            kept = np.flatnonzero(u * np.arange(seen + first + 1, seen + m + 1) < 1.0)
+            if kept.size:
+                self.sample = values[first + int(kept[-1])]

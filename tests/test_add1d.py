@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hingesketch import core
 from hingesketch.add1d import (
     KAPPA_NODES_P1,
     KAPPA_NODES_P2,
@@ -72,6 +75,67 @@ class TestStructure:
             a.update(float(x))
             b.update(float(x))
         assert a.to_bytes() == b.to_bytes()
+
+
+def update_loop(tree, xs):
+    for x in xs:
+        tree.update(x)
+    return tree
+
+
+def values_in(lo, hi):
+    """Floats of [lo, hi], with weight on lo, hi and the split midpoints (the
+    dyadic points down to 2^-7 of the domain), where routing ties."""
+    dyadic = [lo + (hi - lo) * k / 128 for k in range(129)]
+    return st.one_of(st.sampled_from(dyadic), st.floats(lo, hi))
+
+
+class TestUpdateMany:
+    """update_many against a loop of update, the per-point reference."""
+
+    @given(st.data(), st.sampled_from([(-1.0, 1.0), (0.0, 1.0)]), st.sampled_from([1, 2]),
+           st.sampled_from([0.25, 0.1, 0.04]), st.integers(1, 30), st.integers(1, 70))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_update_loop(self, data, domain, p, eps_struct, n_declared, block):
+        xs = data.draw(st.lists(values_in(*domain), max_size=150))
+        a = update_loop(Tree1D(eps_struct, n_declared, p=p, lo=domain[0], hi=domain[1]), xs)
+        b = Tree1D(eps_struct, n_declared, p=p, lo=domain[0], hi=domain[1])
+        with mock.patch.object(core, "INSERT_BLOCK", block):
+            b.update_many(np.asarray(xs, dtype=float))
+        assert b.to_bytes() == a.to_bytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_split_to_the_depth_cap(self, p):
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([np.full(300, 0.125), rng.uniform(0.12, 0.13, 300), [-1.0, 1.0]])
+        rng.shuffle(xs)
+        a = update_loop(Tree1D(0.25, 4, p=p), xs.tolist())
+        b = Tree1D(0.25, 4, p=p)
+        b.update_many(xs)
+        assert max(n.depth for n in b._walk()) == b.depth_cap + 1
+        assert b.to_bytes() == a.to_bytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_index1d_domain(self, p):
+        # the tree the index1d decoder reads: [0, 1] at eps 0.003
+        xs = np.random.default_rng(5).uniform(0.0, 1.0, 4000) ** 3
+        a = update_loop(additive_tree_1d(0.003, xs.size, p=p, lo=0.0, hi=1.0), xs.tolist())
+        b = additive_tree_1d(0.003, xs.size, p=p, lo=0.0, hi=1.0)
+        b.update_many(xs)
+        assert b.to_bytes() == a.to_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -1.0000001, -math.inf])
+    @pytest.mark.parametrize("k", [0, 1, 37])
+    def test_bad_value_applies_the_values_before_it(self, bad, k):
+        xs = np.random.default_rng(6).uniform(-1, 1, 60)
+        xs[k] = bad
+        with pytest.raises(ValueError) as want:
+            Tree1D(0.1, 60).update(bad)
+        tree = Tree1D(0.1, 60)
+        with pytest.raises(ValueError) as got:
+            tree.update_many(xs)
+        assert str(got.value) == str(want.value)
+        assert tree.to_bytes() == update_loop(Tree1D(0.1, 60), xs[:k].tolist()).to_bytes()
 
 
 class TestQuery:

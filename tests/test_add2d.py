@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from hingesketch import add2d
+from hingesketch import add2d, core
 from hingesketch.add2d import (
     KAPPA_SPACE_P1,
     KAPPA_SPACE_P2,
@@ -61,6 +63,59 @@ class TestStructure:
             tree.update(0.3, 0.3)
         assert all(n.depth <= tree.depth_cap for n in tree._walk())
         assert sum(n.c for n in tree._walk()) == 500
+
+
+def update_loop(tree, pts):
+    for x, y in pts:
+        tree.update(x, y)
+    return tree
+
+
+# coordinates of [0, 1], with weight on 0, 1 and the quadrant lines down to 2^-6,
+# where routing ties
+COORDS = st.one_of(st.sampled_from([k / 64 for k in range(65)]), st.floats(0.0, 1.0))
+
+
+class TestUpdateMany:
+    """update_many against a loop of update, the per-point reference."""
+
+    @given(st.lists(st.tuples(COORDS, COORDS), max_size=150), st.sampled_from([1, 2]),
+           st.sampled_from([0.25, 0.1, 0.04]), st.integers(1, 30), st.integers(0, 3),
+           st.integers(1, 70))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_update_loop(self, pts, p, eps_struct, n_declared, seed, block):
+        a = update_loop(QuadTree2D(eps_struct, n_declared, p=p, seed=seed), pts)
+        b = QuadTree2D(eps_struct, n_declared, p=p, seed=seed)
+        with mock.patch.object(core, "INSERT_BLOCK", block):
+            b.update_many(np.asarray(pts, dtype=float).reshape(-1, 2))
+        assert b.to_bytes() == a.to_bytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_split_to_the_depth_cap(self, p):
+        rng = np.random.default_rng(4)
+        pts = np.concatenate([np.full((300, 2), 0.3), rng.uniform(0.29, 0.31, (300, 2)),
+                              [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]])
+        rng.shuffle(pts)
+        a = update_loop(QuadTree2D(0.2, 50, p=p, seed=3), pts.tolist())
+        b = QuadTree2D(0.2, 50, p=p, seed=3)
+        b.update_many(pts)
+        assert max(n.depth for n in b._walk()) == b.depth_cap
+        assert b.to_bytes() == a.to_bytes()
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.5), (0.5, math.nan), (1.5, 0.5),
+                                     (0.5, -1e-9), (math.inf, math.inf)])
+    @pytest.mark.parametrize("k", [0, 1, 37])
+    def test_bad_point_applies_the_points_before_it(self, bad, k):
+        pts = np.random.default_rng(6).uniform(0, 1, (60, 2))
+        pts[k] = bad
+        with pytest.raises(ValueError) as want:
+            QuadTree2D(0.1, 60, seed=1).update(*bad)
+        tree = QuadTree2D(0.1, 60, seed=1)
+        with pytest.raises(ValueError) as got:
+            tree.update_many(pts)
+        assert str(got.value) == str(want.value)
+        assert tree.to_bytes() == update_loop(QuadTree2D(0.1, 60, seed=1),
+                                              pts[:k].tolist()).to_bytes()
 
 
 class TestQuery:

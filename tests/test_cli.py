@@ -598,6 +598,23 @@ class TestNonFiniteParams:
         code, out, _ = run(capsys, "query", "--sketch", path, "--q", "2.0")
         assert code == 0 and json.loads(out)["estimate"] > 0
 
+    def test_tiny_epsilon_offline1d(self, tmp_path, capsys):
+        # 1 + 1e-300 rounds to 1, so no rank ladder (1+eps)^t exists
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--out", str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", "offline1d", "--input", str(stream),
+                             "--epsilon", "1e-300", "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert "rounds to 1" in err and not (tmp_path / "s").exists()
+        # the same epsilon in a file's header is a data error
+        path, _ = build_1d(capsys, tmp_path, "offline1d", "s.hsko", "--epsilon", "0.2")
+        with open(path, "r+b") as f:
+            f.seek(6)
+            f.write(struct.pack("<d", 1e-300))
+        code, out, err = run(capsys, "query", "--sketch", path, "--q", "2.0")
+        assert code == cli.EXIT_DATA and not out and "rounds to 1" in err
+
     @pytest.mark.parametrize("algorithm,epsilon", [
         ("offline1d", "inf"), ("add1d", "nan"), ("add2d", "inf"), ("pegasos", "inf"),
         ("pegasos", "nan"),

@@ -9,6 +9,7 @@ from hingesketch.core import (
     HyperplaneQuery,
     LabeledPoint,
     SketchParams,
+    add_in_order,
     distance_sums_1d,
     exact_optimize,
     hinge_objective,
@@ -117,6 +118,22 @@ class TestDistanceSums:
                 assert got[i] / len(xs) == pytest.approx(
                     simplified_objective(list(xs), q, p=p), rel=1e-12
                 )
+
+
+class TestAddInOrder:
+    @given(st.floats(-1e300, 1e300), st.lists(st.floats(-1e300, 1e300), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_bits_of_repeated_add(self, start, values):
+        """Short runs (a loop) and long ones (np.add.accumulate) alike."""
+        want = start
+        for v in values:
+            want += v
+        assert add_in_order(start, np.asarray(values, dtype=float)).hex() == want.hex()
+
+    def test_not_pairwise(self):
+        # added one at a time, each 2^-53 rounds away; summed first, as np.sum would, they do not
+        values = np.full(100, 2.0**-53)
+        assert add_in_order(1.0, values) == 1.0 and 1.0 + values.sum() > 1.0
 
 
 class TestStrongConvexityRadius:

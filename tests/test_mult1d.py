@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -38,6 +40,28 @@ class TestOffline:
             xs = np.sort(rng.integers(1, 2**16, 1000)).astype(float)
             sk = OfflineSketch1D.build(xs, eps)
             assert len(sk) <= 2 * np.log(1000) / np.log(1 + eps) + 2
+
+    @pytest.mark.parametrize("eps", [10.0, 1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.01, 0.003])
+    def test_ranks_are_the_geometric_ladder(self, eps):
+        """Every rank ceil((1+eps)^t) <= n, listed from the whole ladder as the
+        reference does; the epsilons the golden and acceptance tests use are here."""
+        sk = OfflineSketch1D(eps)
+        for n in [1, 2, 3, 7, 100, 300, 797, 2000, 65536]:
+            t_max = int(math.floor(math.log(n, 1.0 + eps))) + 1
+            want = np.unique(np.ceil((1.0 + eps) ** np.arange(t_max + 1)).astype(np.int64))
+            sk._index(np.arange(n, dtype=float))
+            assert_array_equal(sk.ranks, want[want <= n])
+
+    @pytest.mark.parametrize("eps", [1e-9, 2.3e-16])
+    def test_small_epsilon_keeps_every_rank(self, eps):
+        # the ladder has ~log(n)/eps steps here, but at most n distinct ranks
+        sk = OfflineSketch1D.build(np.arange(1.0, 301.0), eps)
+        assert_array_equal(sk.ranks, np.arange(1, 301))
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-300])
+    def test_epsilon_lost_to_rounding_rejected(self, eps):
+        with pytest.raises(ValueError, match="1 \\+ epsilon rounds to 1"):
+            OfflineSketch1D(eps)
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):

@@ -30,6 +30,24 @@ class TestBank:
             bank.offer_many(np.array([x]))
         assert list(bank.buffers[0]) == sorted(xs)[:cap]
 
+    @given(st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, math.nan]),
+                             max_size=30), max_size=8), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_same_buffers_as_merge_and_sort(self, chunks, cap):
+        """Survivors dropped before the merge would have sorted past capacity:
+        the buffers keep every bit (signed zeros, NaN) of a plain merge and sort."""
+        bank = LevelSampleBank(capacity=cap, num_levels=3, seed=4)
+        gens = [philox_generator(4, "bank", i) for i in range(3)]
+        want = [np.empty(0)] * 3
+        for chunk in map(np.array, chunks):
+            bank.offer_many(chunk)
+            if chunk.size == 0:
+                continue
+            for i in range(3):
+                surv = chunk if i == 0 else chunk[gens[i].random(chunk.size) < 2.0 ** (-i)]
+                want[i] = np.sort(np.concatenate([want[i], surv]), kind="stable")[:cap]
+        assert [b.tobytes() for b in bank.buffers] == [w.tobytes() for w in want]
+
     def test_survival_rate_expectation(self):
         # level 2 (rate 1/4): mean survivors over 10^3 seeds within 5 sigma
         n, level = 400, 2
@@ -113,6 +131,23 @@ class TestReservoir:
             a.offer(v)
             b.offer(v)
         assert a.sample == b.sample
+
+
+    @given(st.sampled_from([0, 1, 5]), st.integers(0, 40), st.integers(0, 2**64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_offer_many_is_repeated_offer(self, start, m, seed):
+        """Runs that start at count 0, 1 and k: the same count, sample and
+        generator state as one offer per value."""
+        a, b = Reservoir1(seed=seed), Reservoir1(seed=seed)
+        for v in range(start):
+            a.offer(v)
+            b.offer(v)
+        values = [(float(v), -float(v)) for v in range(start, start + m)]
+        for v in values:
+            a.offer(v)
+        b.offer_many(values)
+        assert (b.count_seen, b.sample) == (a.count_seen, a.sample)
+        assert (b._rng and b._rng.getstate()) == (a._rng and a._rng.getstate())
 
 
 class TestDerivation:
