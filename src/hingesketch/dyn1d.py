@@ -48,8 +48,7 @@ class AdjacencyEvent:
 
 
 class _Interval:
-    __slots__ = ("boundary", "rho", "rho_star", "samples", "sorted_samples",
-                 "prefix", "unsplittable")
+    __slots__ = ("boundary", "rho", "rho_star", "samples", "band", "unsplittable")
 
     def __init__(self, boundary: float, rho: float, samples):
         # samples: a list while streaming, a sorted array once frozen
@@ -57,8 +56,7 @@ class _Interval:
         self.rho = rho
         self.rho_star = math.inf
         self.samples = samples
-        self.sorted_samples = None
-        self.prefix = None
+        self.band = (0, 0.0)  # once frozen: count and value sum of the samples in the band
         self.unsplittable = False
 
     @property
@@ -92,6 +90,7 @@ class DynSketch1D:
         self._uniforms = UniformStream(philox_generator(params.seed, "dyn"))
         self._expl_sorted: np.ndarray | None = None
         self._expl_prefix: np.ndarray | None = None
+        self._hidden = 0.0
 
     # -- streaming ----------------------------------------------------------
 
@@ -248,12 +247,41 @@ class DynSketch1D:
     def freeze(self) -> None:
         expl = -np.asarray(self._heap, dtype=float)
         expl.sort()
-        self._expl_sorted = expl
-        self._expl_prefix = np.concatenate([[0.0], np.cumsum(expl)])
         for itv in self.intervals:
             # the samples no longer change: keep the sorted copy only
-            itv.samples = itv.sorted_samples = np.sort(np.asarray(itv.samples, dtype=float))
-            itv.prefix = np.concatenate([[0.0], np.cumsum(itv.sorted_samples)])
+            itv.samples = np.sort(np.asarray(itv.samples, dtype=float))
+        self._index(expl)
+
+    def _index(self, expl: np.ndarray) -> None:
+        """Freeze on the ascending explicit points and interval samples.
+
+        What a query reads of an interval depends on the boundaries only, not
+        on q: its band's sample count and value sum, from the last boundary
+        below (the anchor for the first interval) to its own, and the hidden
+        duplicates of the anchor.  Both are computed here, once.
+        """
+        self._expl_sorted = expl
+        self._expl_prefix = np.concatenate([[0.0], np.cumsum(expl)])
+        anchor = float(expl[-1]) if expl.size else -math.inf
+        scratch = np.empty(max((itv.samples.size for itv in self.intervals), default=0))
+        prev_bd = anchor
+        for itv in self.intervals:
+            s = itv.samples
+            a = int(np.searchsorted(s, prev_bd, side="right"))
+            b = int(np.searchsorted(s, itv.boundary, side="right"))
+            # cs[k - 1] is the sum of the first k samples (a > b only in a crafted file)
+            k = max(a, b)
+            cs = np.cumsum(s[:k], out=scratch[:k])
+            itv.band = (b - a, float((cs[b - 1] if b else 0.0) - (cs[a - 1] if a else 0.0)))
+            prev_bd = itv.boundary
+        if self.intervals:
+            # duplicates of the anchor value beyond the explicit capacity are in
+            # no band; estimate them from the densest interval's sample
+            kept = expl.size - int(np.searchsorted(expl, anchor, side="left"))
+            s0 = self.intervals[0].samples
+            a0 = int(np.searchsorted(s0, anchor, side="left"))
+            b0 = int(np.searchsorted(s0, anchor, side="right"))
+            self._hidden = max(0.0, (b0 - a0) / self.intervals[0].rho - kept)
         self.frozen = True
 
     def query(self, q: float) -> float:
@@ -280,27 +308,15 @@ class DynSketch1D:
             return out
         q = qs[far]
         total = expl.size * q - self._expl_prefix[expl.size]
-        # duplicates of the anchor value beyond the explicit capacity are in
-        # no band; estimate them from the densest interval's sample
-        kept = expl.size - int(np.searchsorted(expl, anchor, side="left"))
-        itv0 = self.intervals[0]
-        a0 = int(np.searchsorted(itv0.sorted_samples, anchor, side="left"))
-        b0 = int(np.searchsorted(itv0.sorted_samples, anchor, side="right"))
-        hidden = max(0.0, (b0 - a0) / itv0.rho - kept)
-        total += hidden * (q - anchor)
-        prev_bd = anchor
+        total += self._hidden * (q - anchor)
         below = np.ones(q.size, dtype=bool)  # every boundary so far is <= q
         for itv in self.intervals:
             below &= itv.boundary <= q
             if not below.any():
                 break
-            a = int(np.searchsorted(itv.sorted_samples, prev_bd, side="right"))
-            b = int(np.searchsorted(itv.sorted_samples, itv.boundary, side="right"))
-            cnt = b - a
+            cnt, vsum = itv.band
             if cnt:
-                vsum = float(itv.prefix[b] - itv.prefix[a])
                 total[below] += (cnt * q[below] - vsum) / itv.rho
-            prev_bd = itv.boundary
         out[far] = total
         return out
 
@@ -364,20 +380,27 @@ class DynSketch1D:
         r = Reader(data, serialize.MAGIC_DYN1D)
         sk = cls(SketchParams.read(r))
         sk.count = r.u64()
-        # the explicit points, negated: freeze() sorts them, then they become the heap
-        sk._heap = -r.array()
+        expl = r.sorted_array()
         m = r.u64()
+        prev_bd = -math.inf
         for _ in range(m):
             bd = r.f64()
             rho = r.f64()
             rho_star = r.f64()
-            itv = _Interval(bd, rho, r.array())
+            if not bd >= prev_bd:  # NaN fails too
+                raise serialize.FormatError(f"HSKD boundary {bd} after {prev_bd}")
+            if not 0.0 < rho <= 1.0:
+                raise serialize.FormatError(f"HSKD interval rho {rho} is not in (0, 1]")
+            if not math.isfinite(rho_star):
+                raise serialize.FormatError(f"HSKD interval rho_star {rho_star} is not finite")
+            itv = _Interval(bd, rho, r.sorted_array())
             itv.rho_star = rho_star
             sk.intervals.append(itv)
+            prev_bd = bd
         r.done()
-        sk.freeze()  # sorts: a crafted file may store unsorted arrays
+        sk._index(expl)
         # the ascending negated points are a valid heap
-        sk._heap = -sk._expl_sorted[::-1]
+        sk._heap = -expl[::-1]
         sk._bounds = [itv.boundary for itv in sk.intervals]
         sk._z = sk._chain()
         return sk

@@ -143,12 +143,18 @@ class OfflineSketch1D:
     def from_bytes(cls, data: bytes) -> "OfflineSketch1D":
         r = Reader(data, serialize.MAGIC_OFFLINE1D)
         sk = cls(r.f64())
-        sk.ranks = r.array().astype(np.int64)
-        sk.xs = r.array()
-        sk.sums = r.array()
+        ranks, sk.xs, sk.sums = r.array(), r.array(), r.array()
         r.done()
-        if not sk.ranks.size == sk.xs.size == sk.sums.size:
+        if not ranks.size == sk.xs.size == sk.sums.size:
             raise serialize.FormatError("HSKO rank, position and sum arrays differ in length")
+        if not (np.isfinite(sk.xs).all() and np.isfinite(sk.sums).all()):
+            raise serialize.FormatError("HSKO positions and sums must be finite")
+        if not (sk.xs[:-1] <= sk.xs[1:]).all():
+            raise serialize.FormatError("HSKO positions must be ascending")
+        # whole numbers that int64 holds exactly (NaN fails every comparison)
+        if not ((ranks >= 1) & (ranks <= 2.0**53) & (ranks == np.floor(ranks))).all():
+            raise serialize.FormatError("HSKO ranks must be whole numbers from 1 to 2^53")
+        sk.ranks = ranks.astype(np.int64)
         return sk
 
 
@@ -204,8 +210,8 @@ class MultStream1D:
         self.S = LevelSampleBank(m2, levels, params.seed, "S")
         self.count = 0
         self.frozen = False
-        self._prefix_e: list[np.ndarray] | None = None
-        self._prefix_s: list[np.ndarray] | None = None
+        # per bank, the prefix sums of each level's buffer once a query has read them
+        self._prefixes: dict[LevelSampleBank, list] = {}
 
     def update(self, x: float) -> None:
         self.update_many(np.asarray([x], dtype=float))
@@ -221,18 +227,23 @@ class MultStream1D:
         self.S.offer_many(xs)
 
     def freeze(self) -> None:
-        self._prefix_e = [np.concatenate([[0.0], np.cumsum(b)]) for b in self.E.buffers]
-        self._prefix_s = [np.concatenate([[0.0], np.cumsum(b)]) for b in self.S.buffers]
+        levels = self.params.num_levels
+        self._prefixes = {bank: [None] * levels for bank in (self.E, self.S)}
         self.frozen = True
 
     # -- query ------------------------------------------------------------
 
-    def _count_sum(self, bank, prefix, level, lo, hi):
-        """Count and value-sum of buffer entries in (lo, hi]."""
-        b = bank.buffers[level]
-        a = int(np.searchsorted(b, lo, side="right"))
-        c = int(np.searchsorted(b, hi, side="right"))
-        return c - a, float(prefix[level][c] - prefix[level][a])
+    def _prefix(self, bank: LevelSampleBank, level: int) -> np.ndarray:
+        """[0, cumsum(buffer)] of a bank level, built the first time a query reads it."""
+        pres = self._prefixes[bank]
+        if pres[level] is None:
+            pres[level] = np.concatenate([[0.0], np.cumsum(bank.buffers[level])])
+        return pres[level]
+
+    @staticmethod
+    def _span(b: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
+        """The index range [a, c) of the entries of the sorted buffer b in (lo, hi]."""
+        return int(np.searchsorted(b, lo, side="right")), int(np.searchsorted(b, hi, side="right"))
 
     def _level0(self):
         """The larger level-0 buffer and its prefix sums, or None if both are empty.
@@ -242,9 +253,8 @@ class MultStream1D:
         e0, s0 = self.E.buffers[0], self.S.buffers[0]
         if e0.size == 0 and s0.size == 0:
             return None
-        if s0.size == 0 or (e0.size and e0[-1] >= s0[-1]):
-            return e0, self._prefix_e[0]
-        return s0, self._prefix_s[0]
+        bank = self.E if s0.size == 0 or (e0.size and e0[-1] >= s0[-1]) else self.S
+        return bank.buffers[0], self._prefix(bank, 0)
 
     def _boundary_mass(self, buf: np.ndarray, p: float) -> float:
         """Duplicates of p that overflowed the level-0 buffer: they fall in no
@@ -304,9 +314,9 @@ class MultStream1D:
             hi = q - d_scale / 2.0**j
             i_prime, cnt_r = -1, 0
             for i in reversed(range(levels)):
-                c, _ = self._count_sum(self.E, self._prefix_e, i, lo, hi)
-                if c >= thr_e:
-                    i_prime, cnt_r = i, c
+                a, c = self._span(self.E.buffers[i], lo, hi)
+                if c - a >= thr_e:
+                    i_prime, cnt_r = i, c - a
                     break
             phi = 0.0
             i_sel = -1
@@ -320,10 +330,11 @@ class MultStream1D:
                     else:
                         floor = math.ceil((phi * lw / eps) ** 2)
                     for i in reversed(range(levels)):
-                        c, vsum = self._count_sum(self.S, self._prefix_s, i, lo, hi)
-                        if c >= floor:
+                        a, c = self._span(self.S.buffers[i], lo, hi)
+                        if c - a >= floor:
+                            pre = self._prefix(self.S, i)
                             i_sel = i
-                            contrib = (2.0**i) * (c * q - vsum)
+                            contrib = (2.0**i) * ((c - a) * q - float(pre[c] - pre[a]))
                             break
             bd.rows.append(BreakdownRow(j, lo, hi, i_prime, phi, i_sel, contrib))
             total += contrib
@@ -398,10 +409,13 @@ class MultStream1D:
         for i in reversed(range(levels)):
             if todo.size == 0:
                 break
-            b, pre = self.S.buffers[i], self._prefix_s[i]
+            b = self.S.buffers[i]
             a = np.searchsorted(b, lo[todo], side="right")
             c = np.searchsorted(b, hi[todo], side="right")
             hit = c - a >= floor[todo]
+            if not hit.any():
+                continue
+            pre = self._prefix(self.S, i)
             idx, a, c = todo[hit], a[hit], c[hit]
             contrib[idx] = (2.0**i) * ((c - a) * q[idx] - (pre[c] - pre[a]))
             todo = todo[~hit]
@@ -446,7 +460,11 @@ class MultStream1D:
         for bank in (sk.E, sk.S):
             for i in range(levels):
                 bank.survived[i] = r.u64()
-                bank.buffers[i] = r.array()
+                buf = bank.buffers[i] = r.sorted_array()
+                if buf.size > bank.capacity:
+                    raise serialize.FormatError(
+                        f"HSK1 level {i} buffer holds {buf.size} values, past its "
+                        f"capacity {bank.capacity}")
         r.done()
         sk.freeze()
         return sk

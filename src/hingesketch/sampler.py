@@ -125,12 +125,16 @@ class LevelSampleBank:
         self.buffers: list[np.ndarray] = [
             np.empty(0, dtype=np.float64) for _ in range(num_levels)
         ]
-        self._gens = [philox_generator(seed, domain, i) for i in range(num_levels)]
+        self._seed, self._domain = seed, domain
+        self._gens: list[np.random.Generator] | None = None
 
     def offer_many(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.size == 0:
             return
+        if self._gens is None:
+            self._gens = [philox_generator(self._seed, self._domain, i)
+                          for i in range(self.num_levels)]
         for i in range(self.num_levels):
             if i == 0:
                 surv = xs

@@ -94,6 +94,16 @@ class Reader:
         self._pos += 8 * n
         return out
 
+    def sorted_array(self) -> np.ndarray:
+        """An array the writer stores ascending: sorted here only if it is not
+        (a crafted file), and rejected if it holds a value that is not finite."""
+        out = self.array()
+        if out.size > 1 and not (out[:-1] <= out[1:]).all():
+            out.sort()  # NaNs sort last
+        if out.size and not (np.isfinite(out[0]) and np.isfinite(out[-1])):
+            raise FormatError("a stored buffer holds a non-finite value")
+        return out
+
     def need(self, nbytes: int, what: str) -> None:
         """Reject ``what`` unless at least ``nbytes`` bytes are left to read."""
         if nbytes > len(self._data) - self._pos:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import struct
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hingesketch import cli, optimize
+from hingesketch import cli, families, optimize
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import additive_quadtree
 from hingesketch.core import HyperplaneQuery, hinge_objective
 from hingesketch.gen import gen_uniform
-from hingesketch.serialize import MAGIC_BINTREE, MAGIC_OFFLINE1D, MAGIC_QUADTREE, MAGIC_STREAM
+from hingesketch.mult1d import OfflineSketch1D
+from hingesketch.serialize import (MAGIC_BINTREE, MAGIC_DYN1D, MAGIC_MULT1D, MAGIC_OFFLINE1D,
+                                   MAGIC_QUADTREE, MAGIC_STREAM, Writer)
 
 
 def run(capsys, *argv):
@@ -564,6 +567,173 @@ class TestCraftedParams:
         assert code == cli.EXIT_DATA and not out
         assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
         assert "differ in length" in err
+
+
+@functools.lru_cache
+def sample_sketch(algorithm):
+    """A frozen offline1d, mult1d or dyn1d sketch of 2,000 values in [1, 16]: mult1d's
+    at eps 0.5 and W 16 fills its banks (capacities 256 and 512), dyn1d's has intervals."""
+    xs = 1.0 + 15.0 * np.random.default_rng(8).uniform(0.0, 1.0, 2000)
+    if algorithm == "offline1d":
+        sk = OfflineSketch1D(0.3)
+    else:
+        sk = families.FAMILIES[algorithm].make(0.5, len(xs), 8, 1, 16)
+    sk.update_many(xs)
+    sk.freeze()
+    return sk
+
+
+def hsk1(buffer=lambda bank, i, b: b):
+    """The HSK1 bytes of the mult1d sample sketch, each level's buffer replaced by
+    ``buffer(bank name, level, buffer)``."""
+    sk = sample_sketch("mult1d")
+    w = Writer(MAGIC_MULT1D)
+    sk.params.write(w)
+    w.u8(0)
+    w.u64(sk.count)
+    w.u16(sk.params.num_levels)
+    for name, bank in (("E", sk.E), ("S", sk.S)):
+        for i, b in enumerate(bank.buffers):
+            w.u64(bank.survived[i])
+            w.array(buffer(name, i, b))
+    return w.getvalue()
+
+
+def hskd(expl=None, interval=lambda i, fields: fields):
+    """The HSKD bytes of the dyn1d sample sketch, with its explicit points replaced
+    by ``expl`` and each interval's (boundary, rho, rho_star, samples) by
+    ``interval(index, fields)``."""
+    sk = sample_sketch("dyn1d")
+    w = Writer(MAGIC_DYN1D)
+    sk.params.write(w)
+    w.u64(sk.count)
+    w.array(sk._expl_sorted if expl is None else expl)
+    w.u64(len(sk.intervals))
+    for i, itv in enumerate(sk.intervals):
+        bd, rho, rho_star, samples = interval(i, (itv.boundary, itv.rho, itv.rho_star,
+                                                   itv.samples))
+        w.f64(bd)
+        w.f64(rho)
+        w.f64(rho_star)
+        w.array(samples)
+    return w.getvalue()
+
+
+def hsko(ranks=None, xs=None, sums=None):
+    """The HSKO bytes of the offline1d sample sketch, with arrays replaced."""
+    sk = sample_sketch("offline1d")
+    w = Writer(MAGIC_OFFLINE1D)
+    w.f64(sk.epsilon)
+    for new, old in ((ranks, sk.ranks.astype(float)), (xs, sk.xs), (sums, sk.sums)):
+        w.array(old if new is None else new)
+    return w.getvalue()
+
+
+def with_value(a, at, value):
+    a = np.array(a, dtype=float)
+    a[at] = value
+    return a
+
+
+def swap_first_boundaries(i, fields):
+    bd0, bd1 = (itv.boundary for itv in sample_sketch("dyn1d").intervals[:2])
+    return ({0: bd1, 1: bd0}.get(i, fields[0]), *fields[1:])
+
+
+# name: (file, what the error line says)
+CRAFTED_SAMPLE_FILES = {
+    "hsk1_nan": (lambda: hsk1(lambda bank, i, b: with_value(b, 3, np.nan) if i == 0 else b),
+                 "non-finite"),
+    "hsk1_inf": (lambda: hsk1(lambda bank, i, b: with_value(b, -1, np.inf) if i == 2 else b),
+                 "non-finite"),
+    "hsk1_past_capacity": (lambda: hsk1(lambda bank, i, b: np.arange(257.0)
+                                        if (bank, i) == ("E", 0) else b), "capacity 256"),
+    "hskd_rho_zero": (lambda: hskd(interval=lambda i, f: (f[0], 0.0, *f[2:])), "rho 0.0"),
+    "hskd_rho_nan": (lambda: hskd(interval=lambda i, f: (f[0], np.nan, *f[2:])), "rho nan"),
+    "hskd_rho_above_one": (lambda: hskd(interval=lambda i, f: (f[0], 1.5, *f[2:])),
+                           "rho 1.5"),
+    "hskd_rho_star_inf": (lambda: hskd(interval=lambda i, f: (*f[:2], np.inf, f[3])),
+                          "rho_star inf"),
+    "hskd_boundary_nan": (lambda: hskd(interval=lambda i, f: (np.nan, *f[1:])),
+                          "boundary nan"),
+    "hskd_boundaries_descending": (lambda: hskd(interval=swap_first_boundaries), "boundary"),
+    "hskd_explicit_nan": (lambda: hskd(expl=with_value(sample_sketch("dyn1d")._expl_sorted, 0,
+                                                       np.nan)), "non-finite"),
+    "hskd_sample_inf": (lambda: hskd(interval=lambda i, f: (*f[:3], with_value(f[3], 0, -np.inf))
+                                     if i == 1 else f), "non-finite"),
+    "hsko_descending": (lambda: hsko(xs=sample_sketch("offline1d").xs[::-1]), "ascending"),
+    "hsko_nan_position": (lambda: hsko(xs=with_value(sample_sketch("offline1d").xs, -1, np.nan)),
+                          "finite"),
+    "hsko_inf_sum": (lambda: hsko(sums=with_value(sample_sketch("offline1d").sums, 2, np.inf)),
+                     "finite"),
+    "hsko_fractional_rank": (lambda: hsko(ranks=with_value(sample_sketch("offline1d").ranks, 1,
+                                                            2.5)), "whole numbers"),
+}
+
+PROBES = np.concatenate([np.linspace(-5.0, 40.0, 91), [1e6]])
+
+
+class TestCraftedSampleFiles:
+    """HSK1, HSKD and HSKO files with arrays out of order, non-finite values,
+    bad rates and damaged bytes."""
+
+    def test_writers_give_the_intact_files(self):
+        assert hsk1() == sample_sketch("mult1d").to_bytes()
+        assert hskd() == sample_sketch("dyn1d").to_bytes()
+        assert hsko() == sample_sketch("offline1d").to_bytes()
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED_SAMPLE_FILES))
+    def test_crafted_file_is_data_error(self, tmp_path, capsys, name):
+        make, says = CRAFTED_SAMPLE_FILES[name]
+        path = tmp_path / name
+        path.write_bytes(make())
+        code, out, err = run(capsys, "query", "--sketch", str(path), "--q", "5")
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
+        assert says in err
+
+    @pytest.mark.parametrize("algorithm", ["mult1d", "dyn1d"])
+    def test_reversed_arrays_answer_as_the_intact_file(self, tmp_path, capsys, algorithm):
+        if algorithm == "mult1d":
+            crafted = hsk1(lambda bank, i, b: b[::-1])
+        else:
+            crafted = hskd(sample_sketch("dyn1d")._expl_sorted[::-1],
+                           lambda i, f: (*f[:3], f[3][::-1]))
+        intact = sample_sketch(algorithm).to_bytes()
+        assert crafted != intact
+        answers = []
+        for name, data in (("crafted", crafted), ("intact", intact)):
+            (tmp_path / name).write_bytes(data)
+            assert cli.load_sketch(str(tmp_path / name)).to_bytes() == intact
+            code, out, err = run(capsys, "query", "--sketch", str(tmp_path / name),
+                                 *[f"--q={q}" for q in PROBES])
+            assert code == cli.EXIT_OK, err
+            answers.append(out)
+        assert answers[0] == answers[1]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(algorithm=st.sampled_from(["offline1d", "mult1d", "dyn1d"]),
+           damage=st.sampled_from(["truncate", "flip", "extend"]),
+           where=st.floats(0.0, 1.0, exclude_max=True), bit=st.integers(0, 7),
+           tail=st.binary(min_size=1, max_size=64))
+    def test_damaged_container_loads_or_is_data_error(self, tmp_path, algorithm, damage,
+                                                      where, bit, tail):
+        data = bytearray(sample_sketch(algorithm).to_bytes())
+        at = int(where * len(data))
+        if damage == "truncate":
+            data = data[:at]
+        elif damage == "flip":
+            data[at] ^= 1 << bit
+        else:
+            data += tail
+        path = tmp_path / "s"
+        path.write_bytes(bytes(data))
+        try:
+            sk = cli.load_sketch(str(path))
+        except cli.DataError:
+            return
+        assert np.isfinite(sk.query_many(PROBES)).all()
 
 
 class TestNonFiniteParams:

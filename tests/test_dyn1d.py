@@ -225,7 +225,7 @@ class TestSerialization:
             w.f64(itv.boundary)
             w.f64(itv.rho)
             w.f64(itv.rho_star)
-            w.array(itv.sorted_samples[::-1])
+            w.array(itv.samples[::-1])
         crafted = w.getvalue()
         assert crafted != data and len(crafted) == len(data)
         qs = np.concatenate([[-1.0, sk.anchor], np.linspace(0.0, 1.2, 200)])
