@@ -210,6 +210,8 @@ class Tree1D:
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         """Mean p-th power distance estimate; nodes entirely left of q count exactly."""
         qs = np.asarray(qs, dtype=float)
+        if not np.isfinite(qs).all():
+            raise ValueError("queries must be finite")
         if self.count == 0:
             return np.zeros_like(qs)
         r, pc, ps, ps2, pcr, psr, pcrr = self._flatten()

@@ -597,14 +597,13 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
          f"{sk2.space_words()} vs bound {sk2.space_bound_words()}")
     )
     exact_all = distance_sums_1d(stream, qs)
-    est_all = np.array([sk2.query(q)[0] for q in qs])
+    est_all = sk2.query_many(qs)
     ok = bool(np.all(np.abs(est_all - exact_all) <= 1e-6 * np.maximum(exact_all, 1.0)))
     results.append(("mult1d exact regime below retained max", ok, ""))
 
     dparams = SketchParams(epsilon=0.3, n_hint=3000, seed=seed)
     dsk = dyn1d.DynSketch1D(dparams)
-    for x in rng.uniform(0, 1, 3000):
-        dsk.update(float(x))
+    dsk.update_many(rng.uniform(0, 1, 3000))
     viol = dsk.check_invariants()
     results.append(("dyn1d structural invariants", not viol, "; ".join(viol[:3])))
 

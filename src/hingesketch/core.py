@@ -58,16 +58,10 @@ class LabeledPoint:
 
 @dataclass(frozen=True)
 class HyperplaneQuery:
-    """Query hyperplane (theta, b); the evaluation target for point estimation.
-
-    ``norm_budget`` is the caller-declared bound on ||(theta, b)||_2 (1 for
-    plain point estimation, sqrt(2/lambda) inside the optimizer).  ``None``
-    skips the check; exact oracles accept any finite query.
-    """
+    """Query hyperplane (theta, b); the evaluation target for point estimation."""
 
     theta: tuple[float, ...]
     b: float
-    norm_budget: float | None = None
 
     def __post_init__(self):
         if isinstance(self.theta, (int, float)):
@@ -77,12 +71,6 @@ class HyperplaneQuery:
         object.__setattr__(self, "b", float(self.b))
         if not all(math.isfinite(v) for v in self.theta) or not math.isfinite(self.b):
             raise ValueError("query parameters must be finite")
-        if self.norm_budget is not None:
-            n = math.sqrt(sum(v * v for v in self.theta) + self.b * self.b)
-            if n > self.norm_budget * (1 + 1e-12):
-                raise ValueError(
-                    f"query norm {n:.6g} exceeds declared budget {self.norm_budget:.6g}"
-                )
 
     @property
     def dim(self) -> int:

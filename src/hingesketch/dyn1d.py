@@ -297,6 +297,8 @@ class DynSketch1D:
         if not self.frozen:
             raise UnfrozenSketchError("freeze() the sketch before querying")
         qs = np.asarray(qs, dtype=float)
+        if not np.isfinite(qs).all():
+            raise ValueError("queries must be finite")
         expl = self._expl_sorted
         if expl.size == 0:
             return np.zeros(qs.size)

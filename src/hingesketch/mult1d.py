@@ -13,7 +13,7 @@ Two structures for the quantity sum_{x <= q} (q - x):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,6 +124,8 @@ class OfflineSketch1D:
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         qs = np.asarray(qs, dtype=float)
+        if not np.isfinite(qs).all():
+            raise ValueError("queries must be finite")
         pos = np.searchsorted(self.xs, qs, side="right") - 1
         out = np.zeros_like(qs)
         hit = pos >= 0
@@ -165,25 +167,17 @@ class OfflineSketch1D:
 
 @dataclass
 class BreakdownRow:
-    j: int
-    lo: float
-    hi: float
+    """One distance scale: the crude and fine bank levels read (-1: none)."""
     i_prime: int
-    phi: float
     i_sel: int
     contribution: float
 
 
 @dataclass
 class QueryBreakdown1D:
-    q: float
-    p: float  # largest retained level-0 value
-    D: float
-    exact_part: float
-    rows: list[BreakdownRow] = field(default_factory=list)
-    num_intervals: int = 0
-    exact_regime: bool = False
-    boundary_mass: float = 0.0  # duplicates of p beyond the level-0 capacity
+    exact_regime: bool  # answered from the level-0 buffer alone
+    boundary_mass: float  # duplicates of p beyond the level-0 capacity
+    rows: list[BreakdownRow]
 
 
 def bank_capacities(params: SketchParams) -> tuple[int, int]:
@@ -240,11 +234,6 @@ class MultStream1D:
             pres[level] = np.concatenate([[0.0], np.cumsum(bank.buffers[level])])
         return pres[level]
 
-    @staticmethod
-    def _span(b: np.ndarray, lo: float, hi: float) -> tuple[int, int]:
-        """The index range [a, c) of the entries of the sorted buffer b in (lo, hi]."""
-        return int(np.searchsorted(b, lo, side="right")), int(np.searchsorted(b, hi, side="right"))
-
     def _level0(self):
         """The larger level-0 buffer and its prefix sums, or None if both are empty.
 
@@ -275,118 +264,69 @@ class MultStream1D:
         return 2 * math.ceil(math.log2(max(self.count, 2)))
 
     def query(self, q: float) -> tuple[float, QueryBreakdown1D]:
-        """Estimate sum_{x <= q} (q - x) with a per-scale breakdown.
-
-        The scalar reference of ``query_many``, which answers the same values.
-        """
-        if not self.frozen:
-            raise UnfrozenSketchError("freeze() the sketch before querying")
-        params = self.params
-        eps = params.epsilon
-        lw = params.log2_w
-        levels = params.num_levels
-
-        level0 = self._level0()
-        if level0 is None:
-            return 0.0, QueryBreakdown1D(q, -math.inf, 0.0, 0.0, exact_regime=True)
-        buf, pre = level0
-        p = float(buf[-1])
-
-        if q <= p:
-            c = int(np.searchsorted(buf, q, side="right"))
-            exact = c * q - float(pre[c])
-            return exact, QueryBreakdown1D(q, p, 0.0, exact, exact_regime=True)
-
-        d_scale = q - p
-        exact_part = buf.size * q - float(pre[buf.size])
-        num_j = max(1, min(math.ceil(math.log2(d_scale)) if d_scale > 1 else 1,
-                           self._max_scales()))
-        # the crude level must hold at least ceil(log2(D)) samples of a scale
-        thr_e = max(1, math.ceil(math.log2(d_scale)) if d_scale >= 2 else 1)
-        floor_large = math.ceil(1.0 / eps**2)
-
-        bd = QueryBreakdown1D(q, p, d_scale, exact_part, num_intervals=num_j)
-        total = exact_part
-        bd.boundary_mass = self._boundary_mass(buf, p)
-        total += bd.boundary_mass * (q - p)
-        for j in range(1, num_j + 1):
-            lo = q - d_scale / 2.0 ** (j - 1)
-            hi = q - d_scale / 2.0**j
-            i_prime, cnt_r = -1, 0
-            for i in reversed(range(levels)):
-                a, c = self._span(self.E.buffers[i], lo, hi)
-                if c - a >= thr_e:
-                    i_prime, cnt_r = i, c - a
-                    break
-            phi = 0.0
-            i_sel = -1
-            contrib = 0.0
-            if i_prime >= 0:
-                left = int(np.searchsorted(self.E.buffers[i_prime], lo, side="right"))
-                phi = 1.0 if left == 0 else min(1.0, cnt_r / left)
-                if phi > eps / lw:
-                    if phi >= 1.0 / lw:
-                        floor = floor_large
-                    else:
-                        floor = math.ceil((phi * lw / eps) ** 2)
-                    for i in reversed(range(levels)):
-                        a, c = self._span(self.S.buffers[i], lo, hi)
-                        if c - a >= floor:
-                            pre = self._prefix(self.S, i)
-                            i_sel = i
-                            contrib = (2.0**i) * ((c - a) * q - float(pre[c] - pre[a]))
-                            break
-            bd.rows.append(BreakdownRow(j, lo, hi, i_prime, phi, i_sel, contrib))
-            total += contrib
-        return total, bd
+        """``query_many([q])[0]``, with the per-scale choices that made it."""
+        out, boundary_mass, scales = self._estimate(np.asarray([q], dtype=float))
+        rows = [BreakdownRow(int(i_prime[0]), int(i_sel[0]), float(contrib[0]))
+                for contrib, i_prime, i_sel in scales]
+        return float(out[0]), QueryBreakdown1D(not scales, boundary_mass, rows)
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
-        """``query(q)[0]`` for every value of ``qs``, vectorized across the values.
+        """Estimates of sum_{x <= q} (q - x), vectorized across the values q."""
+        return self._estimate(np.asarray(qs, dtype=float))[0]
 
-        Each step of ``query`` is one numpy operation over the values it
-        concerns, with the same float operations in the same order, so the
-        answers are bit-identical to the scalar ones.
+    def _estimate(self, qs: np.ndarray):
+        """The estimates for ``qs``, the boundary mass and, per distance scale j
+        from 1 up, the ``_scale_estimates`` of the values that reach scale j.
+
+        Below p, the largest retained level-0 value, the level-0 buffer answers
+        exactly.  Above it, (p, q] is cut into scales (q - D/2^(j-1), q - D/2^j]
+        for D = q - p, and each scale adds its sampled estimate.
         """
         if not self.frozen:
             raise UnfrozenSketchError("freeze() the sketch before querying")
-        qs = np.asarray(qs, dtype=float)
         if not np.isfinite(qs).all():
             raise ValueError("queries must be finite")
         level0 = self._level0()
         if level0 is None:
-            return np.zeros(qs.size)
+            return np.zeros(qs.size), 0.0, []
         buf, pre = level0
         p = float(buf[-1])
         c = np.searchsorted(buf, qs, side="right")
         out = c * qs - pre[c]  # exact below p
         far = np.flatnonzero(qs > p)
         if far.size == 0:
-            return out
+            return out, 0.0, []
         q = qs[far]
         d_scale = q - p
         total = buf.size * q - pre[buf.size]
-        total += self._boundary_mass(buf, p) * d_scale
-        # query's special cases for D <= 1 and D < 2 give these same values
+        boundary_mass = self._boundary_mass(buf, p)
+        total += boundary_mass * d_scale
+        # at most ceil(log2(D)) scales, and the crude level must hold at least
+        # ceil(log2(D)) samples of a scale (both at least 1)
         log_d = _ceil_log2(d_scale)
         num_j = np.clip(log_d, 1, self._max_scales())
         thr_e = np.maximum(log_d, 1)
+        scales = []
         for j in range(1, int(num_j.max()) + 1):
             act = np.flatnonzero(num_j >= j)
             qa, da = q[act], d_scale[act]
-            total[act] += self._scale_estimates(qa, qa - da / 2.0 ** (j - 1),
-                                                qa - da / 2.0**j, thr_e[act])
+            scale = self._scale_estimates(qa, qa - da / 2.0 ** (j - 1), qa - da / 2.0**j,
+                                          thr_e[act])
+            total[act] += scale[0]
+            scales.append(scale)
         out[far] = total
-        return out
+        return out, boundary_mass, scales
 
     def _scale_estimates(self, q, lo, hi, thr_e):
-        """The contribution of the scale (lo, hi] to each query q, as in ``query``."""
+        """For the scale (lo, hi] of each value q: its contribution, and the crude
+        level i_prime and fine level i_sel it was read from (-1 for none)."""
         eps = self.params.epsilon
         lw = self.params.log2_w
         levels = self.params.num_levels
         # crude bank: the sparsest level holding thr_e samples of the scale
         cnt_r = np.zeros(q.size, dtype=np.int64)
         left = np.zeros(q.size, dtype=np.int64)
-        found = np.zeros(q.size, dtype=bool)
+        i_prime = np.full(q.size, -1)
         todo = np.arange(q.size)
         for i in reversed(range(levels)):
             b = self.E.buffers[i]
@@ -394,18 +334,19 @@ class MultStream1D:
             c = np.searchsorted(b, hi[todo], side="right") - a
             hit = c >= thr_e[todo]
             idx = todo[hit]
-            cnt_r[idx], left[idx], found[idx] = c[hit], a[hit], True
+            cnt_r[idx], left[idx], i_prime[idx] = c[hit], a[hit], i
             todo = todo[~hit]
             if todo.size == 0:
                 break
         phi = np.where(left == 0, 1.0, np.minimum(1.0, cnt_r / np.maximum(left, 1)))
-        todo = np.flatnonzero(found & (phi > eps / lw))
+        todo = np.flatnonzero((i_prime >= 0) & (phi > eps / lw))
         floor = np.full(q.size, float(math.ceil(1.0 / eps**2)))
         small = todo[phi[todo] < 1.0 / lw]
         # the C library's pow, as Python's ** calls it (np.power would square)
         floor[small] = np.ceil(np.float_power(phi[small] * lw / eps, 2))
         # fine bank: the sparsest level holding floor samples of the scale
         contrib = np.zeros(q.size)
+        i_sel = np.full(q.size, -1)
         for i in reversed(range(levels)):
             if todo.size == 0:
                 break
@@ -418,8 +359,9 @@ class MultStream1D:
             pre = self._prefix(self.S, i)
             idx, a, c = todo[hit], a[hit], c[hit]
             contrib[idx] = (2.0**i) * ((c - a) * q[idx] - (pre[c] - pre[a]))
+            i_sel[idx] = i
             todo = todo[~hit]
-        return contrib
+        return contrib, i_prime, i_sel
 
     # -- accounting & serialization ----------------------------------------
 

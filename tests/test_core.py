@@ -31,12 +31,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             LabeledPoint((float("nan"),), 1)
 
-    def test_query_norm_budget(self):
-        HyperplaneQuery((1.0,), 1.0)  # unchecked by default
-        HyperplaneQuery((0.6,), 0.8, norm_budget=1.0)
-        with pytest.raises(ValueError, match="budget"):
-            HyperplaneQuery((1.0,), 1.0, norm_budget=1.0)
-
     def test_sketch_params_validation(self):
         SketchParams(epsilon=0.1)
         with pytest.raises(ValueError):

@@ -73,3 +73,15 @@ def probe_values(anchor, edges):
                          [-1.0, 0.0, 2.0 * W, 1e9, 1e15]])
     assert qs.size >= 500
     return qs
+
+
+@pytest.mark.parametrize("name", list(families.FAMILIES))
+def test_non_finite_queries_rejected(name):
+    fam = families.FAMILIES[name]
+    sk = fam.make(0.3, 2000, 7, 1, W)
+    sk.update_many(stream(fam, 2000, seed=24))
+    sk.freeze()
+    for bad in (np.inf, np.nan, -np.inf):
+        qs = [[1.0, 0.0, 0.5], [1.0, 0.0, bad], [bad, 0.0, 0.5]] if fam.dim == 2 else [0.5, bad]
+        with pytest.raises(ValueError, match="must be finite"):
+            sk.query_many(np.asarray(qs))

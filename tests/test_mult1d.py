@@ -82,6 +82,62 @@ class TestOffline:
         assert np.all(exact <= (1 + eps) * t + 1e-9)
 
 
+def scalar_query(sk, q):
+    """The streaming estimate of sum_{x <= q} (q - x), one scale and one bank
+    level at a time: (estimate, exact_regime, boundary_mass, rows), each row
+    the (i_prime, i_sel, contribution) of one distance scale.  The reference
+    that ``MultStream1D.query`` and ``query_many`` are compared against."""
+    params = sk.params
+    eps, lw, levels = params.epsilon, params.log2_w, params.num_levels
+
+    def span(b, lo, hi):
+        return int(np.searchsorted(b, lo, side="right")), int(np.searchsorted(b, hi, side="right"))
+
+    level0 = sk._level0()
+    if level0 is None:
+        return 0.0, True, 0.0, []
+    buf, pre = level0
+    p = float(buf[-1])
+    if q <= p:
+        c = int(np.searchsorted(buf, q, side="right"))
+        return c * q - float(pre[c]), True, 0.0, []
+
+    d_scale = q - p
+    num_j = max(1, min(math.ceil(math.log2(d_scale)) if d_scale > 1 else 1, sk._max_scales()))
+    # the crude level must hold at least ceil(log2(D)) samples of a scale
+    thr_e = max(1, math.ceil(math.log2(d_scale)) if d_scale >= 2 else 1)
+    floor_large = math.ceil(1.0 / eps**2)
+    total = buf.size * q - float(pre[buf.size])
+    boundary_mass = sk._boundary_mass(buf, p)
+    total += boundary_mass * (q - p)
+    rows = []
+    for j in range(1, num_j + 1):
+        lo = q - d_scale / 2.0 ** (j - 1)
+        hi = q - d_scale / 2.0**j
+        i_prime, cnt_r = -1, 0
+        for i in reversed(range(levels)):
+            a, c = span(sk.E.buffers[i], lo, hi)
+            if c - a >= thr_e:
+                i_prime, cnt_r = i, c - a
+                break
+        i_sel, contrib = -1, 0.0
+        if i_prime >= 0:
+            left = int(np.searchsorted(sk.E.buffers[i_prime], lo, side="right"))
+            phi = 1.0 if left == 0 else min(1.0, cnt_r / left)
+            if phi > eps / lw:
+                floor = floor_large if phi >= 1.0 / lw else math.ceil((phi * lw / eps) ** 2)
+                for i in reversed(range(levels)):
+                    a, c = span(sk.S.buffers[i], lo, hi)
+                    if c - a >= floor:
+                        pre = sk._prefix(sk.S, i)
+                        i_sel = i
+                        contrib = (2.0**i) * ((c - a) * q - float(pre[c] - pre[a]))
+                        break
+        rows.append((i_prime, i_sel, contrib))
+        total += contrib
+    return total, False, boundary_mass, rows
+
+
 def small_params(seed=0):
     return SketchParams(epsilon=0.25, W=2**10, n_hint=4000, seed=seed)
 
@@ -114,8 +170,11 @@ class TestStream:
             assert b.size <= sk.m2
         assert sk.space_words() <= sk.space_bound_words() + 2 * params.num_levels + 8
 
-    @pytest.mark.parametrize("stream", ["empty", "exact", "uniform", "duplicated_max"])
+    @pytest.mark.parametrize("stream", ["empty", "exact", "uniform", "duplicated_max",
+                                        "overflowing_max"])
     def test_query_many_matches_scalar_query(self, stream):
+        """``query_many``, and ``query`` with its breakdown, against the scalar
+        scale loop below, on values on both sides of p and far above it."""
         rng = np.random.default_rng(11)
         params = small_params(seed=4)
         xs = {
@@ -124,6 +183,10 @@ class TestStream:
             "uniform": rng.uniform(1.0, 2.0**10, 4000),
             "duplicated_max": np.concatenate([rng.uniform(1.0, 50.0, 100), np.full(3000, 64.0),
                                               rng.uniform(64.0, 2.0**10, 900)]),
+            # more copies of 64 than either level-0 bank holds: boundary mass
+            "overflowing_max": np.concatenate([rng.uniform(1.0, 50.0, 100),
+                                               np.full(6000, 64.0),
+                                               rng.uniform(64.0, 2.0**10, 900)]),
         }[stream]
         sk = MultStream1D(params)
         sk.update_many(xs)
@@ -134,7 +197,15 @@ class TestStream:
             [0.0, 1.0, p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), p + 0.5, p + 1.0,
              p + 1.5, p + 2.0, p + 3.0, 2.0**10, 2.0**12, 1e12],
         ])
-        assert_array_equal(sk.query_many(qs), [sk.query(q)[0] for q in qs])
+        want = [scalar_query(sk, q) for q in qs]
+        assert_array_equal(sk.query_many(qs), [w[0] for w in want])
+        for q, w in zip(qs, want):
+            est, bd = sk.query(q)
+            rows = [(r.i_prime, r.i_sel, r.contribution) for r in bd.rows]
+            assert (est, bd.exact_regime, bd.boundary_mass, rows) == w
+        if stream == "overflowing_max":
+            assert any(w[2] > 0 for w in want)
+            assert any(row[1] >= 0 for w in want for row in w[3])  # a fine level was read
 
     def test_query_requires_freeze(self):
         sk = MultStream1D(small_params())
