@@ -4,12 +4,19 @@ The sketch keeps the smallest ~C*log(n)/eps^3 points explicitly, and above
 them an ordered set of intervals whose prefix sizes grow geometrically.
 Each interval samples its whole prefix at a private rate rho, targeting
 rho* = C*log2(n)/(Zhat*eps^3) where Zhat = |samples|/rho estimates the
-prefix size; whenever rho drifts above 2*rho* the sample set is thinned
-back down (rho never increases).  Adjacent intervals whose estimate ratio
-reaches 1+6*eps are split at the ~2.5/6 quantile of the band samples;
-adjacent intervals that are both unsaturated (ratio < 1+eps) are merged by
-deleting the intermediate boundary.  Queries sum per-band sample estimates
-up to the last boundary below q, exactly like the offline prefix sketch.
+prefix size.  rho/rho* is |samples|/K for the constant K = C*log2(n)/eps^3,
+so rho* <= rho <= 2*rho* holds while an interval keeps between K and 2K
+samples.  Only a hit that breaks the cap thins, in one step, to a uniform
+subset of THIN_MARGIN*K/f(eps) samples (at most 2K), where f(eps) is the
+smallest share of its parent's prefix a fresh split child gets.  rho falls
+by the kept fraction, so Zhat and rho* do not move and rho never increases;
+and a split child, which takes its parent's rho and about f(eps) or more of
+its samples, starts near THIN_MARGIN*K samples or above, at rho >= rho*.
+Adjacent intervals whose estimate ratio reaches 1+6*eps are split at the
+~2.5/6 quantile of the band samples; adjacent intervals that are both
+unsaturated (ratio < 1+eps) are merged by deleting the intermediate
+boundary.  Queries sum per-band sample estimates up to the last boundary
+below q, exactly like the offline prefix sketch.
 
 Every coin and thinning draw is the next value of one buffered uniform
 stream, so the bytes depend on the seed and the stream, not on how the
@@ -36,6 +43,18 @@ from .serialize import Reader, Writer
 KAPPA_COUNT = 1.0
 KAPPA_QUERY = 4.0
 KAPPA_SPACE = 2.0  # retained words <= KAPPA_SPACE * log2(n)^2 / eps^4
+
+# A thinning keeps THIN_MARGIN times the samples that let the left child of a
+# split at the worst-case prefix fraction start at rho >= rho*; the margin
+# covers the sampling noise of that fraction.
+THIN_MARGIN = 1.1
+
+
+def split_prefix_fraction(eps: float) -> float:
+    """f(eps): the smallest share of its parent's prefix a fresh left split
+    child can hold.  The parent's ratio to its left neighbour is >= 1+6eps,
+    and the split takes 2.5/6 of the band above that neighbour."""
+    return 1.0 / (1.0 + 6.0 * eps) + (2.5 / 6.0) * (1.0 - 1.0 / (1.0 + 6.0 * eps))
 
 
 @dataclass
@@ -74,7 +93,14 @@ class DynSketch1D:
         # rho* = C*log2(n) / (Zhat*eps^3)
         self._c_log = params.C * math.log2(max(params.n_hint, 2))
         self._eps3 = params.epsilon**3
-        self.explicit_capacity = math.ceil(params.sample_sizes()[2])
+        # rho/rho* = |samples|/k_star: the cap rho <= 2*rho* is a sample count
+        k_star = params.sample_sizes()[2]
+        self.explicit_capacity = math.ceil(k_star)
+        self._max_samples = 2.0 * k_star
+        # k_star > 1 (C >= 1, eps < 1), so k_star <= _thin_to <= 2*k_star
+        target = min(2.0, THIN_MARGIN / split_prefix_fraction(params.epsilon))
+        self._thin_to = min(math.ceil(target * k_star), math.floor(2.0 * k_star))
+        self.thinnings = 0
         # negated kept points as a min-heap: a list while streaming, an
         # ascending array (also a heap) once loaded
         self._heap: list[float] = []
@@ -139,9 +165,14 @@ class DynSketch1D:
         for j, u in enumerate(self._uniforms.take(len(itvs) - lo), lo):
             itv = itvs[j]
             if u < itv.rho:
-                itv.samples.append(x)
+                samples = itv.samples
+                samples.append(x)
                 itv.unsplittable = False  # band composition changed
-                zs[j + 1] = self._recompute(itv)
+                if len(samples) > self._max_samples:
+                    zs[j + 1] = self._recompute(itv)
+                else:  # _recompute without the thinning
+                    z = zs[j + 1] = len(samples) / itv.rho
+                    itv.rho_star = self._c_log / (z * self._eps3)
                 if first < 0:
                     first = j
                 last = j
@@ -159,18 +190,19 @@ class DynSketch1D:
         self._maintain()
 
     def _recompute(self, itv: _Interval) -> float:
-        """Refresh rho* and restore the rho <= 2*rho* cap by thinning; returns z_hat."""
-        samples, rho = itv.samples, itv.rho
-        for _ in range(64):
-            z = len(samples) / rho
-            rho_star = itv.rho_star = math.inf if z == 0 else self._c_log / (z * self._eps3)
-            if rho <= 2.0 * rho_star * (1.0 + 1e-12):
-                return z
-            new_rho = 2.0 * rho_star
-            if samples:
-                self._uniforms.thin(samples, 1.0 - new_rho / rho)
-            rho = itv.rho = new_rho
-        return itv.z_hat
+        """Restore the rho <= 2*rho* cap and refresh rho*; returns z_hat.
+
+        A thinning keeps a uniform subset of exactly ``_thin_to`` samples and
+        scales rho by the kept fraction, so z_hat does not move.
+        """
+        m = len(itv.samples)
+        if m > self._max_samples:
+            itv.samples = self._uniforms.subset(itv.samples, self._thin_to)
+            itv.rho *= self._thin_to / m
+            self.thinnings += 1
+        z = len(itv.samples) / itv.rho  # > 0: an interval never runs out of samples
+        itv.rho_star = self._c_log / (z * self._eps3)
+        return z
 
     def _chain(self) -> list[float]:
         return [float(len(self._heap))] + [itv.z_hat for itv in self.intervals]
@@ -263,9 +295,11 @@ class DynSketch1D:
         self._expl_sorted = expl
         self._expl_prefix = np.concatenate([[0.0], np.cumsum(expl)])
         anchor = float(expl[-1]) if expl.size else -math.inf
-        scratch = np.empty(max((itv.samples.size for itv in self.intervals), default=0))
+        # no finite query reads the tail band (boundary +inf): it stays (0, 0.0)
+        banded = [itv for itv in self.intervals if itv.boundary < math.inf]
+        scratch = np.empty(max((itv.samples.size for itv in banded), default=0))
         prev_bd = anchor
-        for itv in self.intervals:
+        for itv in banded:
             s = itv.samples
             a = int(np.searchsorted(s, prev_bd, side="right"))
             b = int(np.searchsorted(s, itv.boundary, side="right"))
@@ -365,16 +399,21 @@ class DynSketch1D:
         return out
 
     def to_bytes(self) -> bytes:
+        if self.frozen:  # freeze sorted the arrays already
+            expl, samples = self._expl_sorted, [itv.samples for itv in self.intervals]
+        else:
+            expl = np.sort(-np.asarray(self._heap, dtype=float))
+            samples = [np.sort(np.asarray(itv.samples, dtype=float)) for itv in self.intervals]
         w = Writer(serialize.MAGIC_DYN1D)
         self.params.write(w)
         w.u64(self.count)
-        w.array(np.sort(-np.asarray(self._heap, dtype=float)))
+        w.array(expl)
         w.u64(len(self.intervals))
-        for itv in self.intervals:
+        for itv, s in zip(self.intervals, samples):
             w.f64(itv.boundary)
             w.f64(itv.rho)
             w.f64(itv.rho_star)
-            w.array(np.sort(np.asarray(itv.samples, dtype=float)))
+            w.array(s)
         return w.getvalue()
 
     @classmethod

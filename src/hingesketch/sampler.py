@@ -2,7 +2,8 @@
 
 Three building blocks: per-level Bernoulli subsampling with keep-smallest
 retention (LevelSampleBank), size-1 reservoir sampling (Reservoir1), and a
-buffered stream of uniforms that also thins lists (UniformStream).
+buffered stream of uniforms that also draws exact-size subsets
+(UniformStream).
 All randomness is derived from a counter-based generator keyed by
 (seed, domain tags), so identical seed + identical offer sequence replays
 byte-for-byte, independent of chunking.
@@ -11,7 +12,7 @@ byte-for-byte, independent of chunking.
 from __future__ import annotations
 
 import hashlib
-import math
+import itertools
 import random
 import struct
 
@@ -65,38 +66,28 @@ class UniformStream:
         self._pos = end
         return out
 
-    def thin(self, values: list, q: float) -> None:
-        """Drop each of ``values`` independently with probability q in (0, 1].
+    def subset(self, values: list, k: int) -> list:
+        """A uniform random subset of exactly k of ``values``, in their order.
 
-        The walk jumps from drop to drop with geometric skips
-        floor(log(1-U)/log1p(-q)), so it takes one uniform per drop plus one.
-        Dropped values are swapped with the last and popped: the survivors'
-        order changes.
+        It takes len(values) uniforms, one per value, whatever k is, and keeps
+        the values that drew the k smallest.
         """
-        if q >= 1.0:
-            values.clear()
-            return
         m = len(values)
-        lq = math.log1p(-q)
-        buf, pos = self._buf, self._pos
-        drops = []
-        j = -1
-        while True:
-            if pos == len(buf):
-                buf = self._buf = self._rng.random(self.BLOCK).tolist()
-                pos = 0
-            skip = math.log(1.0 - buf[pos]) / lq
-            pos += 1
-            if skip >= m:  # also when a tiny q makes it inf
-                break
-            j += 1 + int(skip)
-            if j >= m:
-                break
-            drops.append(j)
-        self._pos = pos
-        for j in reversed(drops):
-            values[j] = values[-1]
-            values.pop()
+        rest = len(self._buf) - self._pos
+        if m <= rest:
+            u = np.array(self._buf[self._pos : self._pos + m])
+            self._pos += m
+        else:
+            # the generator's doubles run on: draw past the buffer directly
+            u = np.concatenate([self._buf[self._pos :], self._rng.random(m - rest)])
+            self._buf, self._pos = [], 0
+        if k >= m:
+            return list(values)
+        if k <= 0:
+            return []
+        keep = np.zeros(m, dtype=bool)
+        keep[np.argpartition(u, k - 1)[:k]] = True
+        return list(itertools.compress(values, keep.tolist()))
 
 
 class LevelSampleBank:

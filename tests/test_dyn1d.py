@@ -263,6 +263,29 @@ def three_bands(n_each=4000, seed=5):
                            rng.uniform(0.4, 0.5, n_each)])
 
 
+class TestThinning:
+    def test_thinning_is_rare(self):
+        n = 10**5
+        sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=n, C=1.0, seed=19))
+        sk.update_many(np.random.default_rng(19).uniform(0, 1, n))
+        assert 0 < sk.thinnings < n / 100
+
+    # the thinning target is THIN_MARGIN/f(eps) rho*, capped at 2 rho* from eps ~0.56 up
+    # (eps 0.6 is capped); at eps 0.1 a small n_hint keeps the explicit capacity below
+    # the stream
+    @pytest.mark.parametrize("eps,n_hint,n_each", [(0.1, 16, 8000), (0.5, 12000, 4000),
+                                                   (0.6, 12000, 4000)])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_invariants_after_every_update(self, eps, n_hint, n_each, seed):
+        params = SketchParams(epsilon=eps, n_hint=n_hint, C=1.0, seed=seed)
+        sk = DynSketch1D(params, collect_events=True)
+        for x in three_bands(n_each, seed):
+            sk.update(float(x))
+            viol = sk.check_invariants()
+            assert not viol, viol
+        assert sk.thinnings > 0 and {"split-left", "merge"} <= {e.kind for e in sk.events}
+
+
 class TestDeterminism:
     def test_bytes_do_not_depend_on_chunking(self):
         xs = three_bands()

@@ -85,15 +85,15 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                           125378.84685045302,
                           145621.08253790793,
                           223625.59253498522]),
-           'dyn1d': (['df61bb8038de84ec8d7b9aad159b3a07a0561ab58590d25cecb82d055648e44c'],
+           'dyn1d': (['69999099316b7ac26dc5dbb51a945a408da149e3d08db07dc637202b3c39d8f0'],
                      [0.0,
                       0.0,
                       229.59897092501677,
-                      5612.048065175914,
-                      40690.824663925596,
-                      86010.07242312857,
-                      107226.35747863565,
-                      147890.9038350242]),
+                      5608.497296705852,
+                      40831.44566688253,
+                      86494.66823772514,
+                      107717.07263597015,
+                      148393.3477326064]),
            'add1d': (['4335d1d1d3520b3851c5575bcf5c46d19c9db1ea3e68bd78e5bd91c618a8bef1'],
                      [0.0,
                       0.0023346892607310076,
@@ -157,22 +157,22 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                         0.02387490124208999],
            'dyn1d_anchor_mass': [0.0,
                                  0.0,
-                                 1916.357622520984,
-                                 33586.56966943885,
-                                 91042.75777682262,
-                                 130188.73209174343,
-                                 151403.3246237005,
-                                 192064.62697661825,
-                                 76.19058819108562,
-                                 685.1889924917353,
-                                 6478.923722041141,
-                                 242575.56157651608,
-                                 7.575054689035217,
-                                 84.20132259994095,
-                                 492.66117440448613,
-                                 1495.3816967869438,
-                                 4205.525809507956,
-                                 36695.57700537761],
+                                 3054.9022341166733,
+                                 33879.75289540786,
+                                 91620.00430509695,
+                                 130959.51625455548,
+                                 152278.99369813298,
+                                 193141.32546498987,
+                                 85.43705380296407,
+                                 427.18694706962884,
+                                 11444.391186686295,
+                                 243901.9860449364,
+                                 8.494706632933724,
+                                 85.2166565695334,
+                                 236.26527807119703,
+                                 1890.09976127049,
+                                 6528.144276470495,
+                                 35433.99444531649],
            'dyn1d_explicit': [0.0,
                               0.0,
                               9.393188190909434,
@@ -184,22 +184,22 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                               13381.266162126089],
            'dyn1d_intervals': [0.0,
                                0.0,
-                               2037.7413147781829,
-                               23775.945817180283,
-                               91913.72649197877,
-                               134517.417799824,
-                               157605.86986343047,
-                               201858.73631867615,
-                               19.18717606647988,
-                               449.4737265910969,
-                               11761.096406676283,
-                               256831.24123202485,
+                               1935.5165565721045,
+                               21341.2325332197,
+                               92208.45359346675,
+                               135312.96061999403,
+                               158672.8224924346,
+                               203445.8910812791,
+                               42.87851481804198,
+                               430.8531342219226,
+                               10779.752722347515,
+                               259064.6098251852,
                                1.3559081833574282,
-                               50.565110343700695,
-                               290.8354861870638,
-                               1435.4962900550672,
-                               6558.894997759007,
-                               32766.124380673657],
+                               42.719543431245725,
+                               193.00692507671852,
+                               1130.7570081320996,
+                               5401.694543371123,
+                               30645.151539670587],
            'estimate_bulk_2d': [1.1485211974318743,
                                 1.0883206584073957,
                                 1.1577293225205956,

@@ -164,33 +164,6 @@ class TestDerivation:
         assert np.array_equal(a, b)
 
 
-def binomial_pmf(m, q):
-    k = np.arange(m + 1)
-    logc = np.array([math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1) for i in k])
-    with np.errstate(divide="ignore"):
-        return np.exp(logc + k * np.log(q) + (m - k) * np.log1p(-q))
-
-
-def chi_square(observed, expected):
-    """Pearson's statistic over bins pooled (from both ends) until each expects >= 5,
-    and the 1 - 1e-4 quantile of its law (Wilson-Hilferty)."""
-    obs, exp = [], []
-    o = e = 0.0
-    for a, b in zip(observed, expected):
-        o, e = o + a, e + b
-        if e >= 5:
-            obs.append(o)
-            exp.append(e)
-            o = e = 0.0
-    obs[-1] += o
-    exp[-1] += e
-    obs, exp = np.array(obs), np.array(exp)
-    df = len(obs) - 1
-    z = 3.719  # the 1 - 1e-4 normal quantile
-    bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
-    return float(((obs - exp) ** 2 / exp).sum()), bound
-
-
 class TestUniformStream:
     def test_values_do_not_depend_on_how_many_are_taken(self):
         want = philox_generator(3, "u").random(3 * UniformStream.BLOCK)
@@ -200,42 +173,43 @@ class TestUniformStream:
             got += s.take(k)
         assert got == want[: len(got)].tolist()
 
-    @pytest.mark.parametrize("m,q", [(50, 0.02), (200, 0.5), (33221, 3e-5), (10, 0.999)])
-    def test_thinning_law(self, m, q):
-        """Drop counts follow Binomial(m, q), and each index is dropped at rate q."""
-        trials = 3000
-        s = UniformStream(philox_generator(4, "thin", m))
-        counts = np.zeros(m + 1)
-        per_index = np.zeros(m)
-        single = np.zeros(10)  # where the one dropped index of a trial falls
-        base = list(range(m))
+    @pytest.mark.parametrize("m,k", [(10, 3), (200, 150), (3000, 300)])
+    def test_subset_keeps_k_in_order_at_rate_k_over_m(self, m, k):
+        """Exactly k values, in their order; each index kept at rate k/m."""
+        trials = 2000
+        s = UniformStream(philox_generator(4, "subset", m))
+        kept = np.zeros(m)
+        values = [float(i) for i in range(m)]
         for _ in range(trials):
-            values = base.copy()
-            s.thin(values, q)
-            counts[m - len(values)] += 1
-            if m <= 200:
-                kept = np.zeros(m, dtype=bool)
-                kept[values] = True
-                per_index += ~kept
-            elif len(values) == m - 1:
-                single[(m * (m - 1) // 2 - sum(values)) * 10 // m] += 1
-        stat, bound = chi_square(counts, trials * binomial_pmf(m, q))
-        assert stat <= bound, (stat, bound)
-        if m <= 200:  # every index on its own: within 5 sigma of trials * q
-            sigma = math.sqrt(trials * q * (1 - q))
-            assert np.abs(per_index - trials * q).max() <= 5 * sigma + 1
-        else:  # too few drops per index: a lone drop is uniform over 10 bins of indices
-            stat, bound = chi_square(single, np.full(10, single.sum() / 10))
-            assert stat <= bound, (stat, bound)
+            got = s.subset(values, k)
+            assert len(got) == k and got == sorted(set(got))
+            kept[np.array(got, dtype=int)] += 1
+        assert values == [float(i) for i in range(m)]  # the input is left alone
+        p = k / m
+        sigma = math.sqrt(trials * p * (1 - p))
+        assert np.abs(kept - trials * p).max() <= 5 * sigma
 
-    def test_q_one_drops_everything(self):
-        values = list(range(100))
-        UniformStream(philox_generator(5, "thin")).thin(values, 1.0)
-        assert values == []
+    @pytest.mark.parametrize("before", [0, 5, UniformStream.BLOCK - 3])
+    @pytest.mark.parametrize("m,k", [(0, 0), (1, 1), (100, 40), (3 * UniformStream.BLOCK, 700),
+                                     (50, 50), (50, 80), (50, 0), (50, -3)])
+    def test_subset_takes_one_uniform_per_value(self, before, m, k):
+        """Whatever k is, the next take after a subset of m values is the
+        next take of a fresh stream that skipped m values."""
+        s = UniformStream(philox_generator(5, "subset"))
+        s.take(before)
+        got = s.subset(list(range(m)), k)
+        if k >= m:
+            assert got == list(range(m))
+        elif k <= 0:
+            assert got == []
+        else:
+            assert len(got) == k
+        want = UniformStream(philox_generator(5, "subset")).take(before + m + 3)[-3:]
+        assert s.take(3) == want
 
-    def test_tiny_q_takes_one_uniform(self):
-        s = UniformStream(philox_generator(6, "thin"))
-        values = list(range(1000))
-        s.thin(values, 1e-300)
-        assert values == list(range(1000))
-        assert s.take(1) == UniformStream(philox_generator(6, "thin")).take(2)[1:]
+    def test_subset_keeps_the_values_that_drew_the_smallest(self):
+        s = UniformStream(philox_generator(6, "subset"))
+        u = UniformStream(philox_generator(6, "subset")).take(8)
+        values = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        smallest = sorted(range(8), key=u.__getitem__)[:3]
+        assert s.subset(values, 3) == [values[i] for i in sorted(smallest)]
