@@ -348,6 +348,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if args.replicas < 1:
+        raise ConfigError(f"--replicas must be >= 1, not {args.replicas}")
     records, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
                              max_norm=args.max_norm)
     for e in errors:
@@ -551,6 +553,9 @@ def cmd_bench(args) -> int:
     for a in algorithms:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}")
+    for flag, value in (("--n", args.n), ("--seeds", args.seeds)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, not {value}")
     rows = bench_rows(algorithms, epsilons, args.n, args.seeds, args.p, args.seed)
     out = "\n".join([BENCH_HEADER] + rows)
     if args.out:

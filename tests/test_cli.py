@@ -226,6 +226,17 @@ class TestCommands:
             singles.append(json.loads(out)["estimate"])
         assert rec["estimate"] == sorted(singles)[1]
 
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    def test_build_without_replicas_is_config_error(self, tmp_path, capsys, replicas):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "100", "--out", str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", "add1d", "--input", str(stream),
+                             "--epsilon", "0.2", "--replicas", replicas,
+                             "--out", str(tmp_path / "s"))
+        assert code == cli.EXIT_CONFIG and not out
+        assert last_error(err) == "config" and "--replicas must be >= 1" in err
+        assert not list(tmp_path.glob("s*"))
+
     def test_even_sketch_count_rejected(self, tmp_path, capsys):
         stream = tmp_path / "u.csv"
         sketch = tmp_path / "u.hsk"
@@ -819,6 +830,15 @@ class TestBench:
         code, out2, _ = run(capsys, *args)
         strip_ns = lambda text: [",".join(r.split(",")[:-2]) for r in text.splitlines()]
         assert strip_ns(out1) == strip_ns(out2)
+
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-1"), ("--n", "0"),
+                                            ("--n", "-5")])
+    def test_empty_run_is_config_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "bench", "--algorithms", "add1d,pegasos", "--epsilons",
+                             "0.2", "--n", "100", "--seeds", "1", flag, value)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert f"{flag} must be >= 1" in err
 
     @pytest.mark.parametrize("algorithm", ["offline1d", "mult1d", "dyn1d"])
     def test_p2_of_a_p1_family_is_config_error(self, capsys, algorithm):

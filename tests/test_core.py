@@ -16,6 +16,8 @@ from hingesketch.core import (
     simplified_objective,
     strong_convexity_radius,
 )
+from hingesketch.cli import record_dtype
+from hingesketch.gen import gen_opt_hard, gen_uniform
 
 
 def lp(x, y=1):
@@ -57,6 +59,11 @@ class TestHingeObjective:
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty dataset"):
             hinge_objective([], HyperplaneQuery((1.0,), 0.0), 0.1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be nonnegative and finite"):
+            hinge_objective([lp(0.5)], HyperplaneQuery((1.0,), 0.0), lam)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -142,6 +149,16 @@ class TestStrongConvexityRadius:
         with pytest.raises(ValueError):
             strong_convexity_radius(0.1, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive and finite"):
+            strong_convexity_radius(0.1, lam)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+    def test_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative and finite"):
+            strong_convexity_radius(epsilon, 0.5)
+
 
 class TestExactOptimize:
     def test_single_point_dominates_probes(self):
@@ -182,13 +199,41 @@ class TestExactOptimize:
             assert probe >= res.value - 1e-8
 
     def test_budget_error_carries_best(self):
-        pts = [lp(0.0)]
+        # near-separable labels at a small lambda take 40 sweeps; a 2-sweep budget runs out
+        rng = np.random.default_rng(7)
+        pts = [lp(float(x), 1 if x + 0.1 >= 0 else -1) for x in rng.uniform(-1, 1, 60)]
         with pytest.raises(ConvergenceError) as ei:
-            exact_optimize(pts, 1.0, tol=1e-9, max_evals=10)
-        assert ei.value.best.value >= 0.0
+            exact_optimize(pts, 0.05, tol=1e-9, max_evals=2)
+        best = ei.value.best
+        assert best.evals == 2
+        assert best.value == hinge_objective(pts, HyperplaneQuery(best.theta, best.b), 0.05)
+        assert math.isfinite(best.value)
+        assert best.value > exact_optimize(pts, 0.05, tol=1e-9).value
+
+    def test_budget_counts_sweeps_not_points(self):
+        # the bench's pegasos workload: 2000 points finish well inside a 100-sweep budget
+        pts = gen_uniform(2000, 1, seed=0, low=-1.0, high=1.0, label_mode="random")
+        res = exact_optimize(pts, 0.1, tol=1e-6, max_evals=100)
+        assert 1 <= res.evals <= 100
+
+    def test_repeatable_and_same_on_a_record_array(self):
+        inst = gen_opt_hard(0.1, 400, d=1, case=1, seed=0)
+        records = np.array([(p.y, p.x) for p in inst.points], dtype=record_dtype(1))
+        first = exact_optimize(inst.points, inst.lam)
+        assert exact_optimize(inst.points, inst.lam) == first
+        assert exact_optimize(records, inst.lam) == first
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             exact_optimize([], 1.0)
         with pytest.raises(ValueError):
             exact_optimize([lp(0.0)], 0.0)
+
+    @pytest.mark.parametrize("lam,tol", [
+        (math.nan, 1e-9), (math.inf, 1e-9), (-math.inf, 1e-9), (1.0, math.nan), (1.0, math.inf),
+        (1.0, 0.0),
+    ])
+    def test_non_finite_lambda_or_tol_rejected(self, lam, tol):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            exact_optimize([lp(0.5), lp(-0.5, -1)], lam, tol=tol)
+
