@@ -234,15 +234,6 @@ def simplified_objective(points, q, p: int = 1) -> float:
     return float(np.mean(np.maximum(0.0, b - proj) ** p))
 
 
-def python_rows(a: np.ndarray):
-    """Rows of ``a`` as Python floats (1-d) or tuples of them (2-d), converted
-    4096 rows at a time so that a long stream never exists whole as Python
-    objects."""
-    for i in range(0, len(a), 4096):
-        chunk = a[i : i + 4096]
-        yield from chunk.tolist() if chunk.ndim == 1 else zip(*chunk.T.tolist())
-
-
 def add_in_order(start: float, values: np.ndarray) -> float:
     """start + values[0] + values[1] + ..., added left to right as repeated
     ``+=`` adds them: np.sum adds pairwise, and the builtin sum compensates

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SketchParams, UnfrozenSketchError, python_rows
+from .core import SketchParams, UnfrozenSketchError
 from .sampler import UniformStream, philox_generator
 from . import serialize
 from .serialize import Reader, Writer
@@ -48,6 +48,21 @@ KAPPA_SPACE = 2.0  # retained words <= KAPPA_SPACE * log2(n)^2 / eps^4
 # split at the worst-case prefix fraction start at rho >= rho*; the margin
 # covers the sampling noise of that fraction.
 THIN_MARGIN = 1.1
+
+# update_many's bulk runs (``_run``): a block starts at RUN_MIN points, doubles
+# while no event cuts it short and restarts at twice the last run after one,
+# up to RUN_CELLS (points x intervals).  Where a thinned interval is fewer than
+# RUN_MIN samples from thinning again, events come too close together for
+# blocks to pay, and every point goes to ``_step``; so do the points of a call
+# with fewer than RUN_MIN left.  Events can also crowd where the thinning
+# slack is wide (an interval that cannot split retries at every hit): a run
+# shorter than SOLO_MIN sends the next points to ``_step``, SOLO_MIN of them
+# at first and twice as many after each further short run, up to SOLO_MAX; a
+# run of RUN_MIN or more halves that number again.
+RUN_MIN = 64
+RUN_CELLS = 2**14
+SOLO_MIN = 16
+SOLO_MAX = 4096
 
 
 def split_prefix_fraction(eps: float) -> float:
@@ -100,7 +115,12 @@ class DynSketch1D:
         # k_star > 1 (C >= 1, eps < 1), so k_star <= _thin_to <= 2*k_star
         target = min(2.0, THIN_MARGIN / split_prefix_fraction(params.epsilon))
         self._thin_to = min(math.ceil(target * k_star), math.floor(2.0 * k_star))
+        self._thin_slack = self._max_samples - self._thin_to  # hits until it thins again
+        # a ratio at or above this splits; two adjacent ones below merge_ratio merge
+        self._split_ratio, self._merge_ratio = 1.0 + 6.0 * params.epsilon, 1.0 + params.epsilon
         self.thinnings = 0
+        self.splits = 0
+        self.merges = 0
         # negated kept points as a min-heap: a list while streaming, an
         # ascending array (also a heap) once loaded
         self._heap: list[float] = []
@@ -134,14 +154,53 @@ class DynSketch1D:
 
     def update_many(self, xs: np.ndarray) -> None:
         """``update`` each value in turn; a non-finite value raises ValueError
-        after the values before it are in."""
+        after the values before it are in.
+
+        The explicit regime pushes the points one by one.  In the interval
+        regime, ``_run`` takes in a block of points at a time up to the next
+        one that would split, merge, thin or mark an interval, and that point
+        goes to ``_step`` (RUN_MIN and SOLO_MIN say where points go to
+        ``_step`` one by one).
+        """
         xs = np.asarray(xs, dtype=float)
         if self.frozen and xs.size:
             raise UnfrozenSketchError("sketch is frozen; no further updates")
         bad = np.flatnonzero(~np.isfinite(xs))
-        step = self._step
-        for x in python_rows(xs[: bad[0]] if bad.size else xs):
-            step(x)
+        good = xs[: bad[0]] if bad.size else xs
+        pos, n, block, solo = 0, good.size, RUN_MIN, SOLO_MIN
+        while pos < n:
+            if not self.intervals:
+                room = self.explicit_capacity - len(self._heap)
+                for x in good[pos : pos + room].tolist():
+                    heapq.heappush(self._heap, -x)
+                done = min(room, n - pos)
+                self.count += done
+                pos += done
+                if pos < n:  # the first point past the capacity opens the tail
+                    self._step(float(good[pos]))
+                    pos += 1
+                continue
+            if n - pos < RUN_MIN or self._thin_slack < RUN_MIN:
+                for x in good[pos:].tolist():
+                    self._step(x)
+                break
+            block = min(block, RUN_CELLS // len(self.intervals))
+            run = self._run(good[pos : pos + block])
+            pos += run
+            if run == block:
+                block *= 2
+            elif pos < n:
+                self._step(float(good[pos]))  # the event
+                pos += 1
+                block = max(RUN_MIN, 2 * run)
+                if run < SOLO_MIN:  # the run did not pay for itself
+                    stretch = good[pos : pos + solo]
+                    for x in stretch.tolist():
+                        self._step(x)
+                    pos += stretch.size
+                    solo = min(2 * solo, SOLO_MAX)
+                elif run >= RUN_MIN:
+                    solo = max(SOLO_MIN, solo // 2)
         if bad.size:
             raise ValueError(f"stream values must be finite, got {float(xs[bad[0]])}")
 
@@ -176,8 +235,65 @@ class DynSketch1D:
                 if first < 0:
                     first = j
                 last = j
-        if first >= 0:
+        # a hit at j moves the ratios j and j+1: only the conditions at
+        # first..last+2 can have changed
+        if first >= 0 and self._violation(first, min(last + 3, len(itvs))) >= 0:
             self._maintain(first, last)
+
+    def _run(self, xs: np.ndarray) -> int:
+        """Take in the leading points of ``xs`` that only add samples, as
+        ``_step`` would, and return how many.  The point after them, if any,
+        is an event for ``_step``: it would split, merge or thin an interval,
+        or mark one unsplittable.
+
+        Point t draws one uniform for each interval from ``lo[t]`` on, in
+        order, so its draw for interval j is the stream's next uniform number
+        ``start[t] + j``.  Running hit counts (intervals x points) give every
+        interval's sample count and z_hat after every point, and so the
+        ratios ``_violation`` tests.  No condition holds anywhere before the
+        block (the last step restored the fixpoint) and only a hit changes
+        one, so the event is the first point whose hits make one hold.
+        """
+        itvs = self.intervals
+        lo = np.searchsorted(self._bounds, xs, side="left")
+        draws = len(itvs) - lo
+        start = np.cumsum(draws) - draws - lo
+        j = np.arange(len(itvs))[:, None]
+        u = self._uniforms.peek(int(draws.sum()))
+        rho = np.array([itv.rho for itv in itvs])
+        hit = np.take(u, start + j, mode="clip") < rho[:, None]
+        hit &= j >= lo
+        hits = np.cumsum(hit, axis=1)
+        sizes = hits + np.array([len(itv.samples) for itv in itvs])[:, None]
+        # z_hat = sample count / rho, the expression _step evaluates; the
+        # explicit points fill their capacity and no interval is empty, so z > 0
+        z = np.empty((len(itvs) + 1, xs.size))
+        z[0] = self._z[0]
+        np.divide(sizes, rho[:, None], out=z[1:])
+        r = z[1:] / z[:-1]
+        event = r >= self._split_ratio
+        for i in np.flatnonzero([itv.unsplittable for itv in itvs]).tolist():
+            event[i] &= hits[i] > 0  # a hit clears the mark
+        event |= sizes > self._max_samples
+        event[1:] |= (r[1:] < self._merge_ratio) & (r[:-1] < self._merge_ratio)
+        rows = np.flatnonzero(event.any(axis=0))
+        run = int(rows[0]) if rows.size else xs.size
+        if run == 0:
+            return 0
+        head, zs = xs[:run], self._z
+        for i in np.flatnonzero(hits[:, run - 1]).tolist():
+            itv = itvs[i]
+            itv.samples.extend(head[hit[i, :run]].tolist())
+            itv.unsplittable = False
+            z = zs[i + 1] = len(itv.samples) / itv.rho
+            itv.rho_star = self._c_log / (z * self._eps3)
+        heap = self._heap
+        for x in head[head < -heap[0]].tolist():
+            if x < -heap[0]:
+                heapq.heapreplace(heap, -x)
+        self.count += run
+        self._uniforms.skip(int(draws[:run].sum()))
+        return run
 
     def _open_tail(self, x: float) -> None:
         """The explicit regime ends: open the tail interval over everything."""
@@ -207,6 +323,25 @@ class DynSketch1D:
     def _chain(self) -> list[float]:
         return [float(len(self._heap))] + [itv.z_hat for itv in self.intervals]
 
+    def _ratio(self, i: int) -> float:
+        """z_hat of interval i over that of the interval before it (the
+        explicit points' count before interval 0)."""
+        z = self._z
+        return z[i + 1] / z[i] if z[i] > 0 else math.inf
+
+    def _violation(self, first: int, stop: int) -> int:
+        """The first i in [first, stop) where ``_maintain`` acts, or -1:
+        interval i is at ratio >= 1+6eps and not marked unsplittable, or it
+        and the interval before it are both at ratio < 1+eps."""
+        z, itvs, hi, lo = self._z, self.intervals, self._split_ratio, self._merge_ratio
+        prev = self._ratio(first - 1) if first >= 1 else math.inf
+        for i in range(first, stop):
+            r = z[i + 1] / z[i] if z[i] > 0 else math.inf
+            if (r >= hi and not itvs[i].unsplittable) or (r < lo and prev < lo):
+                return i
+            prev = r
+        return -1
+
     def _maintain(self, first: int = 0, last: int | None = None) -> None:
         """Split and merge, scanning left to right, until no condition holds.
 
@@ -214,25 +349,21 @@ class DynSketch1D:
         intervals first..last only the conditions at first..last+2 can hold (a
         hit at j moves the ratios j and j+1), so the first scan looks there
         only; a split or merge moves the rest, so later scans look everywhere.
+        An interval that cannot split is marked, and the scan goes on.
         """
-        eps = self.params.epsilon
-        hi, lo = 1.0 + 6.0 * eps, 1.0 + eps
-        itvs, z = self.intervals, self._z
+        itvs = self.intervals
         stop = len(itvs) if last is None else min(last + 3, len(itvs))
         for _ in range(10_000):
-            prev = z[first] / z[first - 1] if first >= 1 and z[first - 1] > 0 else math.inf
-            for i in range(first, stop):
-                r = z[i + 1] / z[i] if z[i] > 0 else math.inf
-                if r >= hi and not itvs[i].unsplittable:
-                    if self._split(i):
-                        break
-                    itvs[i].unsplittable = True
-                if r < lo and prev < lo:
-                    self._merge(i - 1)
-                    break
-                prev = r
-            else:
+            i = self._violation(first, stop)
+            if i < 0:
                 return
+            if self._ratio(i) >= self._split_ratio:
+                if not self._split(i):
+                    itvs[i].unsplittable = True
+                    first = i + 1
+                    continue
+            else:
+                self._merge(i - 1)
             first, stop = 0, len(itvs)
         raise RuntimeError("interval maintenance did not reach a fixpoint")
 
@@ -255,6 +386,7 @@ class DynSketch1D:
         self._bounds.insert(i, new_bd)
         self._z.insert(i + 1, z)
         itv.unsplittable = False
+        self.splits += 1
         if self.collect_events:
             prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
             if prev_z > 0 and newitv.z_hat > 0:
@@ -267,6 +399,7 @@ class DynSketch1D:
         del self.intervals[i]
         del self._bounds[i]
         del self._z[i + 1]
+        self.merges += 1
         if self.collect_events:
             prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
             if prev_z > 0:
@@ -369,6 +502,15 @@ class DynSketch1D:
             + per_interval * len(self.intervals)
             + 8
         )
+
+    def stats(self) -> dict:
+        """The sketch's parts and the structural work it did: the counters
+        start at 0 in a sketch loaded from bytes."""
+        words = self.space_words()
+        return {"intervals": len(self.intervals), "explicit_points": len(self._heap),
+                "thinnings": self.thinnings, "splits": self.splits, "merges": self.merges,
+                "space_words": words,
+                "words_per_point": words / self.count if self.count else 0.0}
 
     def replica_key(self) -> tuple:
         return self.params.replica_key()

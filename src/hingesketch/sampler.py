@@ -44,27 +44,44 @@ def derive_seed(seed: int, *tags) -> int:
 class UniformStream:
     """Uniforms on [0, 1) from one generator, handed out in draw order.
 
-    They are drawn ``BLOCK`` at a time into a Python list.  A Philox
-    generator's doubles run on across ``random`` calls, so the values handed
-    out do not depend on how many are asked for at once.
+    They are drawn ``BLOCK`` or more at a time into an array, and ``take``
+    reads them through a window of Python floats.  A Philox generator's doubles
+    run on across ``random`` calls, so the values handed out do not depend on
+    how many are asked for at once, nor on which method asks.
     """
 
     BLOCK = 2048
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._buf: list[float] = []
+        self._arr = np.empty(0)  # drawn values; those from _pos on are not handed out yet
         self._pos = 0
+        self._list: list[float] = []  # _arr[_start : _start + len(_list)] as Python floats
+        self._start = 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k uniforms, left in the stream: the next call sees them
+        again.  The array is the stream's own buffer; do not write to it."""
+        if self._pos + k > self._arr.size:
+            fresh = self._rng.random(max(k, self.BLOCK))
+            self._arr = np.concatenate([self._arr[self._pos:], fresh])
+            self._pos = 0
+            self._list, self._start = [], 0
+        return self._arr[self._pos : self._pos + k]
+
+    def skip(self, k: int) -> None:
+        """Move past the next k uniforms, as a ``take`` of k would."""
+        self.peek(k)
+        self._pos += k
 
     def take(self, k: int) -> list[float]:
         """The next k uniforms."""
-        end = self._pos + k
-        if end > len(self._buf):
-            self._buf = self._buf[self._pos:] + self._rng.random(max(k, self.BLOCK)).tolist()
-            self._pos, end = 0, k
-        out = self._buf[self._pos:end]
-        self._pos = end
-        return out
+        i = self._pos - self._start
+        if i + k > len(self._list):
+            self._list = self.peek(max(k, self.BLOCK)).tolist()
+            self._start, i = self._pos, 0
+        self._pos += k
+        return self._list[i : i + k]
 
     def subset(self, values: list, k: int) -> list:
         """A uniform random subset of exactly k of ``values``, in their order.
@@ -73,14 +90,8 @@ class UniformStream:
         the values that drew the k smallest.
         """
         m = len(values)
-        rest = len(self._buf) - self._pos
-        if m <= rest:
-            u = np.array(self._buf[self._pos : self._pos + m])
-            self._pos += m
-        else:
-            # the generator's doubles run on: draw past the buffer directly
-            u = np.concatenate([self._buf[self._pos :], self._rng.random(m - rest)])
-            self._buf, self._pos = [], 0
+        u = self.peek(m)
+        self._pos += m
         if k >= m:
             return list(values)
         if k <= 0:

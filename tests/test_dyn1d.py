@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -270,6 +271,22 @@ class TestThinning:
         sk.update_many(np.random.default_rng(19).uniform(0, 1, n))
         assert 0 < sk.thinnings < n / 100
 
+    def test_stats_count_the_sketch_and_its_work(self):
+        n = 10**5
+        sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=n, C=1.0, seed=19), collect_events=True)
+        sk.update_many(np.random.default_rng(19).uniform(0, 1, n))
+        kinds = [e.kind for e in sk.events]
+        st = sk.stats()
+        assert st == {"intervals": len(sk.intervals), "explicit_points": sk.explicit_capacity,
+                      "thinnings": sk.thinnings, "splits": kinds.count("split-left"),
+                      "merges": kinds.count("merge"), "space_words": sk.space_words(),
+                      "words_per_point": sk.space_words() / n}
+        assert st["splits"] == len(sk.intervals) - 1 + st["merges"] > 0
+        sk.freeze()
+        assert sk.stats() == st
+        loaded = DynSketch1D.from_bytes(sk.to_bytes()).stats()
+        assert loaded == {**st, "thinnings": 0, "splits": 0, "merges": 0}
+
     # the thinning target is THIN_MARGIN/f(eps) rho*, capped at 2 rho* from eps ~0.56 up
     # (eps 0.6 is capped); at eps 0.1 a small n_hint keeps the explicit capacity below
     # the stream
@@ -331,3 +348,94 @@ class TestDeterminism:
             sk.update_many(bad)
         assert sk.count == 2000 and sk.interval_count() >= 1
         assert sk.to_bytes() == want.to_bytes()
+
+
+def bulk_stream(name, n=6000, seed=3):
+    rng = np.random.default_rng(seed)
+    if name == "three_bands":
+        return three_bands(n // 3, seed)
+    # point_mass: an interval over the mass cannot split and is marked; the
+    # points below it then lower its ratio, so that hits clear the mark
+    return {"uniform": lambda: rng.uniform(0, 1, n),
+            "sorted": lambda: np.sort(rng.uniform(0, 1, n)),
+            "reversed": lambda: np.sort(rng.uniform(0, 1, n))[::-1],
+            "distinct": lambda: rng.integers(0, 50, n) / 49.0,
+            "point_mass": lambda: np.concatenate([rng.uniform(0, 1, n // 6), np.full(n // 3, 0.9),
+                                                  rng.uniform(0, 0.5, n // 2)])}[name]()
+
+
+def per_point(params, xs):
+    sk = DynSketch1D(params, collect_events=True)
+    for x in xs:
+        sk.update(float(x))
+    return sk
+
+
+def state(sk):
+    """Everything a streaming sketch holds, in the order it holds it."""
+    return (sk.count, sk.thinnings, sk.splits, sk.merges, sk.events, sk._heap, sk._bounds,
+            sk._z, [(i.boundary, i.rho, i.rho_star, i.samples, i.unsplittable)
+                    for i in sk.intervals])
+
+
+class TestBulkRuns:
+    """update_many takes in the points between events in blocks; it must
+    leave the sketch exactly as one update per point would."""
+
+    # n_hint sets the explicit capacity: 1000 points at eps 0.1, 407 at 0.3,
+    # 101 at 0.5 and 59 at 0.6, so every stream thins, and most split
+    @pytest.mark.parametrize("eps,n_hint", [(0.1, 2), (0.3, 2000), (0.5, 6000), (0.6, 6000)])
+    @pytest.mark.parametrize("stream", ["uniform", "sorted", "reversed", "distinct",
+                                        "three_bands", "point_mass"])
+    def test_same_sketch_as_one_update_per_point(self, stream, eps, n_hint):
+        xs = bulk_stream(stream)
+        params = SketchParams(epsilon=eps, n_hint=n_hint, C=1.0, seed=1)
+        want = per_point(params, xs)
+        assert want.thinnings > 0 and want.splits > 0
+        for chunk in (1, 7, 255, 4097, 65536):
+            sk = DynSketch1D(params, collect_events=True)
+            for i in range(0, xs.size, chunk):
+                sk.update_many(xs[i : i + chunk])
+            assert state(sk) == state(want), chunk
+            assert sk.to_bytes() == want.to_bytes(), chunk
+
+    def test_explicit_phase_ends_inside_a_chunk(self):
+        xs = bulk_stream("three_bands")
+        params = SketchParams(epsilon=0.3, n_hint=2000, C=1.0, seed=2)
+        want = per_point(params, xs)
+        cap = want.explicit_capacity
+        sk = DynSketch1D(params, collect_events=True)
+        for a, b in ((0, cap - 5), (cap - 5, cap + 600), (cap + 600, xs.size)):
+            sk.update_many(xs[a:b])
+            if a == 0:
+                assert not sk.intervals
+        assert state(sk) == state(want)
+        assert sk.to_bytes() == want.to_bytes()
+
+    def test_a_hit_in_a_run_clears_the_mark(self):
+        xs = bulk_stream("uniform")
+        sk = per_point(SketchParams(epsilon=0.1, n_hint=2, C=1.0, seed=1), xs[:3000])
+        assert all(sk._ratio(i) < 1.6 for i in range(len(sk.intervals)))
+        for itv in sk.intervals:  # marks whose ratios have fallen below 1+6eps since
+            itv.unsplittable = True
+        want = copy.deepcopy(sk)
+        run = sk._run(xs[3000:3100])
+        for x in xs[3000 : 3000 + run]:
+            want.update(float(x))
+        assert state(sk) == state(want)
+        assert run > 0 and not any(itv.unsplittable for itv in sk.intervals)
+
+    def test_runs_take_in_most_points_where_events_are_rare(self):
+        xs = bulk_stream("uniform")
+        sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=2, C=1.0, seed=1))
+        run, taken = sk._run, []
+        sk._run = lambda block: taken.append(run(block)) or taken[-1]
+        sk.update_many(xs)
+        assert sum(taken) > 0.9 * (xs.size - sk.explicit_capacity)
+
+    def test_events_too_close_for_runs_step_every_point(self):
+        # at eps 0.5 a thinned interval thins again after ~0.04 K hits
+        sk = DynSketch1D(SketchParams(epsilon=0.5, n_hint=6000, C=1.0, seed=1))
+        sk._run = None
+        sk.update_many(bulk_stream("uniform"))
+        assert sk.intervals and sk.thinnings > 0

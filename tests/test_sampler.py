@@ -213,3 +213,29 @@ class TestUniformStream:
         values = ["a", "b", "c", "d", "e", "f", "g", "h"]
         smallest = sorted(range(8), key=u.__getitem__)[:3]
         assert s.subset(values, 3) == [values[i] for i in sorted(smallest)]
+
+    @given(st.lists(st.tuples(st.sampled_from(["take", "peek", "skip", "subset"]),
+                              st.sampled_from([0, 1, 3, 100, UniformStream.BLOCK - 1,
+                                               UniformStream.BLOCK + 7, 3 * UniformStream.BLOCK])),
+                    max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_calls_in_any_order_read_one_long_draw(self, calls):
+        """peek shows the next values without moving on; take, skip and subset
+        move on by what they read.  Mixed in any order, across BLOCK
+        boundaries, they read one long draw in order."""
+        want = philox_generator(7, "mix").random(sum(k for _, k in calls) + 5)
+        s = UniformStream(philox_generator(7, "mix"))
+        pos = 0
+        for kind, k in calls:
+            if kind == "take":
+                assert s.take(k) == want[pos : pos + k].tolist()
+            elif kind == "peek":
+                assert s.peek(k).tolist() == want[pos : pos + k].tolist()
+                continue
+            elif kind == "skip":
+                s.skip(k)
+            else:
+                kept = s.subset(list(range(k)), k // 2)
+                assert kept == sorted(np.argsort(want[pos : pos + k])[: k // 2].tolist())
+            pos += k
+        assert s.take(5) == want[pos : pos + 5].tolist()
