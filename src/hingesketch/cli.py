@@ -380,8 +380,12 @@ def cmd_build(args) -> int:
         sk.freeze()
         with open(path, "wb") as f:
             f.write(sk.to_bytes())
+    space = int(sk.space_words())
     if args.replicas <= 1:
-        rec["space_words"] = int(sk.space_words())
+        rec["space_words"] = space
+    if space >= len(records):  # no "error" key: the files are written and valid
+        print(json.dumps({"warning": "not_sublinear", "space_words": space,
+                          "points": len(records)}), file=sys.stderr)
     print(json.dumps(rec))
     return EXIT_OK
 
@@ -406,6 +410,8 @@ def cmd_query(args) -> int:
                           "same family and parameters, differing only in seed")
     fam = families.of(sketches[0])
     if fam.dim == 2:
+        if args.q:
+            raise ConfigError(f"{fam.name} queries take --theta and --b, not --q")
         if args.theta is None or args.b is None:
             raise ConfigError(f"{fam.name} queries need --theta tx,ty and --b")
         theta = [float(v) for v in args.theta.split(",")]
@@ -414,6 +420,8 @@ def cmd_query(args) -> int:
         qs = np.array([[*theta, args.b]])
         out = [{"theta": theta, "b": args.b}]
     else:
+        if args.theta is not None or args.b is not None:
+            raise ConfigError(f"{fam.name} queries take --q, not --theta or --b")
         if not args.q:
             raise ConfigError("scalar queries need at least one --q")
         qs = np.array(args.q)

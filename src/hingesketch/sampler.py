@@ -147,12 +147,21 @@ class LevelSampleBank:
             self.survived[i] += int(surv.size)
             buf = self.buffers[i]
             if buf.size == self.capacity:
-                # a stable sort puts survivors at or above a full buffer's max past
-                # capacity: drop them before sorting (NaNs stay, and sort last)
+                # survivors at or above a full buffer's max sort past capacity:
+                # drop them before sorting (NaNs stay, and sort last)
                 surv = surv[~(surv >= buf[-1])]
+            # the buffers hold the bytes of a stable merge and sort: the default sort
+            # differs from it only in the run of signed zeros and the run of NaNs
+            # (last), so both are copied back from merged, in merged order
             merged = np.concatenate([buf, surv])
-            merged.sort(kind="stable")
-            self.buffers[i] = merged[: self.capacity]
+            out = np.sort(merged)[: self.capacity]
+            lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
+            if lo < hi:
+                out[lo:hi] = merged[merged == 0.0][: hi - lo]
+            if np.isnan(out[-1]):
+                nan_at = out.searchsorted(np.nan)
+                out[nan_at:] = merged[np.isnan(merged)][: out.size - nan_at]
+            self.buffers[i] = out
 
     def retained(self) -> int:
         return int(sum(b.size for b in self.buffers))

@@ -296,6 +296,34 @@ class TestCommands:
         assert code == cli.EXIT_CONFIG and not out
         assert last_error(err) == "config"
 
+    @pytest.mark.parametrize("d,flags", [
+        (1, ["--q", "0.3", "--theta=1,0", "--b=0.2"]), (1, ["--q", "0.3", "--b=0.2"]),
+        (1, ["--theta=1,0", "--b=0.2"]), (2, ["--theta=0.6,0.8", "--b=0.1", "--q", "0.5"]),
+    ])
+    def test_flags_of_the_other_dimension_are_config_error(self, tmp_path, capsys, d, flags):
+        stream = tmp_path / "u.csv"
+        sketch = tmp_path / "u.hsk"
+        run(capsys, "gen", "--kind", "uniform", "--n", "200", "--d", str(d), "--out", str(stream))
+        run(capsys, "build", "--algorithm", "add1d" if d == 1 else "add2d", "--input",
+            str(stream), "--epsilon", "0.2", "--out", str(sketch))
+        code, out, err = run(capsys, "query", "--sketch", str(sketch), *flags)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+
+    def test_build_warns_when_not_sublinear(self, tmp_path, capsys):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "100000", "--out", str(stream))
+        code, out, err = run(capsys, "build", "--algorithm", "mult1d", "--input", str(stream),
+                             "--epsilon", "0.1", "--out", str(tmp_path / "m.hsk1"))
+        assert code == 0
+        warning = json.loads(err)
+        assert warning == {"warning": "not_sublinear", "points": 100000,
+                           "space_words": json.loads(out)["space_words"]}
+        assert warning["space_words"] >= 100000
+        code, out, err = run(capsys, "build", "--algorithm", "add1d", "--input", str(stream),
+                             "--epsilon", "0.1", "--out", str(tmp_path / "a.hskb"))
+        assert code == 0 and not err
+
     @pytest.mark.parametrize("algorithm,damage", [
         ("mult1d", "truncated"), ("mult1d", "reserved byte"), ("offline1d", "trailing"),
         ("mult1d", "trailing"), ("dyn1d", "trailing"), ("add1d", "trailing"),

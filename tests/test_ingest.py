@@ -237,5 +237,8 @@ def test_one_bad_row_builds_same_sketch(tmp_path, capsys, monkeypatch, algorithm
             assert code == cli.EXIT_OK
             sketches.append(out.read_bytes())
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and '"line 138: ' in err[0]
+        # both 300-point builds of a d=1 sampler also warn that it is not sublinear
+        errors = [line for line in err if '{"warning": "not_sublinear"' not in line]
+        assert len(err) - len(errors) == (0 if algorithm == "add1d" else 2)
+        assert len(errors) == 1 and '"line 138: ' in errors[0]
         assert sketches[0] == sketches[1]

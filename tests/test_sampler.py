@@ -48,6 +48,30 @@ class TestBank:
                 want[i] = np.sort(np.concatenate([want[i], surv]), kind="stable")[:cap]
         assert [b.tobytes() for b in bank.buffers] == [w.tobytes() for w in want]
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("cap", [3000, 10000, 100000])
+    def test_large_chunks_match_stable_merge_and_sort(self, cap, split):
+        """Chunks long enough for the default (SIMD) sort, heavy in signed zeros
+        and NaNs of several bit patterns, keep the bytes of a stable merge and sort."""
+        payload_nan = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes())[0]
+        pool = np.array([0.0, -0.0, math.nan, -math.nan, payload_nan, -1.5, 0.25, 3.0])
+        rng = np.random.default_rng(5)
+        chunks = [pool[rng.integers(0, pool.size, m)] for m in (0, 1, 5000, 70000)]
+        if not split:
+            chunks = [np.concatenate(chunks)]
+        bank = LevelSampleBank(capacity=cap, num_levels=3, seed=6)
+        gens = [philox_generator(6, "bank", i) for i in range(3)]
+        want = [np.empty(0)] * 3
+        for chunk in chunks:
+            bank.offer_many(chunk)
+            if chunk.size == 0:
+                continue
+            for i in range(3):
+                surv = chunk if i == 0 else chunk[gens[i].random(chunk.size) < 2.0 ** (-i)]
+                want[i] = np.sort(np.concatenate([want[i], surv]), kind="stable")[:cap]
+        for got, w in zip(bank.buffers, want):
+            assert got.tobytes() == w.tobytes()
+
     def test_survival_rate_expectation(self):
         # level 2 (rate 1/4): mean survivors over 10^3 seeds within 5 sigma
         n, level = 400, 2
