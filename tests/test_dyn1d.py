@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -439,3 +440,54 @@ class TestBulkRuns:
         sk._run = None
         sk.update_many(bulk_stream("uniform"))
         assert sk.intervals and sk.thinnings > 0
+
+
+def signed_zeros(n=6000, seed=0):
+    """Uniforms on [-1, 1] with a quarter of the points 0.0 or -0.0: split
+    boundaries land on a zero, and which sign they keep depends on the order
+    of equal values in the band's sort."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, n)
+    zero = rng.random(n) < 0.25
+    xs[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return xs
+
+
+def few_distinct(k, n=6000, seed=5):
+    return np.random.default_rng(seed).integers(0, k, n) / max(k - 1, 1)
+
+
+class TestPinnedBytes:
+    """sha256 of HSKD files built with ``update_many`` in chunks of 1, 7 and
+    65536 points (eps 0.3, n_hint 2000, C 1, seed 1): the bytes must not move
+    when the way the sketch stores or sorts its samples does."""
+
+    STREAMS = {
+        "signed_zeros": (signed_zeros,
+                         "20c89800528868958bbace995619d5973287d5b55ae648319f39c3327c4e7565"),
+        "one_value": (lambda: few_distinct(1),
+                      "46e3e31c817c3fa5806b0c90668d5ddc925a10dd82c328a7913741a9d98d2dae"),
+        "two_values": (lambda: few_distinct(2),
+                       "0f8ae7a918137b96372c7ee8c66adfee3ee268ae52cb46db46bc421f3301ed5f"),
+        "five_values": (lambda: few_distinct(5),
+                        "02513c9bfb08fd51ecce4b607ed36c17562bf81b8ef30c66878e825eceefee12"),
+        "fifty_values": (lambda: few_distinct(50),
+                         "8cf7985fcf1133b35ea15a7dfffb92e510a3859431b55bccf96270ea9b9ca707"),
+        "point_mass": (lambda: bulk_stream("point_mass"),
+                       "f47a6e81ac1afe4d17487551ad8913acdd25e956564dc10087104a6de6b7c2ef"),
+    }
+
+    @pytest.mark.parametrize("name", list(STREAMS))
+    def test_file_digest(self, name):
+        make, want = self.STREAMS[name]
+        xs = make()
+        params = SketchParams(epsilon=0.3, n_hint=2000, C=1.0, seed=1)
+        for chunk in (1, 7, 65536):
+            sk = DynSketch1D(params)
+            for i in range(0, xs.size, chunk):
+                sk.update_many(xs[i : i + chunk])
+            assert sk.thinnings > 0, name
+            if name == "signed_zeros":
+                assert any(itv.boundary == 0.0 for itv in sk.intervals)
+            sk.freeze()
+            assert hashlib.sha256(sk.to_bytes()).hexdigest() == want, (name, chunk)
