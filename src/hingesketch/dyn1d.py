@@ -20,7 +20,9 @@ below q, exactly like the offline prefix sketch.
 
 Every coin and thinning draw is the next value of one buffered uniform
 stream, so the bytes depend on the seed and the stream, not on how the
-stream is chunked into ``update_many`` calls.
+stream is chunked into ``update_many`` calls.  An interval's samples are a
+float64 array in stream order, which thinnings and splits keep, sorted once
+at freeze.
 """
 
 from __future__ import annotations
@@ -82,20 +84,32 @@ class AdjacencyEvent:
 
 
 class _Interval:
-    __slots__ = ("boundary", "rho", "rho_star", "samples", "band", "unsplittable")
+    __slots__ = ("boundary", "rho", "rho_star", "samples", "_buf", "band", "unsplittable")
 
-    def __init__(self, boundary: float, rho: float, samples):
-        # samples: a list while streaming, a sorted array once frozen
+    def __init__(self, boundary: float, rho: float, samples: np.ndarray):
+        # samples: a float64 array in stream order (thinned in place) while
+        # streaming, sorted once frozen
         self.boundary = boundary
         self.rho = rho
         self.rho_star = math.inf
-        self.samples = samples
+        self.samples = self._buf = samples
         self.band = (0, 0.0)  # once frozen: count and value sum of the samples in the band
         self.unsplittable = False
 
     @property
     def z_hat(self) -> float:
         return len(self.samples) / self.rho
+
+    def extend(self, xs) -> None:
+        """Append xs (an array, or one float) to the samples, a view of the
+        front of _buf; _buf doubles when full or when the samples were replaced."""
+        one = isinstance(xs, float)
+        n, k = self.samples.size, 1 if one else xs.size
+        if self.samples.base is not self._buf or n + k > self._buf.size:
+            self._buf = np.empty(2 * (n + k))
+            self._buf[:n] = self.samples
+        self._buf[n if one else slice(n, n + k)] = xs  # a scalar store is the faster
+        self.samples = self._buf[: n + k]
 
 
 class DynSketch1D:
@@ -224,13 +238,12 @@ class DynSketch1D:
         for j, u in enumerate(self._uniforms.take(len(itvs) - lo), lo):
             itv = itvs[j]
             if u < itv.rho:
-                samples = itv.samples
-                samples.append(x)
+                itv.extend(x)
                 itv.unsplittable = False  # band composition changed
-                if len(samples) > self._max_samples:
+                if itv.samples.size > self._max_samples:
                     zs[j + 1] = self._recompute(itv)
                 else:  # _recompute without the thinning
-                    z = zs[j + 1] = len(samples) / itv.rho
+                    z = zs[j + 1] = len(itv.samples) / itv.rho
                     itv.rho_star = self._c_log / (z * self._eps3)
                 if first < 0:
                     first = j
@@ -283,7 +296,7 @@ class DynSketch1D:
         head, zs = xs[:run], self._z
         for i in np.flatnonzero(hits[:, run - 1]).tolist():
             itv = itvs[i]
-            itv.samples.extend(head[hit[i, :run]].tolist())
+            itv.extend(head[hit[i, :run]])
             itv.unsplittable = False
             z = zs[i + 1] = len(itv.samples) / itv.rho
             itv.rho_star = self._c_log / (z * self._eps3)
@@ -297,7 +310,7 @@ class DynSketch1D:
 
     def _open_tail(self, x: float) -> None:
         """The explicit regime ends: open the tail interval over everything."""
-        tail = _Interval(math.inf, 1.0, [-v for v in self._heap] + [x])
+        tail = _Interval(math.inf, 1.0, np.append(-np.asarray(self._heap), x))
         heapq.heappushpop(self._heap, -x)
         self.intervals.append(tail)
         self._recompute(tail)
@@ -370,16 +383,16 @@ class DynSketch1D:
     def _split(self, i: int) -> bool:
         itv = self.intervals[i]
         left_bd = self.intervals[i - 1].boundary if i >= 1 else self.anchor
-        band = [s for s in itv.samples if s > left_bd]
-        if len(band) < 2:
+        band = itv.samples[itv.samples > left_bd]
+        if band.size < 2:
             return False
-        band.sort()
-        pos = math.ceil(len(band) * (2.5 / 6.0))
-        new_bd = band[pos - 1]
+        # stable, as list.sort: where 0.0 and -0.0 tie, stream order picks the boundary's bits
+        band.sort(kind="stable")
+        new_bd = float(band[math.ceil(band.size * (2.5 / 6.0)) - 1])
         if not (left_bd < new_bd < itv.boundary):
             return False
-        newitv = _Interval(new_bd, itv.rho, [s for s in itv.samples if s <= new_bd])
-        if not newitv.samples:
+        newitv = _Interval(new_bd, itv.rho, itv.samples[itv.samples <= new_bd])
+        if not newitv.samples.size:
             return False
         z = self._recompute(newitv)
         self.intervals.insert(i, newitv)
@@ -388,10 +401,8 @@ class DynSketch1D:
         itv.unsplittable = False
         self.splits += 1
         if self.collect_events:
-            prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
-            if prev_z > 0 and newitv.z_hat > 0:
-                self.events.append(AdjacencyEvent("split-left", newitv.z_hat / prev_z, self.count))
-                self.events.append(AdjacencyEvent("split-right", itv.z_hat / newitv.z_hat, self.count))
+            self.events += [AdjacencyEvent("split-left", self._ratio(i), self.count),
+                            AdjacencyEvent("split-right", self._ratio(i + 1), self.count)]
         return True
 
     def _merge(self, i: int) -> None:
@@ -401,11 +412,7 @@ class DynSketch1D:
         del self._z[i + 1]
         self.merges += 1
         if self.collect_events:
-            prev_z = self.intervals[i - 1].z_hat if i >= 1 else float(len(self._heap))
-            if prev_z > 0:
-                self.events.append(
-                    AdjacencyEvent("merge", self.intervals[i].z_hat / prev_z, self.count)
-                )
+            self.events.append(AdjacencyEvent("merge", self._ratio(i), self.count))
 
     # -- freeze & query -------------------------------------------------------
 
@@ -414,7 +421,7 @@ class DynSketch1D:
         expl.sort()
         for itv in self.intervals:
             # the samples no longer change: keep the sorted copy only
-            itv.samples = np.sort(np.asarray(itv.samples, dtype=float))
+            itv.samples = itv._buf = np.sort(itv.samples)
         self._index(expl)
 
     def _index(self, expl: np.ndarray) -> None:
@@ -495,13 +502,8 @@ class DynSketch1D:
         return len(self.intervals)
 
     def space_words(self) -> int:
-        per_interval = 4  # boundary, rho, rho*, sample count
-        return (
-            len(self._heap)
-            + sum(len(itv.samples) for itv in self.intervals)
-            + per_interval * len(self.intervals)
-            + 8
-        )
+        # per interval: boundary, rho, rho*, sample count
+        return len(self._heap) + sum(itv.samples.size + 4 for itv in self.intervals) + 8
 
     def stats(self) -> dict:
         """The sketch's parts and the structural work it did: the counters
@@ -541,21 +543,18 @@ class DynSketch1D:
         return out
 
     def to_bytes(self) -> bytes:
-        if self.frozen:  # freeze sorted the arrays already
-            expl, samples = self._expl_sorted, [itv.samples for itv in self.intervals]
-        else:
-            expl = np.sort(-np.asarray(self._heap, dtype=float))
-            samples = [np.sort(np.asarray(itv.samples, dtype=float)) for itv in self.intervals]
+        # freeze sorted the arrays already
+        expl = self._expl_sorted if self.frozen else np.sort(-np.asarray(self._heap, dtype=float))
         w = Writer(serialize.MAGIC_DYN1D)
         self.params.write(w)
         w.u64(self.count)
         w.array(expl)
         w.u64(len(self.intervals))
-        for itv, s in zip(self.intervals, samples):
+        for itv in self.intervals:
             w.f64(itv.boundary)
             w.f64(itv.rho)
             w.f64(itv.rho_star)
-            w.array(s)
+            w.array(itv.samples if self.frozen else np.sort(itv.samples))
         return w.getvalue()
 
     @classmethod

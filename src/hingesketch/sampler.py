@@ -3,16 +3,15 @@
 Three building blocks: per-level Bernoulli subsampling with keep-smallest
 retention (LevelSampleBank), size-1 reservoir sampling (Reservoir1), and a
 buffered stream of uniforms that also draws exact-size subsets
-(UniformStream).
-All randomness is derived from a counter-based generator keyed by
-(seed, domain tags), so identical seed + identical offer sequence replays
-byte-for-byte, independent of chunking.
+(UniformStream).  Every generator is keyed by a digest of (seed, domain
+tags): the banks and the stream draw from counter-based Philox generators,
+each Reservoir1 from a ``random.Random`` (Mersenne Twister).  So identical
+seed + identical offer sequence replays byte-for-byte, independent of chunking.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 import struct
 
@@ -83,8 +82,10 @@ class UniformStream:
         self._pos += k
         return self._list[i : i + k]
 
-    def subset(self, values: list, k: int) -> list:
-        """A uniform random subset of exactly k of ``values``, in their order.
+    def subset(self, values: np.ndarray, k: int) -> np.ndarray:
+        """A uniform random subset of exactly k of the array ``values``, as a
+        new array in their order (all of them if k >= len(values), none if
+        k <= 0).
 
         It takes len(values) uniforms, one per value, whatever k is, and keeps
         the values that drew the k smallest.
@@ -92,13 +93,10 @@ class UniformStream:
         m = len(values)
         u = self.peek(m)
         self._pos += m
-        if k >= m:
-            return list(values)
-        if k <= 0:
-            return []
-        keep = np.zeros(m, dtype=bool)
-        keep[np.argpartition(u, k - 1)[:k]] = True
-        return list(itertools.compress(values, keep.tolist()))
+        keep = np.full(m, k >= m)
+        if 0 < k < m:
+            keep[np.argpartition(u, k - 1)[:k]] = True
+        return values[keep]
 
 
 class LevelSampleBank:
@@ -154,7 +152,9 @@ class LevelSampleBank:
             # differs from it only in the run of signed zeros and the run of NaNs
             # (last), so both are copied back from merged, in merged order
             merged = np.concatenate([buf, surv])
-            out = np.sort(merged)[: self.capacity]
+            out = np.sort(merged)
+            if out.size > self.capacity:  # own the kept values: a view keeps the whole merge
+                out = out[: self.capacity].copy()
             lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
             if lo < hi:
                 out[lo:hi] = merged[merged == 0.0][: hi - lo]

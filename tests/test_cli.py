@@ -13,9 +13,10 @@ from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import additive_quadtree
 from hingesketch.core import HyperplaneQuery, hinge_objective
 from hingesketch.gen import gen_uniform
+from hingesketch.dyn1d import DynSketch1D
 from hingesketch.mult1d import OfflineSketch1D
 from hingesketch.serialize import (MAGIC_BINTREE, MAGIC_DYN1D, MAGIC_MULT1D, MAGIC_OFFLINE1D,
-                                   MAGIC_QUADTREE, MAGIC_STREAM, Writer)
+                                   MAGIC_QUADTREE, MAGIC_STREAM, FormatError, Writer)
 
 
 def run(capsys, *argv):
@@ -638,16 +639,16 @@ def hsk1(buffer=lambda bank, i, b: b):
     return w.getvalue()
 
 
-def hskd(expl=None, interval=lambda i, fields: fields):
+def hskd(expl=None, interval=lambda i, fields: fields, count=None):
     """The HSKD bytes of the dyn1d sample sketch, with its explicit points replaced
-    by ``expl`` and each interval's (boundary, rho, rho_star, samples) by
-    ``interval(index, fields)``."""
+    by ``expl``, each interval's (boundary, rho, rho_star, samples) by
+    ``interval(index, fields)`` and the stored interval count by ``count``."""
     sk = sample_sketch("dyn1d")
     w = Writer(MAGIC_DYN1D)
     sk.params.write(w)
     w.u64(sk.count)
     w.array(sk._expl_sorted if expl is None else expl)
-    w.u64(len(sk.intervals))
+    w.u64(len(sk.intervals) if count is None else count)
     for i, itv in enumerate(sk.intervals):
         bd, rho, rho_star, samples = interval(i, (itv.boundary, itv.rho, itv.rho_star,
                                                    itv.samples))
@@ -700,6 +701,8 @@ CRAFTED_SAMPLE_FILES = {
                                                        np.nan)), "non-finite"),
     "hskd_sample_inf": (lambda: hskd(interval=lambda i, f: (*f[:3], with_value(f[3], 0, -np.inf))
                                      if i == 1 else f), "non-finite"),
+    # each interval reads bytes: the loop over a huge count runs out of file
+    "hskd_interval_count": (lambda: hskd(count=2**62), "truncated"),
     "hsko_descending": (lambda: hsko(xs=sample_sketch("offline1d").xs[::-1]), "ascending"),
     "hsko_nan_position": (lambda: hsko(xs=with_value(sample_sketch("offline1d").xs, -1, np.nan)),
                           "finite"),
@@ -730,6 +733,11 @@ class TestCraftedSampleFiles:
         assert code == cli.EXIT_DATA and not out
         assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
         assert says in err
+
+    def test_huge_interval_count_is_format_error(self):
+        assert hskd(count=len(sample_sketch("dyn1d").intervals)) == hskd()
+        with pytest.raises(FormatError, match="truncated"):
+            DynSketch1D.from_bytes(hskd(count=2**62))
 
     @pytest.mark.parametrize("algorithm", ["mult1d", "dyn1d"])
     def test_reversed_arrays_answer_as_the_intact_file(self, tmp_path, capsys, algorithm):

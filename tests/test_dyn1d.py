@@ -373,9 +373,10 @@ def per_point(params, xs):
 
 
 def state(sk):
-    """Everything a streaming sketch holds, in the order it holds it."""
+    """Everything a streaming sketch holds, in the order it holds it (the
+    samples as their bytes, which also tell 0.0 from -0.0)."""
     return (sk.count, sk.thinnings, sk.splits, sk.merges, sk.events, sk._heap, sk._bounds,
-            sk._z, [(i.boundary, i.rho, i.rho_star, i.samples, i.unsplittable)
+            sk._z, [(i.boundary, i.rho, i.rho_star, i.samples.tobytes(), i.unsplittable)
                     for i in sk.intervals])
 
 

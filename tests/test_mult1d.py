@@ -264,6 +264,14 @@ class TestStream:
                     assert row.contribution >= 0.0
         assert sampled > 20
 
+    def test_level_buffers_own_their_values(self):
+        # a [:capacity] view of a level's sorted merge would keep the whole merge alive
+        n = 10**5
+        sk = MultStream1D(SketchParams(epsilon=0.1, W=2**20, n_hint=n, seed=0))
+        sk.update_many(np.random.default_rng(0).uniform(1, 2**20, n))
+        assert sk.E.buffers[0].size == sk.m1 < n  # cut to capacity
+        assert all(b.base is None for b in sk.E.buffers + sk.S.buffers)
+
     def test_empty_sketch_space_is_overhead_only(self):
         params = small_params()
         sk = MultStream1D(params)

@@ -203,12 +203,12 @@ class TestUniformStream:
         trials = 2000
         s = UniformStream(philox_generator(4, "subset", m))
         kept = np.zeros(m)
-        values = [float(i) for i in range(m)]
+        values = np.arange(m, dtype=float)
         for _ in range(trials):
             got = s.subset(values, k)
-            assert len(got) == k and got == sorted(set(got))
-            kept[np.array(got, dtype=int)] += 1
-        assert values == [float(i) for i in range(m)]  # the input is left alone
+            assert got.size == k and (np.diff(got) > 0).all()
+            kept[got.astype(int)] += 1
+        assert np.array_equal(values, np.arange(m))  # the input is left alone
         p = k / m
         sigma = math.sqrt(trials * p * (1 - p))
         assert np.abs(kept - trials * p).max() <= 5 * sigma
@@ -221,22 +221,25 @@ class TestUniformStream:
         next take of a fresh stream that skipped m values."""
         s = UniformStream(philox_generator(5, "subset"))
         s.take(before)
-        got = s.subset(list(range(m)), k)
+        values = np.arange(m, dtype=float)
+        got = s.subset(values, k)
+        assert not np.shares_memory(got, values)  # a new array
         if k >= m:
-            assert got == list(range(m))
+            assert np.array_equal(got, values)
         elif k <= 0:
-            assert got == []
+            assert got.size == 0
         else:
-            assert len(got) == k
+            assert got.size == k
         want = UniformStream(philox_generator(5, "subset")).take(before + m + 3)[-3:]
         assert s.take(3) == want
 
     def test_subset_keeps_the_values_that_drew_the_smallest(self):
         s = UniformStream(philox_generator(6, "subset"))
         u = UniformStream(philox_generator(6, "subset")).take(8)
-        values = ["a", "b", "c", "d", "e", "f", "g", "h"]
+        values = np.array([0.5, -0.0, 3.0, 0.0, -2.0, 0.25, 7.0, 1.0])
         smallest = sorted(range(8), key=u.__getitem__)[:3]
-        assert s.subset(values, 3) == [values[i] for i in sorted(smallest)]
+        want = values[sorted(smallest)]
+        assert s.subset(values, 3).tobytes() == want.tobytes()
 
     @given(st.lists(st.tuples(st.sampled_from(["take", "peek", "skip", "subset"]),
                               st.sampled_from([0, 1, 3, 100, UniformStream.BLOCK - 1,
@@ -259,7 +262,7 @@ class TestUniformStream:
             elif kind == "skip":
                 s.skip(k)
             else:
-                kept = s.subset(list(range(k)), k // 2)
-                assert kept == sorted(np.argsort(want[pos : pos + k])[: k // 2].tolist())
+                kept = s.subset(np.arange(k), k // 2)
+                assert kept.tolist() == sorted(np.argsort(want[pos : pos + k])[: k // 2].tolist())
             pos += k
         assert s.take(5) == want[pos : pos + 5].tolist()
