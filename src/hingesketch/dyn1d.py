@@ -108,7 +108,7 @@ class _Interval:
         if self.samples.base is not self._buf or n + k > self._buf.size:
             self._buf = np.empty(2 * (n + k))
             self._buf[:n] = self.samples
-        self._buf[n if one else slice(n, n + k)] = xs  # a scalar store is the faster
+        self._buf[n if one else slice(n, n + k)] = xs  # one float: a scalar store is faster
         self.samples = self._buf[: n + k]
 
 
@@ -240,7 +240,7 @@ class DynSketch1D:
             if u < itv.rho:
                 itv.extend(x)
                 itv.unsplittable = False  # band composition changed
-                if itv.samples.size > self._max_samples:
+                if len(itv.samples) > self._max_samples:
                     zs[j + 1] = self._recompute(itv)
                 else:  # _recompute without the thinning
                     z = zs[j + 1] = len(itv.samples) / itv.rho

@@ -12,8 +12,8 @@ from hingesketch import cli, families, optimize
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import additive_quadtree
 from hingesketch.core import HyperplaneQuery, hinge_objective
-from hingesketch.gen import gen_uniform
 from hingesketch.dyn1d import DynSketch1D
+from hingesketch.gen import gen_uniform
 from hingesketch.mult1d import OfflineSketch1D
 from hingesketch.serialize import (MAGIC_BINTREE, MAGIC_DYN1D, MAGIC_MULT1D, MAGIC_OFFLINE1D,
                                    MAGIC_QUADTREE, MAGIC_STREAM, FormatError, Writer)
