@@ -492,3 +492,17 @@ class TestPinnedBytes:
                 assert any(itv.boundary == 0.0 for itv in sk.intervals)
             sk.freeze()
             assert hashlib.sha256(sk.to_bytes()).hexdigest() == want, (name, chunk)
+
+    # 1e5 points of k values at eps 0.1 (n_hint 1e5, C 1, seed 0) in one
+    # update_many: interval 0's left boundary, the anchor, sits on thousands
+    # of copies of one value
+    LARGE = {1: "f05e53e76acedf9111e6369358c7c370fd89e30ebada33b1a17a8a3e1b871c61",
+             2: "f742356579513d6e195ee56da14cb5fcd98058fd42a23f36f1e83022e482f373",
+             5: "dd373562c72836c4eb0b3987a50874478549627c25fd6d145a8d8a055bb44123"}
+
+    @pytest.mark.parametrize("k", list(LARGE))
+    def test_large_few_value_digest(self, k):
+        sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=10**5, C=1.0, seed=0))
+        sk.update_many(np.random.default_rng(0).integers(0, k, 10**5) / max(k - 1, 1))
+        sk.freeze()
+        assert hashlib.sha256(sk.to_bytes()).hexdigest() == self.LARGE[k]
