@@ -30,7 +30,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +55,9 @@ THIN_MARGIN = 1.1
 # up to RUN_CELLS (points x intervals).  Where a thinned interval is fewer than
 # RUN_MIN samples from thinning again, events come too close together for
 # blocks to pay, and every point goes to ``_step``; so do the points of a call
-# with fewer than RUN_MIN left.  Events can also crowd where the thinning
-# slack is wide (an interval that cannot split retries at every hit): a run
-# shorter than SOLO_MIN sends the next points to ``_step``, SOLO_MIN of them
-# at first and twice as many after each further short run, up to SOLO_MAX; a
-# run of RUN_MIN or more halves that number again.
+# with fewer than RUN_MIN left.
 RUN_MIN = 64
 RUN_CELLS = 2**14
-SOLO_MIN = 16
-SOLO_MAX = 4096
 
 
 def split_prefix_fraction(eps: float) -> float:
@@ -74,17 +67,8 @@ def split_prefix_fraction(eps: float) -> float:
     return 1.0 / (1.0 + 6.0 * eps) + (2.5 / 6.0) * (1.0 - 1.0 / (1.0 + 6.0 * eps))
 
 
-@dataclass
-class AdjacencyEvent:
-    """Fresh-adjacency record emitted at every split and merge."""
-
-    kind: str  # "split-left", "split-right", "merge"
-    ratio: float
-    update_index: int
-
-
 class _Interval:
-    __slots__ = ("boundary", "rho", "rho_star", "samples", "_buf", "band", "unsplittable")
+    __slots__ = ("boundary", "rho", "rho_star", "samples", "_buf", "band", "mark")
 
     def __init__(self, boundary: float, rho: float, samples: np.ndarray):
         # samples: a float64 array in stream order (thinned in place) while
@@ -94,7 +78,7 @@ class _Interval:
         self.rho_star = math.inf
         self.samples = self._buf = samples
         self.band = (0, 0.0)  # once frozen: count and value sum of the samples in the band
-        self.unsplittable = False
+        self.mark: tuple[float, float] | None = None  # set by a failed DynSketch1D._split
 
     @property
     def z_hat(self) -> float:
@@ -115,7 +99,7 @@ class _Interval:
 class DynSketch1D:
     """One-pass dynamic-interval sketch for sum_{x <= q} (q - x)."""
 
-    def __init__(self, params: SketchParams, collect_events: bool = False):
+    def __init__(self, params: SketchParams):
         if params.p != 1:
             raise ValueError(f"dyn1d answers p=1 only, not p={params.p}")
         self.params = params
@@ -145,8 +129,6 @@ class DynSketch1D:
         self._z: list[float] = []
         self.count = 0
         self.frozen = False
-        self.events: list[AdjacencyEvent] = []
-        self.collect_events = collect_events
         self._uniforms = UniformStream(philox_generator(params.seed, "dyn"))
         self._expl_sorted: np.ndarray | None = None
         self._expl_prefix: np.ndarray | None = None
@@ -172,8 +154,8 @@ class DynSketch1D:
 
         The explicit regime pushes the points one by one.  In the interval
         regime, ``_run`` takes in a block of points at a time up to the next
-        one that would split, merge, thin or mark an interval, and that point
-        goes to ``_step`` (RUN_MIN and SOLO_MIN say where points go to
+        one that would split, merge or thin an interval, or retry a split,
+        and that point goes to ``_step`` (RUN_MIN says where points go to
         ``_step`` one by one).
         """
         xs = np.asarray(xs, dtype=float)
@@ -181,7 +163,7 @@ class DynSketch1D:
             raise UnfrozenSketchError("sketch is frozen; no further updates")
         bad = np.flatnonzero(~np.isfinite(xs))
         good = xs[: bad[0]] if bad.size else xs
-        pos, n, block, solo = 0, good.size, RUN_MIN, SOLO_MIN
+        pos, n, block = 0, good.size, RUN_MIN
         while pos < n:
             if not self.intervals:
                 room = self.explicit_capacity - len(self._heap)
@@ -207,14 +189,6 @@ class DynSketch1D:
                 self._step(float(good[pos]))  # the event
                 pos += 1
                 block = max(RUN_MIN, 2 * run)
-                if run < SOLO_MIN:  # the run did not pay for itself
-                    stretch = good[pos : pos + solo]
-                    for x in stretch.tolist():
-                        self._step(x)
-                    pos += stretch.size
-                    solo = min(2 * solo, SOLO_MAX)
-                elif run >= RUN_MIN:
-                    solo = max(SOLO_MIN, solo // 2)
         if bad.size:
             raise ValueError(f"stream values must be finite, got {float(xs[bad[0]])}")
 
@@ -239,7 +213,9 @@ class DynSketch1D:
             itv = itvs[j]
             if u < itv.rho:
                 itv.extend(x)
-                itv.unsplittable = False  # band composition changed
+                if itv.mark and (itv.mark[0] != (self._bounds[j - 1] if j else -heap[0])
+                                 or itv.mark[0] < x < itv.mark[1]):
+                    itv.mark = None  # the split could succeed now
                 if len(itv.samples) > self._max_samples:
                     zs[j + 1] = self._recompute(itv)
                 else:  # _recompute without the thinning
@@ -257,7 +233,7 @@ class DynSketch1D:
         """Take in the leading points of ``xs`` that only add samples, as
         ``_step`` would, and return how many.  The point after them, if any,
         is an event for ``_step``: it would split, merge or thin an interval,
-        or mark one unsplittable.
+        or retry a split.
 
         Point t draws one uniform for each interval from ``lo[t]`` on, in
         order, so its draw for interval j is the stream's next uniform number
@@ -265,7 +241,8 @@ class DynSketch1D:
         interval's sample count and z_hat after every point, and so the
         ratios ``_violation`` tests.  No condition holds anywhere before the
         block (the last step restored the fixpoint) and only a hit changes
-        one, so the event is the first point whose hits make one hold.
+        one, so the event is the first point whose hits make one hold; at a
+        marked interval, that needs a hit that clears the mark.
         """
         itvs = self.intervals
         lo = np.searchsorted(self._bounds, xs, side="left")
@@ -285,8 +262,16 @@ class DynSketch1D:
         np.divide(sizes, rho[:, None], out=z[1:])
         r = z[1:] / z[:-1]
         event = r >= self._split_ratio
-        for i in np.flatnonzero([itv.unsplittable for itv in itvs]).tolist():
-            event[i] &= hits[i] > 0  # a hit clears the mark
+        cleared = {}  # marked interval -> whether a hit has cleared its mark, after each point
+        for i in [i for i, itv in enumerate(itvs) if itv.mark]:
+            left, hi = itvs[i].mark
+            keep = (xs <= left) | (xs >= hi)  # hits after which the split fails again
+            if i:
+                keep &= left == self._bounds[i - 1]
+            else:  # the anchor leaves left at the c-th point below it, c its copies in the heap
+                keep &= np.cumsum(xs < left) < self._heap.count(-left)
+            cleared[i] = np.logical_or.accumulate(hit[i] & ~keep)
+            event[i] &= cleared[i]
         event |= sizes > self._max_samples
         event[1:] |= (r[1:] < self._merge_ratio) & (r[:-1] < self._merge_ratio)
         rows = np.flatnonzero(event.any(axis=0))
@@ -297,7 +282,8 @@ class DynSketch1D:
         for i in np.flatnonzero(hits[:, run - 1]).tolist():
             itv = itvs[i]
             itv.extend(head[hit[i, :run]])
-            itv.unsplittable = False
+            if i in cleared and cleared[i][run - 1]:
+                itv.mark = None
             z = zs[i + 1] = len(itv.samples) / itv.rho
             itv.rho_star = self._c_log / (z * self._eps3)
         heap = self._heap
@@ -328,6 +314,7 @@ class DynSketch1D:
         if m > self._max_samples:
             itv.samples = self._uniforms.subset(itv.samples, self._thin_to)
             itv.rho *= self._thin_to / m
+            itv.mark = None
             self.thinnings += 1
         z = len(itv.samples) / itv.rho  # > 0: an interval never runs out of samples
         itv.rho_star = self._c_log / (z * self._eps3)
@@ -344,13 +331,13 @@ class DynSketch1D:
 
     def _violation(self, first: int, stop: int) -> int:
         """The first i in [first, stop) where ``_maintain`` acts, or -1:
-        interval i is at ratio >= 1+6eps and not marked unsplittable, or it
-        and the interval before it are both at ratio < 1+eps."""
+        interval i is at ratio >= 1+6eps and not marked, or it and the
+        interval before it are both at ratio < 1+eps."""
         z, itvs, hi, lo = self._z, self.intervals, self._split_ratio, self._merge_ratio
         prev = self._ratio(first - 1) if first >= 1 else math.inf
         for i in range(first, stop):
             r = z[i + 1] / z[i] if z[i] > 0 else math.inf
-            if (r >= hi and not itvs[i].unsplittable) or (r < lo and prev < lo):
+            if (r >= hi and not itvs[i].mark) or (r < lo and prev < lo):
                 return i
             prev = r
         return -1
@@ -364,45 +351,45 @@ class DynSketch1D:
         only; a split or merge moves the rest, so later scans look everywhere.
         An interval that cannot split is marked, and the scan goes on.
         """
-        itvs = self.intervals
-        stop = len(itvs) if last is None else min(last + 3, len(itvs))
+        stop = len(self.intervals) if last is None else min(last + 3, len(self.intervals))
         for _ in range(10_000):
             i = self._violation(first, stop)
             if i < 0:
                 return
             if self._ratio(i) >= self._split_ratio:
                 if not self._split(i):
-                    itvs[i].unsplittable = True
                     first = i + 1
                     continue
             else:
                 self._merge(i - 1)
-            first, stop = 0, len(itvs)
+            first, stop = 0, len(self.intervals)
         raise RuntimeError("interval maintenance did not reach a fixpoint")
 
     def _split(self, i: int) -> bool:
+        """Split interval i at the 2.5/6 quantile of its band (the samples
+        above its left boundary), or mark it (left boundary, hi): while that
+        boundary stays, a hit at or below it or at hi or above cannot make the
+        split succeed.  hi is the boundary where the quantile is the boundary;
+        for a band of fewer than two values, where a hit there can, it is inf."""
         itv = self.intervals[i]
         left_bd = self.intervals[i - 1].boundary if i >= 1 else self.anchor
         band = itv.samples[itv.samples > left_bd]
         if band.size < 2:
+            itv.mark = (left_bd, math.inf)
             return False
         # stable, as list.sort: where 0.0 and -0.0 tie, stream order picks the boundary's bits
         band.sort(kind="stable")
         new_bd = float(band[math.ceil(band.size * (2.5 / 6.0)) - 1])
-        if not (left_bd < new_bd < itv.boundary):
+        if not new_bd < itv.boundary:  # every band value is above left_bd
+            itv.mark = (left_bd, itv.boundary)
             return False
         newitv = _Interval(new_bd, itv.rho, itv.samples[itv.samples <= new_bd])
-        if not newitv.samples.size:
-            return False
         z = self._recompute(newitv)
         self.intervals.insert(i, newitv)
         self._bounds.insert(i, new_bd)
         self._z.insert(i + 1, z)
-        itv.unsplittable = False
+        itv.mark = None
         self.splits += 1
-        if self.collect_events:
-            self.events += [AdjacencyEvent("split-left", self._ratio(i), self.count),
-                            AdjacencyEvent("split-right", self._ratio(i + 1), self.count)]
         return True
 
     def _merge(self, i: int) -> None:
@@ -411,8 +398,6 @@ class DynSketch1D:
         del self._bounds[i]
         del self._z[i + 1]
         self.merges += 1
-        if self.collect_events:
-            self.events.append(AdjacencyEvent("merge", self._ratio(i), self.count))
 
     # -- freeze & query -------------------------------------------------------
 
@@ -537,7 +522,7 @@ class DynSketch1D:
             r = z[i + 1] / z[i] if z[i] > 0 else math.inf
             if r < lo and prev < lo:
                 out.append(f"adjacent unsaturated intervals at {i - 1},{i}")
-            if r >= hi and not itv.unsplittable:
+            if r >= hi and not itv.mark:
                 out.append(f"interval {i}: ratio {r:.4g} >= 1+6eps unsplit")
             prev = r
         return out

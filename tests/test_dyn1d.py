@@ -10,9 +10,31 @@ from hingesketch.dyn1d import DynSketch1D, KAPPA_COUNT, KAPPA_QUERY, UnfrozenSke
 from hingesketch.serialize import MAGIC_DYN1D, Writer
 
 
-def build(xs, eps=0.3, n_hint=None, seed=0, C=1.0, collect_events=False):
+def logged(params):
+    """A sketch that records each split and merge in ``sk.log`` as (kind,
+    ratio, count): a split logs the ratios of both halves, a merge that of
+    the merged interval."""
+    sk = DynSketch1D(params)
+    sk.log, split, merge = [], sk._split, sk._merge
+
+    def logged_split(i):
+        done = split(i)
+        if done:
+            sk.log += [("split-left", sk._ratio(i), sk.count),
+                       ("split-right", sk._ratio(i + 1), sk.count)]
+        return done
+
+    def logged_merge(i):
+        merge(i)
+        sk.log.append(("merge", sk._ratio(i), sk.count))
+
+    sk._split, sk._merge = logged_split, logged_merge
+    return sk
+
+
+def build(xs, eps=0.3, n_hint=None, seed=0, C=1.0, log=False):
     params = SketchParams(epsilon=eps, n_hint=n_hint or len(xs), C=C, seed=seed)
-    sk = DynSketch1D(params, collect_events=collect_events)
+    sk = logged(params) if log else DynSketch1D(params)
     for x in xs:
         sk.update(float(x))
     return sk
@@ -92,22 +114,22 @@ class TestSplitRule:
     def test_split_events_start_high(self):
         rng = np.random.default_rng(2)
         xs = rng.uniform(0, 1, 30000)
-        sk = build(xs, eps=0.3, seed=3, collect_events=True)
+        sk = build(xs, eps=0.3, seed=3, log=True)
         eps = 0.3
-        splits = [e for e in sk.events if e.kind.startswith("split")]
+        splits = [ratio for kind, ratio, _ in sk.log if kind.startswith("split")]
         assert splits, "stream too small to trigger splits"
         floor = (1 + 2 * eps) * (1 - eps / 4)  # estimation slack on fresh ratios
-        assert min(e.ratio for e in splits) >= floor
+        assert min(splits) >= floor
 
     def test_merge_events_floor(self):
         rng = np.random.default_rng(3)
         xs = np.concatenate([rng.uniform(0.5, 1.0, 10000), rng.uniform(0.0, 0.05, 10000)])
-        sk = build(xs, eps=0.3, seed=4, collect_events=True)
-        merges = [e for e in sk.events if e.kind == "merge"]
+        sk = build(xs, eps=0.3, seed=4, log=True)
+        merges = [ratio for kind, ratio, _ in sk.log if kind == "merge"]
         assert merges, "stream did not trigger merges"
         eps = 0.3
         # merged pairs had one factor >= 1+eps one update earlier
-        assert min(e.ratio for e in merges) >= (1 + eps) * (1 - eps / 4)
+        assert min(merges) >= (1 + eps) * (1 - eps / 4)
 
 
 class TestInvariants:
@@ -274,9 +296,9 @@ class TestThinning:
 
     def test_stats_count_the_sketch_and_its_work(self):
         n = 10**5
-        sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=n, C=1.0, seed=19), collect_events=True)
+        sk = logged(SketchParams(epsilon=0.1, n_hint=n, C=1.0, seed=19))
         sk.update_many(np.random.default_rng(19).uniform(0, 1, n))
-        kinds = [e.kind for e in sk.events]
+        kinds = [kind for kind, _, _ in sk.log]
         st = sk.stats()
         assert st == {"intervals": len(sk.intervals), "explicit_points": sk.explicit_capacity,
                       "thinnings": sk.thinnings, "splits": kinds.count("split-left"),
@@ -296,22 +318,22 @@ class TestThinning:
     @pytest.mark.parametrize("seed", [5, 6])
     def test_invariants_after_every_update(self, eps, n_hint, n_each, seed):
         params = SketchParams(epsilon=eps, n_hint=n_hint, C=1.0, seed=seed)
-        sk = DynSketch1D(params, collect_events=True)
+        sk = logged(params)
         for x in three_bands(n_each, seed):
             sk.update(float(x))
             viol = sk.check_invariants()
             assert not viol, viol
-        assert sk.thinnings > 0 and {"split-left", "merge"} <= {e.kind for e in sk.events}
+        assert sk.thinnings > 0 and {"split-left", "merge"} <= {kind for kind, _, _ in sk.log}
 
 
 class TestDeterminism:
     def test_bytes_do_not_depend_on_chunking(self):
         xs = three_bands()
         params = SketchParams(epsilon=0.3, n_hint=xs.size, C=1.0, seed=6)
-        per_point = DynSketch1D(params, collect_events=True)
+        per_point = logged(params)
         for x in xs:
             per_point.update(float(x))
-        kinds = {e.kind for e in per_point.events}
+        kinds = {kind for kind, _, _ in per_point.log}
         assert {"split-left", "merge"} <= kinds, "stream must split and merge"
         assert min(itv.rho for itv in per_point.intervals) < 0.5, "stream must thin"
         want = per_point.to_bytes()
@@ -330,12 +352,12 @@ class TestDeterminism:
               "descending": np.sort(rng.uniform(0, 1, 12000))[::-1],
               "duplicates": np.round(rng.uniform(0, 1, 12000) ** 3, 2)}[stream]
         params = SketchParams(epsilon=0.3, n_hint=xs.size, C=1.0, seed=17)
-        local, full = DynSketch1D(params, collect_events=True), DynSketch1D(params, collect_events=True)
+        local, full = logged(params), logged(params)
         full_scan = full._maintain
         full._maintain = lambda first=0, last=None: full_scan()
         local.update_many(xs)
         full.update_many(xs)
-        assert local.events and local.events == full.events
+        assert local.log and local.log == full.log
         assert local.to_bytes() == full.to_bytes()
 
     def test_update_many_applies_values_before_a_bad_one(self):
@@ -356,7 +378,8 @@ def bulk_stream(name, n=6000, seed=3):
     if name == "three_bands":
         return three_bands(n // 3, seed)
     # point_mass: an interval over the mass cannot split and is marked; the
-    # points below it then lower its ratio, so that hits clear the mark
+    # points below it then move its left boundary or land in its band, so
+    # that hits clear the mark
     return {"uniform": lambda: rng.uniform(0, 1, n),
             "sorted": lambda: np.sort(rng.uniform(0, 1, n)),
             "reversed": lambda: np.sort(rng.uniform(0, 1, n))[::-1],
@@ -366,7 +389,7 @@ def bulk_stream(name, n=6000, seed=3):
 
 
 def per_point(params, xs):
-    sk = DynSketch1D(params, collect_events=True)
+    sk = logged(params)
     for x in xs:
         sk.update(float(x))
     return sk
@@ -375,9 +398,8 @@ def per_point(params, xs):
 def state(sk):
     """Everything a streaming sketch holds, in the order it holds it (the
     samples as their bytes, which also tell 0.0 from -0.0)."""
-    return (sk.count, sk.thinnings, sk.splits, sk.merges, sk.events, sk._heap, sk._bounds,
-            sk._z, [(i.boundary, i.rho, i.rho_star, i.samples.tobytes(), i.unsplittable)
-                    for i in sk.intervals])
+    return (sk.count, sk.thinnings, sk.splits, sk.merges, sk._heap, sk._bounds, sk._z,
+            [(i.boundary, i.rho, i.rho_star, i.samples.tobytes(), i.mark) for i in sk.intervals])
 
 
 class TestBulkRuns:
@@ -395,10 +417,10 @@ class TestBulkRuns:
         want = per_point(params, xs)
         assert want.thinnings > 0 and want.splits > 0
         for chunk in (1, 7, 255, 4097, 65536):
-            sk = DynSketch1D(params, collect_events=True)
+            sk = logged(params)
             for i in range(0, xs.size, chunk):
                 sk.update_many(xs[i : i + chunk])
-            assert state(sk) == state(want), chunk
+            assert state(sk) == state(want) and sk.log == want.log, chunk
             assert sk.to_bytes() == want.to_bytes(), chunk
 
     def test_explicit_phase_ends_inside_a_chunk(self):
@@ -406,26 +428,31 @@ class TestBulkRuns:
         params = SketchParams(epsilon=0.3, n_hint=2000, C=1.0, seed=2)
         want = per_point(params, xs)
         cap = want.explicit_capacity
-        sk = DynSketch1D(params, collect_events=True)
+        sk = logged(params)
         for a, b in ((0, cap - 5), (cap - 5, cap + 600), (cap + 600, xs.size)):
             sk.update_many(xs[a:b])
             if a == 0:
                 assert not sk.intervals
-        assert state(sk) == state(want)
+        assert state(sk) == state(want) and sk.log == want.log
         assert sk.to_bytes() == want.to_bytes()
 
     def test_a_hit_in_a_run_clears_the_mark(self):
-        xs = bulk_stream("uniform")
-        sk = per_point(SketchParams(epsilon=0.1, n_hint=2, C=1.0, seed=1), xs[:3000])
-        assert all(sk._ratio(i) < 1.6 for i in range(len(sk.intervals)))
-        for itv in sk.intervals:  # marks whose ratios have fallen below 1+6eps since
-            itv.unsplittable = True
-        want = copy.deepcopy(sk)
-        run = sk._run(xs[3000:3100])
-        for x in xs[3000 : 3000 + run]:
+        # hits keep interval 0's mark up to the 5th point below the anchor,
+        # which moves it; that point hits interval 0, clears the mark and
+        # ends the run
+        sk = marked_sketch()
+        xs = np.random.default_rng(1).choice([-0.25, 0.0, 0.5], 100, p=[0.1, 0.3, 0.6])
+        want, held = copy.deepcopy(sk), len(sk.intervals[0].samples)
+        run = sk._run(xs)
+        assert run == np.flatnonzero(xs < 0.0)[4] and sk.intervals[0].mark == (0.0, 0.5)
+        assert len(sk.intervals[0].samples) > held
+        for x in xs[:run]:
             want.update(float(x))
         assert state(sk) == state(want)
-        assert run > 0 and not any(itv.unsplittable for itv in sk.intervals)
+        split, tried = want._split, []
+        want._split = lambda i: tried.append(i) or split(i)
+        want.update(float(xs[run]))
+        assert tried[:1] == [0] and want.thinnings == sk.thinnings
 
     def test_runs_take_in_most_points_where_events_are_rare(self):
         xs = bulk_stream("uniform")
@@ -441,6 +468,79 @@ class TestBulkRuns:
         sk._run = None
         sk.update_many(bulk_stream("uniform"))
         assert sk.intervals and sk.thinnings > 0
+
+
+def marked_sketch():
+    """A sketch whose interval 0 cannot split: it runs from the anchor 0.0,
+    which 5 of the explicit points hold, to the boundary 0.5, and every
+    sample in its band is 0.5.  So it holds the mark (0.0, 0.5)."""
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.uniform(-1, -0.5, 402), np.zeros(5), rng.integers(0, 2, 794) / 2])
+    sk = build(xs, eps=0.3, n_hint=2000, seed=1)
+    assert sk.intervals[0].mark == (0.0, 0.5) and sk._heap.count(-0.0) == 5
+    return sk
+
+
+def step(sk, x, hit=True):
+    """``update(x)`` with a hit on every interval from x's on (or on none),
+    and no split or merge after it."""
+    sk._uniforms.take = lambda k: [0.0 if hit else 1.0] * k
+    sk._maintain = lambda first=0, last=None: None
+    sk.update(x)
+    del sk._uniforms.take, sk._maintain
+
+
+class TestSplitMarks:
+    """A failed split marks its interval (left boundary, hi); a hit keeps the
+    mark only where the split would fail again."""
+
+    @pytest.mark.parametrize("x", [-0.25, 0.0, 0.5])
+    def test_a_hit_at_or_below_left_or_at_the_boundary_keeps_the_mark(self, x):
+        sk = marked_sketch()
+        step(sk, x)
+        assert sk.anchor == 0.0 and sk.intervals[0].mark == (0.0, 0.5)
+        assert not copy.deepcopy(sk)._split(0)
+
+    def test_a_hit_inside_the_band_clears_the_mark(self):
+        sk = marked_sketch()
+        step(sk, 0.25)
+        assert sk.intervals[0].mark is None
+
+    def test_a_hit_at_the_boundary_clears_a_mark_on_fewer_than_two_band_values(self):
+        sk = marked_sketch()
+        itv = sk.intervals[0]
+        itv.samples = np.append(itv.samples[itv.samples <= 0.0], 0.25)
+        assert not sk._split(0) and itv.mark == (0.0, math.inf)
+        step(sk, 0.0)
+        assert itv.mark == (0.0, math.inf)
+        step(sk, 0.5)
+        assert itv.mark is None
+        assert sk._split(0) and sk.intervals[0].boundary == 0.25
+
+    def test_a_thinning_clears_the_mark(self):
+        sk = marked_sketch()
+        itv, rho = sk.intervals[0], sk.intervals[0].rho
+        while itv.rho == rho:
+            assert itv.mark == (0.0, 0.5)
+            step(sk, 0.5)
+        assert itv.mark is None
+
+    def test_a_moved_left_boundary_clears_the_mark(self):
+        sk = marked_sketch()
+        for _ in range(4):
+            step(sk, -0.25)
+        step(sk, -0.25, hit=False)  # the 5th point below the anchor moves it
+        assert sk.anchor == -0.25 and sk.intervals[0].mark == (0.0, 0.5)
+        step(sk, 0.5)
+        assert sk.intervals[0].mark is None
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_few_values_fail_few_splits(self, k):
+        sk = DynSketch1D(SketchParams(epsilon=0.3, n_hint=2000, C=1.0, seed=1))
+        split, failed = sk._split, []
+        sk._split = lambda i: split(i) or failed.append(i)
+        sk.update_many(few_distinct(k))
+        assert sk.thinnings > 0 and len(failed) <= 50
 
 
 def signed_zeros(n=6000, seed=0):
