@@ -53,7 +53,7 @@ THIN_MARGIN = 1.1
 # update_many's bulk runs (``_run``): a block starts at RUN_MIN points, doubles
 # while no event cuts it short and restarts at twice the last run after one,
 # up to RUN_CELLS (points x intervals).  Where a thinned interval is fewer than
-# RUN_MIN samples from thinning again, events come too close together for
+# RUN_MIN samples from thinning again, thinnings come too close together for
 # blocks to pay, and every point goes to ``_step``; so do the points of a call
 # with fewer than RUN_MIN left.
 RUN_MIN = 64
