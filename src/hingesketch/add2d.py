@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .core import add_in_order, check_positive, hypot_rows, insert_runs
-from .sampler import Reservoir1, derive_seed
+from .sampler import Reservoir1
 from . import serialize
 from .serialize import Reader, Writer
 
@@ -58,7 +58,7 @@ class _QNode:
         self.Zxy = 0.0
         ix = int(round(x0 / size)) if size > 0 else 0
         iy = int(round(y0 / size)) if size > 0 else 0
-        self.res = Reservoir1(seed=derive_seed(seed, "qt", depth, ix, iy))
+        self.res = Reservoir1(seed, "qt", depth, ix, iy)
         self.children = None
 
     def write(self, w: Writer) -> None:

@@ -217,11 +217,15 @@ def _hstr_records(f, chk: _RowChecker):
     rows = max(1, min(_BLOCK_ROWS, (1 << 24) // dtype.itemsize))
     done = 0
     while True:
-        buf = f.read(dtype.itemsize * rows)
-        if not buf:
+        # a fresh, writable buffer per block: a block whose rows all pass is
+        # yielded as is.  np.empty, not bytearray: the pages a short read does
+        # not fill are never touched
+        buf = np.empty(dtype.itemsize * rows, np.uint8)
+        got = f.readinto(buf)
+        if not got:
             return
-        recs = np.frombuffer(buf, dtype, count=len(buf) // dtype.itemsize)
-        y, X = recs["y"], np.array(recs["x"])
+        recs = buf[: got - got % dtype.itemsize].view(dtype)
+        y, X = recs["y"], recs["x"]
 
         def check(i):
             if y[i] not in (-1, 1):
@@ -230,9 +234,10 @@ def _hstr_records(f, chk: _RowChecker):
             x = chk.point(done + 1 + i, X[i].tolist(), int(y[i]))
             return None if x is None else (int(y[i]), x)
 
-        yield _passing(y, X, chk.mask(y, X), check)
+        ok = chk.mask(y, X)
+        yield recs if ok.all() else _passing(y, X, ok, check)
         done += len(recs)
-        if len(buf) % dtype.itemsize:
+        if got % dtype.itemsize:
             chk.bad(done + 1, "truncated record")
             return
 

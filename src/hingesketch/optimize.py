@@ -58,12 +58,6 @@ class GridSpec:
             raise ValueError("replication k must be odd and >= 1")
 
 
-def default_replication(spec: GridSpec) -> int:
-    """Smallest odd k >= 3*ceil((d+1)*log2(2R/delta))."""
-    k = 3 * math.ceil((spec.d + 1) * math.log2(2.0 * spec.R / spec.delta))
-    return k + 1 if k % 2 == 0 else k
-
-
 def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
     """All grid candidates (theta..., b) in lexicographic order.
 
@@ -283,7 +277,7 @@ def optimize_via_sketch(
     exact regularizer, and returns the lowest-scoring candidate; exact ties
     break lexicographically on (theta, b).  k defaults to 1, which suffices
     for the deterministic add1d backend; randomized backends should pass an
-    odd k (default_replication gives the union-bound-safe choice).
+    odd k.
     """
     xs, _ = _as_matrix(points)
     if not len(xs):

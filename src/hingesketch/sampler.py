@@ -3,16 +3,14 @@
 Three building blocks: per-level Bernoulli subsampling with keep-smallest
 retention (LevelSampleBank), size-1 reservoir sampling (Reservoir1), and a
 buffered stream of uniforms that also draws exact-size subsets
-(UniformStream).  Every generator is keyed by a digest of (seed, domain
-tags): the banks and the stream draw from counter-based Philox generators,
-each Reservoir1 from a ``random.Random`` (Mersenne Twister).  So identical
-seed + identical offer sequence replays byte-for-byte, independent of chunking.
+(UniformStream).  Every generator is a counter-based Philox generator keyed
+by a digest of (seed, domain tags).  So identical seed + identical offer
+sequence replays byte-for-byte, independent of chunking.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 import struct
 
 import numpy as np
@@ -36,7 +34,7 @@ def philox_generator(seed: int, *tags) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *tags) -> int:
-    """64-bit integer seed for the (seed, tags) domain (for random.Random)."""
+    """64-bit integer seed for the (seed, tags) domain."""
     return int.from_bytes(_digest(seed, *tags)[:8], "little")
 
 
@@ -170,41 +168,45 @@ class LevelSampleBank:
 class Reservoir1:
     """Uniform size-1 reservoir: after k offers each value is retained w.p. 1/k.
 
-    The generator is seeded at the second offer, its first use: a loaded
-    sketch holds many reservoirs that never draw.
+    It draws once per replacement (the k=1 case of Vitter's skip and Li's
+    Algorithm L): with c values seen, the sample stays through offer m with
+    probability c/m, so the next replacement, ``next_replace``, is offer
+    ``floor(c/U) + 1`` for U uniform on (0, 1], drawn at the first offer after c.
+
+    The generator, built at the first draw, is Philox keyed by (seed, *tags, c),
+    c the count then: 1 unless the reservoir was given a count and a sample, as
+    a loaded sketch's are.  Such a one draws from a stream of its own, not a
+    replay of the draws that chose its sample.
     """
 
-    __slots__ = ("count_seen", "sample", "_seed", "_rng")
+    __slots__ = ("count_seen", "sample", "next_replace", "_key", "_rng")
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, *tags):
         self.count_seen = 0
         self.sample = None
-        self._seed = seed
-        self._rng = None
+        self.next_replace: int | None = None
+        self._key = (seed, *tags)
+        self._rng: np.random.Generator | None = None
 
     def offer(self, value) -> None:
-        self.count_seen += 1
-        if self.count_seen == 1:
-            self.sample = value
-            return
-        if self._rng is None:
-            self._rng = random.Random(self._seed)
-        if self._rng.random() * self.count_seen < 1.0:
-            self.sample = value
+        self.offer_many((value,))
 
     def offer_many(self, values) -> None:
-        """``offer`` each of ``values`` (a sequence) in turn: the same draws and
-        the same sample.  Only the value kept is read."""
-        m = len(values)
-        seen = self.count_seen
-        self.count_seen += m
-        first = 1 if seen == 0 and m else 0
-        if first:
-            self.sample = values[0]
-        if m > first:
-            if self._rng is None:
-                self._rng = random.Random(self._seed)
-            u = np.fromiter(iter(self._rng.random, None), dtype=float, count=m - first)
-            kept = np.flatnonzero(u * np.arange(seen + first + 1, seen + m + 1) < 1.0)
-            if kept.size:
-                self.sample = values[first + int(kept[-1])]
+        """``offer`` each of ``values`` (a sequence) in turn.  Only the value
+        kept is read."""
+        start = self.count_seen
+        end = start + len(values)
+        c, kept = (1, 1) if start == 0 and end else (start, None)
+        nxt = self.next_replace
+        while c < end:
+            if nxt is None:
+                if self._rng is None:
+                    self._rng = philox_generator(*self._key, c)
+                nxt = int(c / (1.0 - self._rng.random())) + 1
+            if nxt > end:
+                break
+            c = kept = nxt
+            nxt = None
+        self.count_seen, self.next_replace = end, nxt
+        if kept is not None:
+            self.sample = values[kept - start - 1]

@@ -128,6 +128,19 @@ class TestIngest:
             assert records["y"].tolist() == [p.y for p in pts]
             assert records["x"].tolist() == [list(p.x) for p in pts]
 
+    def test_valid_bin_blocks_are_the_payload(self, tmp_path, monkeypatch):
+        """The records of a valid two-block HSTR file are its payload bytes, writable."""
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+        rng = np.random.default_rng(1)
+        rec = np.empty(100, cli.record_dtype(2))
+        rec["y"] = rng.choice([-1, 1], 100)
+        rec["x"] = rng.uniform(-0.7, 0.7, (100, 2))
+        f = tmp_path / "s.bin"
+        f.write_bytes(MAGIC_STREAM + struct.pack("<I", 2) + rec.tobytes())
+        records, errors = cli.ingest(str(f), "bin")
+        assert not errors and records.flags.writeable
+        assert records.tobytes() == f.read_bytes()[8:]
+
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         f = tmp_path / "s.csv"
         f.write_bytes(b"1,0.5\n\xff,0.2\n")

@@ -112,14 +112,14 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                          1.251627659564261,
                          1.3510443401479761,
                          2.315943502344465]),
-           'add2d': (['e3bbdb146fd588c2ab76e1c8e72cbbc5fa97d29255b07889d5374a020efc3a93'],
-                     [0.04581976386225638, 0.07734767696023101, 0.1333023670490038]),
-           'add2d_x3': (['e5e026b55da63181b34ee7708dd0f172c9fa2943c343969a7124d3c020a5a446',
-                         '7253a3c8d15412a575470ee5767460466cbf4526e7624651d9646f1a940da003',
-                         '2233b383e032956769120e890547c94785ca2f1e5f91d320c92d4d8d94ffe1ba'],
-                        [0.05143721758036846,
-                         0.06902595150660158,
-                         0.12684098277904837])},
+           'add2d': (['453ce05bf2d84f81c935133b2dc9de57625f5340b32b8678642e2adc495dd3b0'],
+                     [0.04561445367751207, 0.07734767696023101, 0.13035572721221633]),
+           'add2d_x3': (['06ea905effd5b8a016cffa59b9b4cf4bd1347c5027cc8c85831964dd37c61c1c',
+                         'd1a71dbfd82ca983d1028cce19cec74e94ba7bd71d8b2cdde63e06fabb5d9a59',
+                         'ab97f55f42776e6769cc047ea543b9f3ff52256aab629ef08859dc560a01c12e'],
+                        [0.04408736410261362,
+                         0.09081840236984984,
+                         0.11475579351746802])},
  'optimize': {'add1d': ([0.625], -0.25, 0.8996581130998272, 797),
               'offline1d': ([0.5], -0.25, 0.8800163823011332, 797),
               'mult1d': ([0.6000000000000001], -0.2, 0.9002551219091677, 317),
@@ -133,28 +133,28 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
            'mult1d,0.2,1,2424,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'dyn1d,0.2,1,608,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
-           'add2d,0.2,1,160,0.00555126,0.0458804,0.061628,1.0000',
+           'add2d,0.2,1,160,0.00311049,0.0216437,0.0317949,1.0000',
            'pegasos,0.2,1,108,0.0202948,0.0202948,0.0202948,1.0000'],
- 'batch': {'add2d_p1': [0.3097246498974929,
+ 'batch': {'add2d_p1': [0.3338712271403005,
                         0.10627276756474498,
-                        0.29103153104184537,
-                        0.3097246498974929,
+                        0.2722617255164996,
+                        0.3338712271403005,
                         0.10350508742655398,
-                        0.08449834178214563,
-                        0.03506714469420227,
+                        0.06932465517994277,
+                        0.02157100822453355,
                         0.0,
                         2.302327375103465,
-                        0.11500350190398619],
-           'add2d_p2': [0.14203744937066967,
+                        0.11647906690877455],
+           'add2d_p2': [0.13822640110802875,
                         0.031630528835043935,
-                        0.1230938974616491,
-                        0.14203744937066967,
+                        0.1233809064523756,
+                        0.13822640110802875,
                         0.03036731857113485,
-                        0.02452719989315682,
-                        0.005610763793186729,
+                        0.020136453594608326,
+                        0.003299087347255257,
                         0.0,
                         5.361700797386559,
-                        0.02387490124208999],
+                        0.03533906229260355],
            'dyn1d_anchor_mass': [0.0,
                                  0.0,
                                  3054.9022341166733,
@@ -201,15 +201,15 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                                5401.694543371123,
                                30645.151539670587],
            'estimate_bulk_2d': [1.1485211974318743,
-                                1.0883206584073957,
+                                1.0910862449606802,
                                 1.1577293225205956,
-                                1.2177463775514517,
+                                1.2158753223873047,
                                 1.012978011013103,
                                 1.0742605987159373,
                                 1.1355431864187713,
-                                0.9262577045391875,
+                                0.937482846749122,
                                 0.9907918749112787,
-                                1.041883654249041,
+                                1.0474435917635982,
                                 1.1669374476093177,
                                 1.0221861361018247,
                                 1.0834687238046585,
@@ -223,15 +223,15 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                                 0.9165312761953414,
                                 0.9778138638981756,
                                 0.8330625523906826,
-                                0.9381427361099469,
+                                0.936336740903688,
                                 1.0092081250887213,
-                                1.0856568222333627,
+                                1.094670606912274,
                                 0.8644568135812288,
                                 0.9257394012840631,
                                 0.9870219889868971,
-                                0.796529925675362,
+                                0.7743341697304854,
                                 0.8422706774794041,
-                                0.9087198854453349,
+                                0.8963421478771684,
                                 0.8514788025681257],
            'mult1d_boundary_mass': [0.0,
                                     286.436513772533,

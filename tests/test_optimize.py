@@ -16,7 +16,6 @@ from hingesketch.optimize import (
     GridBudgetError,
     GridSpec,
     build_estimator,
-    default_replication,
     grid_points,
     median_estimate,
     optimize_via_sketch,
@@ -92,10 +91,6 @@ class TestGrid:
             w *= min(1.0, spec.R / np.linalg.norm(w)) * rng.uniform(0, 1)
             dist = np.abs(g - w).max(axis=1).min()
             assert dist <= spec.delta + 1e-12
-
-    def test_default_replication_odd(self):
-        k = default_replication(GridSpec(lam=0.01, epsilon=0.1, d=1))
-        assert k % 2 == 1 and k >= 3
 
 
 class TestEstimators:

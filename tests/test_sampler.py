@@ -1,10 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_array_equal, assert_equal
 from hypothesis import given, settings, strategies as st
 
+import hingesketch
+from hingesketch.add2d import QuadTree2D
 from hingesketch.sampler import (LevelSampleBank, Reservoir1, UniformStream, derive_seed,
                                  philox_generator)
 
@@ -120,6 +124,11 @@ class TestBank:
         assert abs(corr) <= 5.0 / np.sqrt(trials)
 
 
+def _state(r: Reservoir1):
+    return (r.count_seen, r.sample, r.next_replace,
+            r._rng and r._rng.bit_generator.state)
+
+
 class TestReservoir:
     def test_first_offer_retained(self):
         r = Reservoir1(seed=0)
@@ -160,8 +169,8 @@ class TestReservoir:
     @given(st.sampled_from([0, 1, 5]), st.integers(0, 40), st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
     def test_offer_many_is_repeated_offer(self, start, m, seed):
-        """Runs that start at count 0, 1 and k: the same count, sample and
-        generator state as one offer per value."""
+        """Runs that start at count 0, 1 and k: the same count, sample, next
+        replacement and generator state as one offer per value."""
         a, b = Reservoir1(seed=seed), Reservoir1(seed=seed)
         for v in range(start):
             a.offer(v)
@@ -170,8 +179,55 @@ class TestReservoir:
         for v in values:
             a.offer(v)
         b.offer_many(values)
-        assert (b.count_seen, b.sample) == (a.count_seen, a.sample)
-        assert (b._rng and b._rng.getstate()) == (a._rng and a._rng.getstate())
+        assert_equal(_state(b), _state(a))
+
+    @pytest.mark.parametrize("m", [7, 50])
+    @pytest.mark.parametrize("feed", ["per_point", "chunks", "round_trip"])
+    def test_kept_position_is_uniform(self, m, feed):
+        """Chi-square test of the kept position after m offers, over 4,000 seeds.
+
+        A round trip writes a one-node quad-tree at a count c in [1, m) and
+        offers the rest to the loaded copy, which draws its next replacement
+        afresh."""
+        trials = 4000
+        rng = np.random.default_rng(m)
+        counts = np.zeros(m)
+        pts = np.column_stack([np.arange(m) / m, np.zeros(m)])
+        for seed in range(trials):
+            if feed == "round_trip":
+                c = int(rng.integers(1, m))
+                tree = QuadTree2D(0.99, 10 * m, seed=seed)
+                tree.update_many(pts[:c])
+                tree = QuadTree2D.from_bytes(tree.to_bytes())
+                tree.update_many(pts[c:])
+                (node,) = tree.roots
+                counts[round(node.res.sample[0] * m)] += 1
+                continue
+            r = Reservoir1(seed, "resv")
+            if feed == "per_point":
+                for v in range(m):
+                    r.offer(v)
+            else:
+                cuts = np.sort(rng.integers(0, m + 1, 3)).tolist()
+                for a, b in zip([0, *cuts], [*cuts, m]):
+                    r.offer_many(range(a, b))
+            counts[r.sample] += 1
+        chi2 = ((counts - trials / m) ** 2 / (trials / m)).sum()
+        # the 0.999 quantiles of chi-square with 6 and 49 degrees of freedom
+        assert chi2 < {7: 22.46, 50: 85.35}[m]
+
+
+def test_src_does_not_import_random():
+    """Every generator is Philox: no module of the package imports ``random``."""
+    for path in Path(hingesketch.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert "random" not in [n.split(".")[0] for n in names], path.name
 
 
 class TestDerivation:
