@@ -373,6 +373,18 @@ class MultStream1D:
     def space_bound_words(self) -> int:
         return space_bound_words(self.params)
 
+    def stats(self) -> dict:
+        """Per bank, its level capacity and each level's fill and survivor
+        count; retained words against the bound and against the stream length."""
+        words = self.space_words()
+        banks = {name: {"capacity": bank.capacity,
+                        "fill": [int(b.size) for b in bank.buffers],
+                        "survived": list(bank.survived)}
+                 for name, bank in (("E", self.E), ("S", self.S))}
+        return {"levels": self.params.num_levels, "banks": banks, "space_words": words,
+                "space_bound_words": self.space_bound_words(),
+                "words_per_point": words / self.count if self.count else 0.0}
+
     def replica_key(self) -> tuple:
         return self.params.replica_key()
 

@@ -210,9 +210,6 @@ class HingeEstimator:
                 sub = _Class2D(cx, family, eps_pe, seed, cls)
             self._classes.append((sign, sub))
 
-    def estimate(self, theta, b: float) -> float:
-        return float(self.estimate_bulk(np.append(theta, b))[0])
-
     def estimate_bulk(self, ws: np.ndarray) -> np.ndarray:
         """The estimate for each candidate row (theta..., b)."""
         ws = np.asarray(ws, dtype=float).reshape(-1, self.d + 1)

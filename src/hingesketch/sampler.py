@@ -11,6 +11,7 @@ sequence replays byte-for-byte, independent of chunking.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -100,10 +101,18 @@ class UniformStream:
 class LevelSampleBank:
     """Parallel keep-smallest sample buffers at rates 1/2^i, i = 0..L-1.
 
-    Each offered value passes an independent Bernoulli(2^-i) trial per level
-    (one generator per level, disjoint by construction); survivors enter a
-    buffer that retains the ``capacity`` smallest surviving values, evicting
-    the largest on overflow.  Level 0 keeps every value until capacity.
+    Each offered value passes an independent Bernoulli(2^-i) trial per level;
+    survivors enter a buffer that retains the ``capacity`` smallest surviving
+    values, evicting the largest on overflow.  Level 0 keeps every value until
+    capacity.
+
+    Level i >= 1 draws the gaps between its survivors, not a coin per value
+    (Vitter's sequential sampling by skips): a gap is the number of
+    Bernoulli(2^-i) trials up to and including a success, so
+    ``Generator.geometric(2^-i)``, from the level's own Philox generator.  The
+    gaps run on across calls: those drawn past the end of one offer wait for
+    the next, so the stream positions that survive depend only on (seed,
+    domain, level), not on how the stream is cut into offers.
     """
 
     def __init__(
@@ -124,42 +133,72 @@ class LevelSampleBank:
             np.empty(0, dtype=np.float64) for _ in range(num_levels)
         ]
         self._seed, self._domain = seed, domain
-        self._gens: list[np.random.Generator] | None = None
+        self._offered = 0  # stream positions seen
+        # per level: the survivor positions drawn and not yet offered, ascending
+        # (once drawn, the last lies at or past _offered); and the first of them
+        # as an int, so that an offer that ends before it costs the level one
+        # compare (0 before the first draw, so that the first offer draws)
+        self._ahead = [np.empty(0, dtype=np.int64) for _ in range(num_levels)]
+        self._next = [0] * num_levels
+        self._gens: list[np.random.Generator | None] = [None] * num_levels
 
     def offer_many(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.size == 0:
             return
-        if self._gens is None:
-            self._gens = [philox_generator(self._seed, self._domain, i)
-                          for i in range(self.num_levels)]
-        for i in range(self.num_levels):
-            if i == 0:
-                surv = xs
-            else:
-                surv = xs[self._gens[i].random(xs.size) < 2.0 ** (-i)]
-            if surv.size == 0:
-                continue
-            self.survived[i] += int(surv.size)
-            buf = self.buffers[i]
-            if buf.size == self.capacity:
-                # survivors at or above a full buffer's max sort past capacity:
-                # drop them before sorting (NaNs stay, and sort last)
-                surv = surv[~(surv >= buf[-1])]
-            # the buffers hold the bytes of a stable merge and sort: the default sort
-            # differs from it only in the run of signed zeros and the run of NaNs
-            # (last), so both are copied back from merged, in merged order
-            merged = np.concatenate([buf, surv])
-            out = np.sort(merged)
-            if out.size > self.capacity:  # own the kept values: a view keeps the whole merge
-                out = out[: self.capacity].copy()
-            lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
-            if lo < hi:
-                out[lo:hi] = merged[merged == 0.0][: hi - lo]
-            if np.isnan(out[-1]):
-                nan_at = out.searchsorted(np.nan)
-                out[nan_at:] = merged[np.isnan(merged)][: out.size - nan_at]
-            self.buffers[i] = out
+        start = self._offered
+        end = self._offered = start + xs.size
+        self._merge(0, xs)
+        for i in range(1, self.num_levels):
+            if self._next[i] < end:
+                pos = self._survivors(i, end)
+                if pos.size:  # none on a first draw that lands past end
+                    self._merge(i, xs[pos - start])
+
+    def _survivors(self, i: int, end: int) -> np.ndarray:
+        """Level i's survivor positions below ``end``, taken from its drawn gaps."""
+        ahead = self._ahead[i]
+        last = int(ahead[-1]) if ahead.size else -1
+        if last < end:
+            p = 2.0**-i
+            if self._gens[i] is None:
+                self._gens[i] = philox_generator(self._seed, self._domain, i)
+            drawn = [ahead] if ahead.size else []
+            while last < end:
+                # the survivors expected up to end, plus a margin of 4 sigma + 4
+                mean = (end - last) * p
+                pos = self._gens[i].geometric(p, int(mean + 4.0 * math.sqrt(mean)) + 4).cumsum()
+                pos += last
+                drawn.append(pos)
+                last = int(pos[-1])
+            ahead = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+        cut = int(ahead.searchsorted(end))
+        self._ahead[i] = ahead[cut:].copy()
+        self._next[i] = int(ahead[cut])
+        return ahead[:cut]
+
+    def _merge(self, i: int, surv: np.ndarray) -> None:
+        """Keep the ``capacity`` smallest of level i's buffer and ``surv``."""
+        self.survived[i] += int(surv.size)
+        buf = self.buffers[i]
+        if buf.size == self.capacity:
+            # survivors at or above a full buffer's max sort past capacity:
+            # drop them before sorting (NaNs stay, and sort last)
+            surv = surv[~(surv >= buf[-1])]
+        # the buffers hold the bytes of a stable merge and sort: the default sort
+        # differs from it only in the run of signed zeros and the run of NaNs
+        # (last), so both are copied back from merged, in merged order
+        merged = np.concatenate([buf, surv])
+        out = np.sort(merged)
+        if out.size > self.capacity:  # own the kept values: a view keeps the whole merge
+            out = out[: self.capacity].copy()
+        lo, hi = out.searchsorted(0.0), out.searchsorted(0.0, "right")
+        if lo < hi:
+            out[lo:hi] = merged[merged == 0.0][: hi - lo]
+        if np.isnan(out[-1]):
+            nan_at = out.searchsorted(np.nan)
+            out[nan_at:] = merged[np.isnan(merged)][: out.size - nan_at]
+        self.buffers[i] = out
 
     def retained(self) -> int:
         return int(sum(b.size for b in self.buffers))

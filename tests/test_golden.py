@@ -27,6 +27,7 @@ from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
 from hingesketch.mult1d import MultStream1D
 from hingesketch.optimize import GridSpec, build_estimator, grid_points, optimize_via_sketch
+from hingesketch.sampler import philox_generator
 
 Q_UNIVERSE = [0.5, 1.0, 3.7, 17.25, 40.0, 55.5, 63.9, 80.0]
 Q_UNIT = [-1.5, -0.9, -0.2, 0.0, 0.33, 0.95, 1.0, 1.4]
@@ -65,26 +66,26 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                           92718.22963003529,
                           124041.96460795081,
                           188313.1646079508]),
-           'mult1d': (['3c1a4597393338e76c057f9c402feaff8f274b45e29a73d00386c59f0f2ca8b0'],
+           'mult1d': (['f0b9a05bbb59a67c97caa8b76f23f6645a393dcd496b35235db0cf78be0706c4'],
                       [0.0,
                        0.0,
                        229.59897092501677,
-                       8320.941958663609,
-                       47007.15378265225,
-                       84866.5847758391,
-                       124630.2500872466,
-                       181833.33809859332]),
-           'mult1d_x3': (['22a8a2812dcab30bceee9489bbb181436ccd6c17f94a024fb8ab6dbfd82e1fd2',
-                          '0dcbb7e11c8fd26fe9e1aa1f5b642a1b4a255af7bf9b543642ca5e8da3891bb4',
-                          '9aeb8dd7ea19f52d2d243bbb2a558243c958660544aee86401c4988a99097ed6'],
+                       8110.898136055988,
+                       49827.87799485336,
+                       87956.75915126759,
+                       138492.04799779283,
+                       190554.17503813482]),
+           'mult1d_x3': (['d60860701d935cd63ac0c397b22453cd9839f46a8692fa3f6a07f926e8d0b114',
+                          '1b90f37719ec5f443f925ad4b8e7efaa124c3e5ca9198593ef78ff84cd819e7b',
+                          '87be0af18fc516ec1a959311d7ae2e67592cf67f0f9e06ff9b5b775b41b08259'],
                          [0.0,
                           0.0,
                           229.59897092501677,
-                          8019.506965008971,
-                          54940.03001630202,
-                          125378.84685045302,
-                          145621.08253790793,
-                          223625.59253498522]),
+                          7926.270518816944,
+                          46653.828634561665,
+                          92776.3207354178,
+                          136906.5395019932,
+                          199833.25241529508]),
            'dyn1d': (['69999099316b7ac26dc5dbb51a945a408da149e3d08db07dc637202b3c39d8f0'],
                      [0.0,
                       0.0,
@@ -130,7 +131,7 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                         751)},
  'bench': ['algorithm,epsilon,p,space_words,mean_rel_err,p95_err,max_err,success_rate',
            'offline1d,0.2,1,96,0.00809607,0.0254495,0.0321698,1.0000',
-           'mult1d,0.2,1,2424,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
+           'mult1d,0.2,1,2457,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'dyn1d,0.2,1,608,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
            'add2d,0.2,1,160,0.00311049,0.0216437,0.0317949,1.0000',
@@ -237,12 +238,12 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                                     286.436513772533,
                                     4215.717122595997,
                                     4365.717122595997,
-                                    6051.717122595997,
-                                    49213.317122595996,
-                                    165174.7216050868,
-                                    165563.1216050868,
-                                    310386.1708976977,
-                                    40029186.1708977]}}
+                                    6563.717122595997,
+                                    62832.51712259599,
+                                    206969.97405997707,
+                                    207438.37405997707,
+                                    390535.0077396533,
+                                    50246935.007739656]}}
 
 
 def _write_streams(tmp_path):
@@ -401,6 +402,32 @@ def test_optimize_results():
 
 def test_bench_columns():
     assert bench_columns() == GOLDEN["bench"]
+
+
+# The "mult1d" build above as it was written before the bank levels drew their
+# survivors by geometric gaps, with one uniform per value and level: its sha256
+# and the answers of ``query``.  HSK1 did not change, so the file must load and
+# answer as it did.
+OLD_DRAWS_MULT1D = ("3c1a4597393338e76c057f9c402feaff8f274b45e29a73d00386c59f0f2ca8b0",
+                    [0.0, 0.0, 229.59897092501677, 8320.941958663609, 47007.15378265225,
+                     84866.5847758391, 124630.2500872466, 181833.33809859332])
+
+
+def test_file_of_the_old_draws_loads_and_answers_as_before(tmp_path):
+    xs = np.random.default_rng(20200707).uniform(1.0, 64.0, 4000)  # _write_streams' universe
+    sk = MultStream1D(SketchParams(0.5, 64, xs.size, seed=5))
+    for bank, domain in ((sk.E, "E"), (sk.S, "S")):
+        for i in range(bank.num_levels):
+            surv = xs if i == 0 else xs[philox_generator(5, domain, i).random(xs.size) < 2.0**-i]
+            bank.buffers[i] = np.sort(surv, kind="stable")[: bank.capacity]
+            bank.survived[i] = surv.size
+    sk.count = xs.size
+    path = tmp_path / "old.hsk1"
+    path.write_bytes(sk.to_bytes())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OLD_DRAWS_MULT1D[0]
+    text = _cli("query", "--sketch", str(path), *_queries("universe")[0])
+    answers = [json.loads(line)["estimate"] for line in text.splitlines()]
+    assert_array_equal(np.array(answers), np.array(OLD_DRAWS_MULT1D[1]))
 
 
 @pytest.fixture(scope="module")

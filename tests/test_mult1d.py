@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_array_equal
 from hypothesis import given, settings, strategies as st
 
 from hingesketch.core import SketchParams, distance_sums_1d
+from hingesketch.dyn1d import DynSketch1D
 from hingesketch.mult1d import (
     MultStream1D,
     OfflineSketch1D,
@@ -321,3 +323,72 @@ class TestStream:
         sk2 = MultStream1D.from_bytes(sk.to_bytes())
         for q in np.random.default_rng(4).uniform(1, 2**10, 60):
             assert sk.query(q)[0] == sk2.query(q)[0]
+
+    def test_stats_report_fill_and_words_per_point(self):
+        """A 1e5-point build at eps 0.1 keeps more words than points, and says so."""
+        n = 10**5
+        params = SketchParams(epsilon=0.1, W=2**20, n_hint=n, seed=0)
+        sk = MultStream1D(params)
+        sk.update_many(np.random.default_rng(0).uniform(1, 2**20, n))
+        st = sk.stats()
+        assert st["words_per_point"] >= 1.0
+        assert st["words_per_point"] == st["space_words"] / n
+        assert st["space_words"] == sk.space_words() <= st["space_bound_words"] + 2 * 18 + 8
+        assert st["space_bound_words"] == space_bound_words(params)
+        assert st["levels"] == params.num_levels == 18
+        for name, bank, cap in (("E", sk.E, sk.m1), ("S", sk.S, sk.m2)):
+            got = st["banks"][name]
+            assert got["capacity"] == cap
+            assert got["fill"] == [b.size for b in bank.buffers]
+            assert got["survived"] == bank.survived
+            assert got["fill"][0] == cap and got["survived"][0] == n
+            assert all(f <= min(s, cap) for f, s in zip(got["fill"], got["survived"]))
+        dyn = DynSketch1D(SketchParams(epsilon=0.1, n_hint=n)).stats()
+        shared = {"space_words", "words_per_point"}
+        assert shared <= dyn.keys() & st.keys()
+        assert all(type(st[k]) is type(dyn[k]) for k in shared)
+
+    def test_stats_of_an_empty_sketch(self):
+        st = MultStream1D(small_params()).stats()
+        assert st["words_per_point"] == 0.0
+        assert st["banks"]["E"]["fill"] == [0] * st["levels"]
+
+
+class TestPinnedBytes:
+    """sha256 of HSK1 files from 1e5 points (eps 0.5, W 64, seed 3), fed by one
+    ``update_many``, in chunks of 13, and as 2,000 ``update`` calls followed by
+    one ``update_many``: the bank levels' survivors must not move with how the
+    stream is cut, nor with how the banks draw or sort."""
+
+    N = 10**5
+    DIGESTS = {"uniform": "b50a14f11309aa9d7f9a1f80d5eac23b13c976be4a46114270906cb568f98989",
+               "signed_zeros": "33bbbf641c4cc32403bb80fa1c2d03486c6098d8c31a39a118fd6cb1f924dc22",
+               "three_values": "72e2075cf4362f34225909c6101672b6333a71c98793af74bab3ac8502917379"}
+
+    def streams(self):
+        """Uniforms on [1, 64); uniforms on [0, 64) with 30% of them 0.0 or
+        -0.0, which fill every level 0 and keep their order in its bytes; and
+        three values."""
+        n, rng = self.N, np.random.default_rng(12)
+        uniform = rng.uniform(1.0, 64.0, n)
+        zeros = rng.uniform(0.0, 64.0, n)
+        zero = rng.random(n) < 0.3
+        zeros[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        return {"uniform": uniform, "signed_zeros": zeros,
+                "three_values": rng.integers(1, 4, n).astype(float)}
+
+    @pytest.mark.parametrize("feed", ["one_call", "chunks_of_13", "update_prefix"])
+    def test_file_digest(self, feed):
+        for name, xs in self.streams().items():
+            sk = MultStream1D(SketchParams(epsilon=0.5, W=64, n_hint=self.N, seed=3))
+            if feed == "one_call":
+                sk.update_many(xs)
+            elif feed == "chunks_of_13":
+                for i in range(0, xs.size, 13):
+                    sk.update_many(xs[i : i + 13])
+            else:
+                for x in xs[:2000].tolist():
+                    sk.update(x)
+                sk.update_many(xs[2000:])
+            sk.freeze()
+            assert hashlib.sha256(sk.to_bytes()).hexdigest() == self.DIGESTS[name], name

@@ -102,16 +102,7 @@ class TestEstimators:
         for _ in range(25):
             theta, b = rng.uniform(-1.5, 1.5, 2)
             truth = hinge_objective(pts, HyperplaneQuery((theta,), b), 0.0)
-            assert est.estimate(theta, b) == pytest.approx(truth, abs=0.12)
-
-    def test_bulk_matches_scalar(self):
-        pts = gen_uniform(2000, 1, seed=3, label_mode="random")
-        est = build_estimator(pts, "add1d", epsilon=0.05, seed=0, norm_budget=2.0)
-        rng = np.random.default_rng(4)
-        ws = rng.uniform(-1.5, 1.5, (50, 2))
-        bulk = est.estimate_bulk(ws)
-        for i, (theta, b) in enumerate(ws):
-            assert bulk[i] == pytest.approx(est.estimate(theta, b), rel=1e-9, abs=1e-12)
+            assert est.estimate_bulk([theta, b])[0] == pytest.approx(truth, abs=0.12)
 
     def test_matches_oracle_2d(self):
         pts = gen_uniform(4000, 2, seed=5, label_mode="random")
@@ -121,7 +112,7 @@ class TestEstimators:
             theta = rng.uniform(-0.9, 0.9, 2)
             b = rng.uniform(-1.0, 1.0)
             truth = hinge_objective(pts, HyperplaneQuery(tuple(theta), b), 0.0)
-            assert est.estimate(tuple(theta), b) == pytest.approx(truth, abs=0.15)
+            assert est.estimate_bulk([*theta, b])[0] == pytest.approx(truth, abs=0.15)
 
 
 class TestMedian:
@@ -130,7 +121,8 @@ class TestMedian:
         est = build_estimator(pts, "add1d", epsilon=0.1, seed=0)
         ests = est.estimate_bulk(np.array([[0.5, 0.1], [-0.3, 0.2]]))
         assert_array_equal(median_estimate(ests[None, :]), ests)
-        assert median_estimate([[est.estimate(0.5, 0.1)]])[0] == est.estimate(0.5, 0.1)
+        one = est.estimate_bulk([0.5, 0.1])
+        assert median_estimate([one])[0] == one[0]
 
     def test_median_of_three(self):
         ests = np.array([[1.0, 7.0], [5.0, 2.0], [1.1, 3.0]])

@@ -13,6 +13,39 @@ from hingesketch.sampler import (LevelSampleBank, Reservoir1, UniformStream, der
                                  philox_generator)
 
 
+def gap_survivors(seed, domain, level, n):
+    """The stream positions below n that survive a bank level: level 0 keeps
+    every one; level i draws one geometric gap (trials up to a success at rate
+    2^-i) per survivor, one at a time, from the Philox generator of (seed,
+    domain, i)."""
+    if level == 0:
+        return np.arange(n)
+    gen, pos, out = philox_generator(seed, domain, level), -1, []
+    while True:
+        pos += int(gen.geometric(2.0**-level))
+        if pos >= n:
+            return np.array(out, dtype=np.int64)
+        out.append(pos)
+
+
+def merge_and_sort_reference(chunks, cap, seed, levels):
+    """Per level, a stable merge and sort cut to ``cap`` after each chunk of
+    the survivors ``gap_survivors`` picks."""
+    n = sum(len(c) for c in chunks)
+    surv = [gap_survivors(seed, "bank", i, n) for i in range(levels)]
+    want = [np.empty(0)] * levels
+    start = 0
+    for chunk in chunks:
+        end = start + len(chunk)
+        for i in range(levels):
+            pos = surv[i][(surv[i] >= start) & (surv[i] < end)]
+            if pos.size:
+                want[i] = np.sort(np.concatenate([want[i], chunk[pos - start]]),
+                                  kind="stable")[:cap]
+        start = end
+    return want
+
+
 class TestBank:
     def test_level0_keeps_smallest(self):
         bank = LevelSampleBank(capacity=3, num_levels=1, seed=0)
@@ -40,16 +73,11 @@ class TestBank:
     def test_same_buffers_as_merge_and_sort(self, chunks, cap):
         """Survivors dropped before the merge would have sorted past capacity:
         the buffers keep every bit (signed zeros, NaN) of a plain merge and sort."""
+        chunks = [np.array(c, dtype=float) for c in chunks]
         bank = LevelSampleBank(capacity=cap, num_levels=3, seed=4)
-        gens = [philox_generator(4, "bank", i) for i in range(3)]
-        want = [np.empty(0)] * 3
-        for chunk in map(np.array, chunks):
+        for chunk in chunks:
             bank.offer_many(chunk)
-            if chunk.size == 0:
-                continue
-            for i in range(3):
-                surv = chunk if i == 0 else chunk[gens[i].random(chunk.size) < 2.0 ** (-i)]
-                want[i] = np.sort(np.concatenate([want[i], surv]), kind="stable")[:cap]
+        want = merge_and_sort_reference(chunks, cap, 4, 3)
         assert [b.tobytes() for b in bank.buffers] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("split", [False, True])
@@ -64,15 +92,9 @@ class TestBank:
         if not split:
             chunks = [np.concatenate(chunks)]
         bank = LevelSampleBank(capacity=cap, num_levels=3, seed=6)
-        gens = [philox_generator(6, "bank", i) for i in range(3)]
-        want = [np.empty(0)] * 3
         for chunk in chunks:
             bank.offer_many(chunk)
-            if chunk.size == 0:
-                continue
-            for i in range(3):
-                surv = chunk if i == 0 else chunk[gens[i].random(chunk.size) < 2.0 ** (-i)]
-                want[i] = np.sort(np.concatenate([want[i], surv]), kind="stable")[:cap]
+        want = merge_and_sort_reference(chunks, cap, 6, 3)
         for got, w in zip(bank.buffers, want):
             assert got.tobytes() == w.tobytes()
 
@@ -116,12 +138,39 @@ class TestBank:
     def test_level_independence_correlation(self):
         # pairwise survival correlation of levels 1 and 2 within 5 sigma of 0
         trials = 10_000
-        g1 = philox_generator(5, "bank", 1)
-        g2 = philox_generator(5, "bank", 2)
-        s1 = g1.random(trials) < 0.5
-        s2 = g2.random(trials) < 0.25
+        bank = LevelSampleBank(capacity=trials, num_levels=3, seed=5)
+        bank.offer_many(np.arange(trials, dtype=float))  # each value is its position
+        s1, s2 = (np.isin(np.arange(trials), bank.buffers[i]) for i in (1, 2))
         corr = np.corrcoef(s1, s2)[0, 1]
         assert abs(corr) <= 5.0 / np.sqrt(trials)
+
+    def test_survivor_law(self):
+        """Over 2,000 seeds, offered in chunks of 1 to 16 values: the survivor
+        count of level i has the mean and variance of Binomial(n, 2^-i), and
+        survival at neighbouring positions is uncorrelated, each within 5 sigma."""
+        n, levels, seeds = 48, 5, 2000
+        rng = np.random.default_rng(8)
+        hits = np.zeros((levels, seeds, n), dtype=bool)
+        for seed in range(seeds):
+            bank = LevelSampleBank(capacity=n, num_levels=levels, seed=seed)
+            cuts = np.cumsum(rng.integers(1, 17, n))
+            for a, b in zip([0, *cuts[cuts < n]], [*cuts[cuts < n], n]):
+                bank.offer_many(np.arange(a, b, dtype=float))
+            for i in range(levels):
+                hits[i, seed, bank.buffers[i].astype(int)] = True
+                assert bank.survived[i] == bank.buffers[i].size
+        assert hits[0].all()
+        for i in range(1, levels):
+            p = 2.0**-i
+            counts = hits[i].sum(axis=1)
+            var = n * p * (1 - p)
+            assert abs(counts.mean() - n * p) <= 5 * math.sqrt(var / seeds), i
+            # the sample variance's standard error, from the binomial's fourth moment
+            mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+            assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / seeds), i
+            pairs = hits[i, :, :-1].ravel(), hits[i, :, 1:].ravel()
+            corr = np.corrcoef(*pairs)[0, 1]
+            assert abs(corr) <= 5.0 / math.sqrt(pairs[0].size), i
 
 
 def _state(r: Reservoir1):
