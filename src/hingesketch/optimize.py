@@ -2,13 +2,14 @@
 SGD-over-reservoir baseline.
 
 The reduction enumerates the delta-grid inside the norm ball ||w|| <=
-sqrt(2/lambda), evaluates the data term of the objective at every candidate
-through median-boosted sketch queries, adds the exact regularizer, and
-returns the argmin.  Hinge sums decompose per label class: for y=+1 the
-per-point loss max{0, 1 - (theta.x + b)} equals a one-sided distance query
-with offset 1-b, for y=-1 one with direction -theta and offset 1+b.  So each
-replica is one HingeEstimator holding a sub-sketch per class: for d=1 two
-sketches of a d=1 family (one per sign of theta), for d=2 a quad-tree.
+sqrt(2/lambda) in fixed-size blocks, evaluates the data term of the
+objective at every candidate of a block through median-boosted sketch
+queries, adds the exact regularizer, and keeps a running argmin.  Hinge sums
+decompose per label class: for y=+1 the per-point loss max{0, 1 - (theta.x +
+b)} equals a one-sided distance query with offset 1-b, for y=-1 one with
+direction -theta and offset 1+b.  So each replica is one HingeEstimator
+holding a sub-sketch per class: for d=1 two sketches of a d=1 family (one per
+sign of theta), for d=2 a quad-tree.
 
 Every entry point takes a LabeledPoint sequence or the record array that
 ``cli.ingest`` returns.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -58,11 +60,18 @@ class GridSpec:
             raise ValueError("replication k must be odd and >= 1")
 
 
-def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
-    """All grid candidates (theta..., b) in lexicographic order.
+# grid_blocks lists this many candidates at a time (rounded up to whole prefixes),
+# so that the optimizer's temporaries stay small however large the grid
+GRID_BLOCK = 2**14
 
-    Errors out before materializing anything if the enclosing integer box
-    already exceeds ``budget`` points.
+
+def grid_blocks(spec: GridSpec, budget: int = 2_000_000) -> tuple[int, Iterator[np.ndarray]]:
+    """The number of grid candidates and an iterator over them in blocks.
+
+    Candidates are rows (theta..., b) in lexicographic order; each block is a
+    C-ordered array of about ``GRID_BLOCK`` rows.  Errors out before
+    allocating anything if the enclosing integer box already exceeds
+    ``budget`` points.
     """
     kmax = int(math.floor(spec.R / spec.delta + 1e-12))
     dims = spec.d + 1
@@ -82,16 +91,35 @@ def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
     # Each prefix (theta...) keeps a run of b centred on 0, axis[kmax-h .. kmax+h]
     # (cnt = 2h+1 values): norm2 is symmetric in b and, rounding being monotone,
     # grows with |b|.  Prefixes and runs come in row-major, that is lexicographic,
-    # order; listing them from the counts allocates less than np.nonzero.
+    # order; a block is a run of whole prefixes, listed from their counts.
     cnt = np.count_nonzero(inside, axis=-1).ravel()
-    first = np.cumsum(cnt) - cnt
-    out = np.empty((int(cnt.sum()), dims))
-    out[:, -1] = axis[np.arange(len(out)) - np.repeat(first - (kmax - cnt // 2), cnt)]
-    prefix = np.arange(cnt.size)
-    for j in reversed(range(spec.d)):
-        prefix, i = np.divmod(prefix, axis.size)
-        out[:, j] = np.repeat(axis[i], cnt)
-    return out
+    ends = np.cumsum(cnt)
+    size = int(ends[-1])
+
+    def blocks():
+        lo = first = 0  # the block's first prefix and first row
+        while first < size:
+            # up to the first prefix that brings the block to GRID_BLOCK rows
+            hi = min(int(ends.searchsorted(first + GRID_BLOCK)) + 1, cnt.size)
+            c = cnt[lo:hi]
+            rows = int(ends[hi - 1]) - first
+            out = np.empty((rows, dims))
+            starts = ends[lo:hi] - c - first
+            out[:, -1] = axis[np.arange(rows) - np.repeat(starts - (kmax - c // 2), c)]
+            prefix = np.arange(lo, hi)
+            for j in reversed(range(spec.d)):
+                prefix, i = np.divmod(prefix, axis.size)
+                out[:, j] = np.repeat(axis[i], c)
+            yield out
+            lo, first = hi, first + rows
+
+    return size, blocks()
+
+
+def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
+    """All grid candidates (theta..., b) in lexicographic order: the blocks of
+    ``grid_blocks`` in one array."""
+    return np.concatenate(list(grid_blocks(spec, budget)[1]))
 
 
 def regularizer(grid: np.ndarray, lam: float) -> np.ndarray:
@@ -147,8 +175,6 @@ class _Class1D:
     def add_sums(self, out: np.ndarray, cols: list, offset: np.ndarray) -> None:
         theta = cols[0]
         for orient in (1, -1):
-            # one mask at a time: holding both made the 251k-candidate opthard
-            # grid ~20% slower with glibc's default malloc settings
             mask = theta > 0 if orient == 1 else theta < 0
             if mask.any():
                 t = np.abs(theta[mask])
@@ -269,31 +295,39 @@ def optimize_via_sketch(
 ) -> OptimizationResult:
     """Approximate argmin of the regularized hinge objective from sketches.
 
-    Builds k independent replicas (per label class internally), enumerates
-    the grid, scores every candidate by median sketch estimate plus the
-    exact regularizer, and returns the lowest-scoring candidate; exact ties
-    break lexicographically on (theta, b).  k defaults to 1, which suffices
-    for the deterministic add1d backend; randomized backends should pass an
-    odd k.
+    Builds k independent replicas (per label class internally), then scores
+    the grid block by block, as ``grid_blocks`` lists it: median sketch
+    estimate plus the exact regularizer.  Returns the lowest-scoring
+    candidate; exact ties go to the first in grid order, which is the
+    lexicographically smallest (theta, b).  Every score is computed
+    elementwise, so neither the blocks nor their size change the answer.
+    k defaults to 1, which suffices for the deterministic add1d backend;
+    randomized backends should pass an odd k.  A score that is not finite
+    raises ValueError.
     """
     xs, _ = _as_matrix(points)
     if not len(xs):
         raise ValueError("empty dataset")
     spec = GridSpec(lam=lam, epsilon=epsilon, d=xs.shape[1], k=k)
-    grid = grid_points(spec, budget=budget)
+    size, blocks = grid_blocks(spec, budget=budget)
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),
                         norm_budget=spec.R)
         for i in range(k)
     ]
-    reg = regularizer(grid, lam)
-    data_term = median_estimate(np.stack([r.estimate_bulk(grid) for r in replicas]))
-    values = reg + data_term
-    best_val = values.min()
-    ties = np.nonzero(values == best_val)[0]
-    # lexicographic tie-break independent of enumeration order
-    w = min((tuple(grid[i]) for i in ties))
-    return OptimizationResult(tuple(w[:-1]), float(w[-1]), float(best_val), len(grid), k)
+    best_val, best_w = math.inf, None
+    for blk in blocks:
+        values = regularizer(blk, lam) + median_estimate(
+            np.stack([r.estimate_bulk(blk) for r in replicas]))
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise ValueError(f"objective estimate {values[j]} at candidate "
+                             f"{tuple(blk[j].tolist())} is not finite")
+        i = int(values.argmin())
+        if values[i] < best_val:  # a tie keeps the earlier candidate
+            best_val, best_w = values[i], tuple(blk[i])
+    return OptimizationResult(best_w[:-1], float(best_w[-1]), float(best_val), size, k)
 
 
 # ---------------------------------------------------------------------------

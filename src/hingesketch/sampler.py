@@ -185,6 +185,8 @@ class LevelSampleBank:
             # survivors at or above a full buffer's max sort past capacity:
             # drop them before sorting (NaNs stay, and sort last)
             surv = surv[~(surv >= buf[-1])]
+        if not surv.size:  # the merge would give back buf, bytes and all
+            return
         # the buffers hold the bytes of a stable merge and sort: the default sort
         # differs from it only in the run of signed zeros and the run of NaNs
         # (last), so both are copied back from merged, in merged order

@@ -1,9 +1,12 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from hingesketch import cli, optimize
 from hingesketch.core import (
     HyperplaneQuery,
     LabeledPoint,
@@ -16,6 +19,7 @@ from hingesketch.optimize import (
     GridBudgetError,
     GridSpec,
     build_estimator,
+    grid_blocks,
     grid_points,
     median_estimate,
     optimize_via_sketch,
@@ -59,6 +63,25 @@ class TestGrid:
             assert g.tobytes() == box_grid(spec).tobytes(), spec
             want = 0.5 * spec.lam * (g**2).sum(axis=1)
             assert regularizer(g, spec.lam).tobytes() == want.tobytes(), spec
+
+    @pytest.mark.parametrize("block", [1, 7, 100])
+    def test_blocks_are_runs_of_whole_prefixes(self, monkeypatch, block):
+        monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+        for spec in sweep_specs(count=10, budget=5_000):
+            size, blocks = grid_blocks(spec, budget=5_000)
+            blocks = list(blocks)
+            for a, b in zip(blocks, blocks[1:]):
+                assert a[-1, :-1].tolist() != b[0, :-1].tolist()
+                # the last prefix of a block is the one that brings it to the block size
+                last = (a[:, :-1] == a[-1, :-1]).all(axis=1).sum()
+                assert len(a) - last < block <= len(a)
+            assert all(b.flags.c_contiguous and len(b) for b in blocks)
+            g = np.concatenate(blocks)
+            assert size == len(g) and g.tobytes() == box_grid(spec).tobytes(), spec
+
+    def test_budget_checked_before_iterating(self):
+        with pytest.raises(GridBudgetError, match="budget"):
+            grid_blocks(GridSpec(lam=1e-4, epsilon=1e-3, d=2), budget=10_000)
 
     def test_thirteen_points(self):
         spec = GridSpec(lam=2.0, epsilon=1.0, d=1)
@@ -210,6 +233,80 @@ class TestOptimizeViaSketch:
         res1 = optimize_via_sketch(pts, 2.0, 0.4, family="add1d", k=1, seed=3)
         res2 = optimize_via_sketch(pts, 2.0, 0.4, family="add1d", k=1, seed=3)
         assert res1 == res2
+
+    # family: (d, lambda, epsilon, k)
+    BLOCK_CASES = {"add1d": (1, 0.5, 0.4, 1), "dyn1d": (1, 0.5, 0.4, 1),
+                   "mult1d": (1, 0.5, 0.4, 3), "add2d": (2, 1.0, 0.6, 1)}
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_CASES))
+    def test_argmin_does_not_depend_on_block_size(self, monkeypatch, family):
+        d, lam, eps, k = self.BLOCK_CASES[family]
+        pts = gen_uniform(600, d, seed=14, low=-1.0, label_mode="random")
+        results = []
+        for block in (1, 7, optimize.GRID_BLOCK):
+            monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+            results.append(optimize_via_sketch(pts, lam, eps, family=family, k=k, seed=5))
+        assert results[0].grid_size > 7
+        assert results[0] == results[1] == results[2]
+
+    def test_all_ties_give_the_first_grid_row(self, monkeypatch):
+        """Every score is exactly 0.0: the answer is row 0 of the grid at every block size."""
+        lam, eps = 0.5, 0.4
+        pts = gen_uniform(50, 1, seed=15, label_mode="random")
+        stub = StubEstimator(lambda ws: -regularizer(ws, lam))
+        monkeypatch.setattr(optimize, "build_estimator", lambda *a, **kw: stub)
+        first = grid_points(GridSpec(lam=lam, epsilon=eps, d=1))[0]
+        for block in (1, 7, optimize.GRID_BLOCK):
+            monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+            res = optimize_via_sketch(pts, lam, eps, family="add1d")
+            assert (res.theta, res.b, res.value) == ((first[0],), first[1], 0.0)
+
+    def test_non_finite_score_is_an_error(self, monkeypatch):
+        pts = gen_uniform(50, 1, seed=16, label_mode="random")
+
+        def scores(ws):
+            out = np.zeros(len(ws))
+            out[(ws[:, 0] == 0.4) & (ws[:, 1] == 0.2)] = np.nan
+            return out
+
+        monkeypatch.setattr(optimize, "build_estimator",
+                            lambda *a, **kw: StubEstimator(scores))
+        with pytest.raises(ValueError, match=r"nan at candidate \(0\.4, 0\.2\) is not finite"):
+            optimize_via_sketch(pts, 0.5, 0.4, family="add1d")
+
+    def test_non_finite_score_exits_2_in_the_cli(self, monkeypatch, tmp_path, capsys):
+        stream = tmp_path / "s.csv"
+        stream.write_text("1,0.5\n-1,-0.25\n")
+        monkeypatch.setattr(optimize, "build_estimator",
+                            lambda *a, **kw: StubEstimator(lambda ws: np.full(len(ws), np.nan)))
+        code = cli.main(["optimize", "--algorithm", "add1d", "--input", str(stream),
+                         "--lam", "0.5", "--epsilon", "0.4"])
+        out = capsys.readouterr()
+        assert code == 2 and not out.out
+        rec = json.loads(out.err.strip().splitlines()[-1])
+        assert rec["error"] == "config" and "not finite" in rec["message"]
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        """opthard at delta 0.1 has 251,305 candidates; the whole grid alone would
+        take 4 MB, and scoring it at once peaked at 19.5 MB.  What is left is
+        mostly the norm table of grid_blocks, 2.6 MB."""
+        inst = gen_opt_hard(0.1, 400, d=1, case=0, seed=0)
+        optimize_via_sketch(inst.points, inst.lam, 0.1, family="add1d")
+        tracemalloc.start()
+        try:
+            res = optimize_via_sketch(inst.points, inst.lam, 0.1, family="add1d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.grid_size == 251_305
+        assert peak < 6 * 2**20
+
+
+class StubEstimator:
+    """An estimator whose every replica answers ``scores(ws)``."""
+
+    def __init__(self, scores):
+        self.estimate_bulk = scores
 
 
 class TestSgdBaseline:
