@@ -9,6 +9,7 @@ The HSK_SEED environment variable overrides --seed everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -433,7 +434,11 @@ def cmd_query(args) -> int:
         out = [{"q": q} for q in args.q]
     if not np.isfinite(qs).all():
         raise ConfigError("--q, --theta and --b must be finite")
-    estimates = optimize.median_estimate(np.stack([sk.query_many(qs) for sk in sketches]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = optimize.median_estimate(np.stack([sk.query_many(qs) for sk in sketches]))
+    bad = np.flatnonzero(~np.isfinite(estimates))
+    if bad.size:
+        raise ConfigError(f"the estimate at {json.dumps(out[bad[0]])} overflows float64")
     # + 0.0 turns the -0.0 of c * q with c = 0 (a value below every point) into 0.0
     for rec, est in zip(out, (estimates + 0.0).tolist()):
         rec.update(estimate=est, replicas=len(sketches))
@@ -679,7 +684,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it as it
+    was, and every call gets a fresh namespace."""
     ap = argparse.ArgumentParser(prog="hingesketch")
     sub = ap.add_subparsers(dest="command", required=True)
 

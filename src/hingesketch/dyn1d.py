@@ -119,9 +119,11 @@ class DynSketch1D:
         self.thinnings = 0
         self.splits = 0
         self.merges = 0
-        # negated kept points as a min-heap: a list while streaming, an
-        # ascending array (also a heap) once loaded
-        self._heap: list[float] = []
+        # the negated kept points: a heapq list until the tail opens, then an
+        # ascending array (also a heap) that holds the later arrival first among
+        # equal values.  So one point at a time (_keep) and a run at a time keep
+        # the same points, 0.0 and -0.0 included.
+        self._heap: list[float] | np.ndarray = []
         self.intervals: list[_Interval] = []
         # in step with the intervals: their boundaries, and the ratio chain
         # [len(heap), z_hat of each interval]
@@ -138,7 +140,7 @@ class DynSketch1D:
 
     @property
     def anchor(self) -> float:
-        return -self._heap[0] if len(self._heap) else -math.inf
+        return -float(self._heap[0]) if len(self._heap) else -math.inf
 
     def update(self, x: float) -> None:
         if self.frozen:
@@ -204,8 +206,8 @@ class DynSketch1D:
             else:
                 self._open_tail(x)
             return
-        if x < -heap[0]:  # the explicit points stay at capacity
-            heapq.heapreplace(heap, -x)
+        if x < -heap.item(0):  # the explicit points stay at capacity
+            self._keep(x)
         lo = bisect.bisect_left(self._bounds, x)
         zs = self._z
         first = last = -1
@@ -269,7 +271,7 @@ class DynSketch1D:
             if i:
                 keep &= left == self._bounds[i - 1]
             else:  # the anchor leaves left at the c-th point below it, c its copies in the heap
-                keep &= np.cumsum(xs < left) < self._heap.count(-left)
+                keep &= np.cumsum(xs < left) < np.count_nonzero(self._heap == -left)
             cleared[i] = np.logical_or.accumulate(hit[i] & ~keep)
             event[i] &= cleared[i]
         event |= sizes > self._max_samples
@@ -286,18 +288,31 @@ class DynSketch1D:
                 itv.mark = None
             z = zs[i + 1] = len(itv.samples) / itv.rho
             itv.rho_star = self._c_log / (z * self._eps3)
-        heap = self._heap
-        for x in head[head < -heap[0]].tolist():
-            if x < -heap[0]:
-                heapq.heapreplace(heap, -x)
+        # the points below the anchor, as _keep takes them in one at a time:
+        # keep the capacity largest negated points, the later arrival first
+        # among equal values
+        below = -head[head < -self._heap[0]]
+        if below.size:
+            self._heap = np.sort(np.concatenate([below[::-1], self._heap]),
+                                 kind="stable")[below.size :]
         self.count += run
         self._uniforms.skip(int(draws[:run].sum()))
         return run
 
+    def _keep(self, x: float) -> None:
+        """x, which lies below the anchor, takes the anchor's place among the
+        explicit points."""
+        heap = self._heap
+        i = int(heap.searchsorted(-x))  # before the values equal to -x
+        heap[: i - 1] = heap[1:i]
+        heap[i - 1] = -x
+
     def _open_tail(self, x: float) -> None:
         """The explicit regime ends: open the tail interval over everything."""
         tail = _Interval(math.inf, 1.0, np.append(-np.asarray(self._heap), x))
-        heapq.heappushpop(self._heap, -x)
+        self._heap = np.sort(self._heap, kind="stable")
+        if x < self.anchor:
+            self._keep(x)
         self.intervals.append(tail)
         self._recompute(tail)
         self._bounds = [math.inf]

@@ -266,17 +266,20 @@ class MultStream1D:
     def query(self, q: float) -> tuple[float, QueryBreakdown1D]:
         """``query_many([q])[0]``, with the per-scale choices that made it."""
         out, boundary_mass, scales = self._estimate(np.asarray([q], dtype=float))
-        rows = [BreakdownRow(int(i_prime[0]), int(i_sel[0]), float(contrib[0]))
-                for contrib, i_prime, i_sel in scales]
-        return float(out[0]), QueryBreakdown1D(not scales, boundary_mass, rows)
+        # one value: its rows are its scales, in order
+        rows = [BreakdownRow(i_prime, i_sel, contrib)
+                for contrib, i_prime, i_sel in zip(*(a.tolist() for a in scales))]
+        return float(out[0]), QueryBreakdown1D(not rows, boundary_mass, rows)
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         """Estimates of sum_{x <= q} (q - x), vectorized across the values q."""
         return self._estimate(np.asarray(qs, dtype=float))[0]
 
     def _estimate(self, qs: np.ndarray):
-        """The estimates for ``qs``, the boundary mass and, per distance scale j
-        from 1 up, the ``_scale_estimates`` of the values that reach scale j.
+        """The estimates for ``qs``, the boundary mass and the ``_scale_estimates``
+        of every (value, distance scale) row, from one pass over the bank
+        levels.  Rows are scale-major: those of scale j = 1, 2, ... are the
+        values that reach scale j, in ascending order.
 
         Below p, the largest retained level-0 value, the level-0 buffer answers
         exactly.  Above it, (p, q] is cut into scales (q - D/2^(j-1), q - D/2^j]
@@ -286,16 +289,19 @@ class MultStream1D:
             raise UnfrozenSketchError("freeze() the sketch before querying")
         if not np.isfinite(qs).all():
             raise ValueError("queries must be finite")
+        no_rows = (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         level0 = self._level0()
         if level0 is None:
-            return np.zeros(qs.size), 0.0, []
+            return np.zeros(qs.size), 0.0, no_rows
         buf, pre = level0
         p = float(buf[-1])
         c = np.searchsorted(buf, qs, side="right")
         out = c * qs - pre[c]  # exact below p
         far = np.flatnonzero(qs > p)
         if far.size == 0:
-            return out, 0.0, []
+            return out, 0.0, no_rows
+        # in ascending order, so that each scale's bounds reach searchsorted sorted
+        far = far[np.argsort(qs[far])]
         q = qs[far]
         d_scale = q - p
         total = buf.size * q - pre[buf.size]
@@ -306,14 +312,19 @@ class MultStream1D:
         log_d = _ceil_log2(d_scale)
         num_j = np.clip(log_d, 1, self._max_scales())
         thr_e = np.maximum(log_d, 1)
-        scales = []
-        for j in range(1, int(num_j.max()) + 1):
-            act = np.flatnonzero(num_j >= j)
-            qa, da = q[act], d_scale[act]
-            scale = self._scale_estimates(qa, qa - da / 2.0 ** (j - 1), qa - da / 2.0**j,
-                                          thr_e[act])
-            total[act] += scale[0]
-            scales.append(scale)
+        # active[j-1, v]: value v reaches scale j.  bounds[k] = q - D/2^k, with
+        # D/2^k an exact power-of-two division, so scale j's row of a value
+        # holds (bounds[j-1], bounds[j]].
+        active = num_j >= np.arange(1, int(num_j.max()) + 1)[:, None]
+        bounds = q - d_scale / np.ldexp(1.0, np.arange(active.shape[0] + 1))[:, None]
+        scales = self._scale_estimates(
+            np.broadcast_to(q, active.shape)[active], bounds[:-1][active],
+            bounds[1:][active], np.broadcast_to(thr_e, active.shape)[active])
+        # add the scales one at a time, in order: a sum over the scale axis
+        # (np.sum's pairwise order) would round differently
+        ends = np.cumsum(np.count_nonzero(active, axis=1))[:-1]
+        for act, contrib in zip(active, np.split(scales[0], ends)):
+            total[act] += contrib
         out[far] = total
         return out, boundary_mass, scales
 
@@ -323,12 +334,17 @@ class MultStream1D:
         eps = self.params.epsilon
         lw = self.params.log2_w
         levels = self.params.num_levels
-        # crude bank: the sparsest level holding thr_e samples of the scale
+        # crude bank: the sparsest level holding thr_e samples of the scale.  A
+        # scale that starts at or above every value the bank holds has no sample
+        # at any level, and every threshold is at least 1.
         cnt_r = np.zeros(q.size, dtype=np.int64)
         left = np.zeros(q.size, dtype=np.int64)
         i_prime = np.full(q.size, -1)
-        todo = np.arange(q.size)
+        top = max((b[-1] for b in self.E.buffers if b.size), default=-np.inf)
+        todo = np.flatnonzero(lo < top)
         for i in reversed(range(levels)):
+            if todo.size == 0:
+                break
             b = self.E.buffers[i]
             a = np.searchsorted(b, lo[todo], side="right")
             c = np.searchsorted(b, hi[todo], side="right") - a
@@ -336,12 +352,13 @@ class MultStream1D:
             idx = todo[hit]
             cnt_r[idx], left[idx], i_prime[idx] = c[hit], a[hit], i
             todo = todo[~hit]
-            if todo.size == 0:
-                break
+        read = np.flatnonzero(i_prime >= 0)
+        cnt_r, left = cnt_r[read], left[read]
         phi = np.where(left == 0, 1.0, np.minimum(1.0, cnt_r / np.maximum(left, 1)))
-        todo = np.flatnonzero((i_prime >= 0) & (phi > eps / lw))
-        floor = np.full(q.size, float(math.ceil(1.0 / eps**2)))
-        small = todo[phi[todo] < 1.0 / lw]
+        keep = phi > eps / lw
+        todo, phi = read[keep], phi[keep]
+        floor = np.full(todo.size, float(math.ceil(1.0 / eps**2)))
+        small = phi < 1.0 / lw
         # the C library's pow, as Python's ** calls it (np.power would square)
         floor[small] = np.ceil(np.float_power(phi[small] * lw / eps, 2))
         # fine bank: the sparsest level holding floor samples of the scale
@@ -353,14 +370,14 @@ class MultStream1D:
             b = self.S.buffers[i]
             a = np.searchsorted(b, lo[todo], side="right")
             c = np.searchsorted(b, hi[todo], side="right")
-            hit = c - a >= floor[todo]
+            hit = c - a >= floor
             if not hit.any():
                 continue
             pre = self._prefix(self.S, i)
             idx, a, c = todo[hit], a[hit], c[hit]
             contrib[idx] = (2.0**i) * ((c - a) * q[idx] - (pre[c] - pre[a]))
             i_sel[idx] = i
-            todo = todo[~hit]
+            todo, floor = todo[~hit], floor[~hit]
         return contrib, i_prime, i_sel
 
     # -- accounting & serialization ----------------------------------------

@@ -310,6 +310,48 @@ class TestCommands:
         assert code == cli.EXIT_CONFIG and not out
         assert last_error(err) == "config"
 
+    @pytest.mark.parametrize("algorithm,flags", [
+        ("mult1d", ["--q=1e308"]), ("dyn1d", ["--q", "0.5", "--q=1e308"]),
+        ("add1d", ["--q=1e308"]), ("offline1d", ["--q=1e308", "--q", "0.5"]),
+        ("add2d", ["--theta=1,0", "--b=1e308"]),
+    ])
+    def test_overflowing_estimate_is_config_error(self, tmp_path, capsys, algorithm, flags):
+        """An estimate past float64 prints no record and no numpy warning."""
+        stream = tmp_path / "u.csv"
+        d = "2" if algorithm == "add2d" else "1"
+        run(capsys, "gen", "--kind", "uniform", "--n", "200", "--d", d, "--out", str(stream))
+        sketch = str(tmp_path / "s.hsk")
+        code, _, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
+                           "--epsilon", "0.3", "--out", sketch)
+        assert code == 0, err
+        code, out, err = run(capsys, "query", "--sketch", sketch, *flags)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert "1e+308" in err and "overflows" in err
+
+    def test_parser_is_built_once_and_keeps_no_values(self, tmp_path, capsys):
+        """main reuses one parser; each command reads as it does on a fresh one."""
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "200", "--out", str(stream))
+        sketch, _ = build_1d(capsys, tmp_path, "add1d", "a.hskb", "--epsilon", "0.2")
+        commands = [
+            ["query", "--sketch", sketch, "--q", "0.1", "--q", "0.5", "--q", "0.9"],
+            ["query", "--sketch", sketch, "--q", "0.4"],
+            ["query", "--sketch", sketch, "--sketch", sketch, "--q", "0.4"],  # even count
+            ["query", "--q", "0.4"],  # no --sketch: argparse's error
+            ["build", "--algorithm", "add1d", "--input", str(stream), "--epsilon", "0.3",
+             "--out", str(tmp_path / "b.hskb")],
+        ]
+        fresh = []
+        for argv in commands:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in commands]
+        assert cli.build_parser() is cli.build_parser()
+        assert reused == fresh
+        assert [len(out.splitlines()) for _, out, _ in reused] == [3, 1, 0, 0, 1]
+        assert [code for code, _, _ in reused] == [0, 0, cli.EXIT_CONFIG, cli.EXIT_CONFIG, 0]
+
     @pytest.mark.parametrize("d,flags", [
         (1, ["--q", "0.3", "--theta=1,0", "--b=0.2"]), (1, ["--q", "0.3", "--b=0.2"]),
         (1, ["--theta=1,0", "--b=0.2"]), (2, ["--theta=0.6,0.8", "--b=0.1", "--q", "0.5"]),

@@ -377,6 +377,11 @@ def bulk_stream(name, n=6000, seed=3):
     rng = np.random.default_rng(seed)
     if name == "three_bands":
         return three_bands(n // 3, seed)
+    if name == "signed_zeros":  # 0.0 and -0.0 tie among the explicit points
+        xs = rng.uniform(0, 1, n)
+        zero = rng.random(n) < 0.3
+        xs[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+        return xs
     # point_mass: an interval over the mass cannot split and is marked; the
     # points below it then move its left boundary or land in its band, so
     # that hits clear the mark
@@ -397,8 +402,10 @@ def per_point(params, xs):
 
 def state(sk):
     """Everything a streaming sketch holds, in the order it holds it (the
-    samples as their bytes, which also tell 0.0 from -0.0)."""
-    return (sk.count, sk.thinnings, sk.splits, sk.merges, sk._heap, sk._bounds, sk._z,
+    explicit points and the samples as their bytes, which also tell 0.0 from
+    -0.0)."""
+    return (sk.count, sk.thinnings, sk.splits, sk.merges, np.asarray(sk._heap).tobytes(),
+            sk._bounds, sk._z,
             [(i.boundary, i.rho, i.rho_star, i.samples.tobytes(), i.mark) for i in sk.intervals])
 
 
@@ -410,12 +417,15 @@ class TestBulkRuns:
     # 101 at 0.5 and 59 at 0.6, so every stream thins, and most split
     @pytest.mark.parametrize("eps,n_hint", [(0.1, 2), (0.3, 2000), (0.5, 6000), (0.6, 6000)])
     @pytest.mark.parametrize("stream", ["uniform", "sorted", "reversed", "distinct",
-                                        "three_bands", "point_mass"])
+                                        "three_bands", "point_mass", "signed_zeros"])
     def test_same_sketch_as_one_update_per_point(self, stream, eps, n_hint):
         xs = bulk_stream(stream)
         params = SketchParams(epsilon=eps, n_hint=n_hint, C=1.0, seed=1)
         want = per_point(params, xs)
         assert want.thinnings > 0 and want.splits > 0
+        if stream == "signed_zeros":  # runs must keep the zeros, and their order, _keep keeps
+            signs = np.signbit(want._heap[want._heap == 0.0])
+            assert signs.any() and not signs.all()
         for chunk in (1, 7, 255, 4097, 65536):
             sk = logged(params)
             for i in range(0, xs.size, chunk):
@@ -477,7 +487,7 @@ def marked_sketch():
     rng = np.random.default_rng(0)
     xs = np.concatenate([rng.uniform(-1, -0.5, 402), np.zeros(5), rng.integers(0, 2, 794) / 2])
     sk = build(xs, eps=0.3, n_hint=2000, seed=1)
-    assert sk.intervals[0].mark == (0.0, 0.5) and sk._heap.count(-0.0) == 5
+    assert sk.intervals[0].mark == (0.0, 0.5) and np.count_nonzero(sk._heap == 0.0) == 5
     return sk
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hingesketch.core import SketchParams, distance_sums_1d
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.mult1d import (
+    _ceil_log2,
     MultStream1D,
     OfflineSketch1D,
     UnfrozenSketchError,
@@ -352,6 +353,158 @@ class TestStream:
         st = MultStream1D(small_params()).stats()
         assert st["words_per_point"] == 0.0
         assert st["banks"]["E"]["fill"] == [0] * st["levels"]
+
+
+def per_scale_reference(sk, qs):
+    """``MultStream1D._estimate`` as one pass over the bank levels per distance
+    scale: (estimates, boundary mass, per scale j from 1 up the (contribution,
+    i_prime, i_sel) arrays of the values that reach scale j).  The one-pass
+    estimate must match it bit for bit."""
+    params = sk.params
+    eps, lw, levels = params.epsilon, params.log2_w, params.num_levels
+
+    def scale_estimates(q, lo, hi, thr_e):
+        cnt_r = np.zeros(q.size, dtype=np.int64)
+        left = np.zeros(q.size, dtype=np.int64)
+        i_prime = np.full(q.size, -1)
+        todo = np.arange(q.size)
+        for i in reversed(range(levels)):
+            b = sk.E.buffers[i]
+            a = np.searchsorted(b, lo[todo], side="right")
+            c = np.searchsorted(b, hi[todo], side="right") - a
+            hit = c >= thr_e[todo]
+            idx = todo[hit]
+            cnt_r[idx], left[idx], i_prime[idx] = c[hit], a[hit], i
+            todo = todo[~hit]
+            if todo.size == 0:
+                break
+        phi = np.where(left == 0, 1.0, np.minimum(1.0, cnt_r / np.maximum(left, 1)))
+        todo = np.flatnonzero((i_prime >= 0) & (phi > eps / lw))
+        floor = np.full(q.size, float(math.ceil(1.0 / eps**2)))
+        small = todo[phi[todo] < 1.0 / lw]
+        floor[small] = np.ceil(np.float_power(phi[small] * lw / eps, 2))
+        contrib = np.zeros(q.size)
+        i_sel = np.full(q.size, -1)
+        for i in reversed(range(levels)):
+            if todo.size == 0:
+                break
+            b = sk.S.buffers[i]
+            a = np.searchsorted(b, lo[todo], side="right")
+            c = np.searchsorted(b, hi[todo], side="right")
+            hit = c - a >= floor[todo]
+            if not hit.any():
+                continue
+            pre = sk._prefix(sk.S, i)
+            idx, a, c = todo[hit], a[hit], c[hit]
+            contrib[idx] = (2.0**i) * ((c - a) * q[idx] - (pre[c] - pre[a]))
+            i_sel[idx] = i
+            todo = todo[~hit]
+        return contrib, i_prime, i_sel
+
+    qs = np.asarray(qs, dtype=float)
+    level0 = sk._level0()
+    if level0 is None:
+        return np.zeros(qs.size), 0.0, []
+    buf, pre = level0
+    p = float(buf[-1])
+    c = np.searchsorted(buf, qs, side="right")
+    out = c * qs - pre[c]
+    far = np.flatnonzero(qs > p)
+    if far.size == 0:
+        return out, 0.0, []
+    q = qs[far]
+    d_scale = q - p
+    total = buf.size * q - pre[buf.size]
+    boundary_mass = sk._boundary_mass(buf, p)
+    total += boundary_mass * d_scale
+    log_d = _ceil_log2(d_scale)
+    num_j = np.clip(log_d, 1, sk._max_scales())
+    thr_e = np.maximum(log_d, 1)
+    scales = []
+    for j in range(1, int(num_j.max()) + 1):
+        act = np.flatnonzero(num_j >= j)
+        qa, da = q[act], d_scale[act]
+        scale = scale_estimates(qa, qa - da / 2.0 ** (j - 1), qa - da / 2.0**j, thr_e[act])
+        total[act] += scale[0]
+        scales.append(scale)
+    out[far] = total
+    return out, boundary_mass, scales
+
+
+class TestOnePass:
+    """``query_many`` and ``query`` against ``per_scale_reference``."""
+
+    @staticmethod
+    def sketch(eps, W, xs, seed=1, **kw):
+        sk = MultStream1D(SketchParams(epsilon=eps, W=W, n_hint=max(xs.size, 1), seed=seed, **kw))
+        sk.update_many(xs)
+        sk.freeze()
+        return sk
+
+    @staticmethod
+    def queries(sk, rng):
+        """Values in and around the universe; far past W, as the optimizer maps
+        its offsets into the universe; on and just above p; with D a power of
+        two; and with the first scale ending on a retained value."""
+        W = float(sk.params.W)
+        level0 = sk._level0()
+        p = float(level0[0][-1]) if level0 else 0.0
+        above = np.concatenate([b[b > p] for b in sk.E.buffers + sk.S.buffers] + [np.empty(0)])
+        above = rng.choice(above, min(above.size, 200), replace=False) if above.size else above
+        far = 1.0 + (W - 1.0) / 2.0 * (1.0 + 10.0 ** rng.uniform(0.0, 9.0, 300))
+        near_p = [p, np.nextafter(p, np.inf), p + 1e-9, p + 0.25, p + 0.5, p + 1.0, p + 1.5,
+                  p + 3.0]
+        return np.concatenate([rng.uniform(0.0, 2.0 * W, 400), far, near_p,
+                               p + 2.0 ** np.arange(-4.0, 45.0), 2.0 * above - p,
+                               (4.0 * above - p) / 3.0, [1e300]])
+
+    def check(self, sk, qs, rng):
+        out, boundary_mass, scales = per_scale_reference(sk, qs)
+        assert sk.query_many(qs).tobytes() == out.tobytes()
+        for q in rng.choice(qs, min(qs.size, 60), replace=False).tolist():
+            out, boundary_mass, scales = per_scale_reference(sk, [q])
+            rows = [(int(i_prime[0]), int(i_sel[0]), float(contrib[0]))
+                    for contrib, i_prime, i_sel in scales]
+            est, bd = sk.query(q)
+            got = [(r.i_prime, r.i_sel, r.contribution) for r in bd.rows]
+            assert (est, bd.exact_regime, bd.boundary_mass, got) == (
+                float(out[0]), not scales, boundary_mass, rows)
+        return out
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1])
+    @pytest.mark.parametrize("W", [64, 2**20])
+    def test_random_sketches(self, eps, W):
+        rng = np.random.default_rng(int(eps * 10) + W)
+        sk = self.sketch(eps, W, rng.uniform(1.0, W, 10**5))
+        assert sk.S.buffers[0].size < 10**5  # the levels are sampled
+        self.check(sk, self.queries(sk, rng), rng)
+
+    def test_few_points_as_the_optimizer_builds(self):
+        rng = np.random.default_rng(2)
+        sk = self.sketch(0.05, 2**16, rng.uniform(1.0, 2**16, 300))
+        self.check(sk, self.queries(sk, rng), rng)
+
+    def test_point_mass_boundary(self):
+        """More copies of 64 than either level-0 bank holds: boundary mass."""
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.uniform(1.0, 50.0, 100), np.full(6000, 64.0),
+                             rng.uniform(64.0, 2.0**10, 900)])
+        sk = self.sketch(0.25, 2**10, xs, seed=4)
+        qs = self.queries(sk, rng)
+        assert per_scale_reference(sk, qs)[1] > 0
+        self.check(sk, qs, rng)
+
+    def test_empty_fine_levels(self):
+        rng = np.random.default_rng(5)
+        sk = self.sketch(0.5, 64, rng.uniform(1.0, 64.0, 10**5))
+        for i in range(1, sk.params.num_levels):
+            sk.S.buffers[i] = np.empty(0)
+        sk.freeze()
+        qs = self.queries(sk, rng)
+        scales = per_scale_reference(sk, qs)[2]
+        assert any((i_prime >= 0).any() for _, i_prime, _ in scales)  # a crude level was read
+        assert all((i_sel <= 0).all() for _, _, i_sel in scales)
+        self.check(sk, qs, rng)
 
 
 class TestPinnedBytes:
