@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .core import add_in_order, check_positive, hypot_rows, insert_runs
+from .core import check_positive, hypot_rows
 from .sampler import Reservoir1
-from . import serialize
-from .serialize import Reader, Writer
+from .serialize import MAGIC_QUADTREE, Reader, Writer
+from .tree import AdaptiveTree, add_in_order
 
 # Internal resolution: a structural parameter of c * eps^(4/5) (p=1, c below)
 # makes the crossing-cell standard deviation comfortably below eps while
@@ -94,42 +94,34 @@ class _Points:
         return float(self.x[i]), float(self.y[i])
 
 
-class QuadTree2D:
+class QuadTree2D(AdaptiveTree):
     """Adaptive quad-tree with moment counters and one reservoir per node.
 
     ``eps_struct`` fixes the initial depth (cells of side ~sqrt(eps)), the
     per-node quota eps*n_declared, and the depth cap (cells never shrink
-    below side eps^2).  A decoder passes the ``init_depth`` its file stores,
-    which must be the one ``eps_struct`` gives, before any root is built.
+    below side eps^2).
     """
+
+    MAGIC = MAGIC_QUADTREE
+    DIM = 2
+    DEPTH_CAP = 2.0
+    NODE_BYTES = 58
+    HEADER = AdaptiveTree.HEADER + (("seed", "u64"),)
+    lo, hi = 0.0, 1.0  # the domain is the unit square
 
     def __init__(self, eps_struct: float, n_declared: int, p: int = 1, seed: int = 0, *,
                  init_depth: int | None = None):
-        if not (0 < eps_struct < 1):
-            raise ValueError("eps_struct must be in (0, 1)")
-        if n_declared < 1:
-            raise ValueError("n_declared must be >= 1")
-        if p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        self.eps_struct = float(eps_struct)
-        self.n_declared = int(n_declared)
-        self.p = p
         self.seed = int(seed)
-        self.init_depth = max(0, round(math.log2(1.0 / math.sqrt(eps_struct))))
-        if init_depth not in (None, self.init_depth):
-            raise serialize.FormatError("initial depth mismatch")
-        self.depth_cap = math.ceil(2.0 * math.log2(1.0 / eps_struct))
-        self.threshold = max(1, math.ceil(eps_struct * n_declared))
-        g = 2**self.init_depth
+        super().__init__(eps_struct, n_declared, p, init_depth)
+
+    def _layout(self) -> tuple[int, float]:
+        return max(0, round(math.log2(1.0 / math.sqrt(self.eps_struct)))), self.eps_struct
+
+    def _roots(self) -> list:
+        g = self.grid_size
         cw = 1.0 / g
-        self.grid_size = g
-        self.roots = [
-            _QNode(ix * cw, iy * cw, cw, self.init_depth, seed)
-            for iy in range(g)
-            for ix in range(g)
-        ]
-        self.count = 0
-        self._flat: np.ndarray | None = None
+        return [_QNode(ix * cw, iy * cw, cw, self.init_depth, self.seed)
+                for iy in range(g) for ix in range(g)]
 
     def update(self, x: float, y: float) -> None:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
@@ -171,35 +163,19 @@ class QuadTree2D:
         top = y > node.y0 + half
         return node.children[(2 if top else 0) + (1 if right else 0)]
 
-    def _walk(self):
-        return serialize.walk(self.roots, mirror=True)
-
-    def node_count(self) -> int:
-        return sum(1 for _ in self._walk())
-
     def space_words(self) -> int:
         per = WORDS_PER_NODE_P2 if self.p == 2 else WORDS_PER_NODE_P1
         return self.node_count() * per
 
-    def update_many(self, pts: np.ndarray) -> None:
-        """``update`` each row of an (n, 2) array of points of the unit square
-        in turn, to the same counters and reservoirs bit for bit; a point
-        outside the square raises ValueError after the points before it are in."""
-        pts = np.asarray(pts, dtype=float)
+    @staticmethod
+    def _columns(pts: np.ndarray) -> list:
+        """The x and y columns of an (n, 2) array of points; an empty array
+        of any shape has no points."""
         if pts.size == 0:
-            return
+            pts = pts.reshape(0, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
-        xs, ys = pts.T
-        bad = np.flatnonzero(~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0)))
-        end = int(bad[0]) if bad.size else len(xs)
-        if end:
-            self._flat = None
-            self.count += end
-            insert_runs(self.roots, [xs[:end], ys[:end]], self._root_of, self.threshold,
-                        self._split, self._absorb, self._partition)
-        if bad.size:
-            self.update(float(xs[end]), float(ys[end]))  # raises update's ValueError
+        return list(pts.T)
 
     def _root_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``update``'s root index, as one expression over arrays."""
@@ -228,9 +204,6 @@ class QuadTree2D:
         x, y = x[order], y[order]
         cuts = np.bincount(quad, minlength=4).cumsum().tolist()
         return [(child, [x[a:b], y[a:b]]) for child, a, b in zip(node.children, [0, *cuts], cuts)]
-
-    def freeze(self) -> None:
-        """Nothing to do: queries read the counters as they stand."""
 
     def replica_key(self) -> tuple:
         return (self.eps_struct, self.n_declared, self.p)
@@ -324,31 +297,6 @@ class QuadTree2D:
         # accumulate adds in node order (a sum may add pairwise); + 0.0 because a
         # scan starts from +0.0, so that an all-zero sum is never -0.0
         return np.add.accumulate(terms, axis=0)[-1] + 0.0, crossing.sum(axis=0)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        w = Writer(serialize.MAGIC_QUADTREE)
-        w.f64(self.eps_struct)
-        w.u64(self.n_declared)
-        w.u8(self.p)
-        w.i64(self.seed)
-        w.u64(self.count)
-        w.u16(self.init_depth)
-        serialize.write_tree(w, self.roots)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "QuadTree2D":
-        r = Reader(data, serialize.MAGIC_QUADTREE)
-        eps, n_declared, p, seed = r.f64(), r.u64(), r.u8(), r.i64()
-        count, depth = r.u64(), r.u16()
-        r.need(58 * 4**depth, f"a root grid of depth {depth}")  # 58+ bytes a node
-        tree = cls(eps, n_declared, p=p, seed=seed, init_depth=depth)
-        tree.count = count
-        serialize.read_tree(r, tree.roots, tree._split)
-        r.done()
-        return tree
 
 
 def additive_quadtree(epsilon: float, n_declared: int, p: int = 1, seed: int = 0) -> QuadTree2D:

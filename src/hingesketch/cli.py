@@ -377,7 +377,7 @@ def cmd_build(args) -> int:
     if args.replicas > 1:
         # repeat-and-median boosting: independent replica per derived seed,
         # queried together via repeated --sketch flags
-        builds = [(f"{args.out}.{i}", int(np.uint64(args.seed) + np.uint64(i)))
+        builds = [(f"{args.out}.{i}", (args.seed + i) % 2**64)
                   for i in range(args.replicas)]
         rec.update(written=[path for path, _ in builds], replicas=args.replicas)
     for path, seed in builds:

@@ -215,11 +215,9 @@ def gen_opt_hard(
     d: int = 1,
     case: int = 0,
     seed: int = 0,
-    x_q: tuple[float, ...] | None = None,
-    max_tries: int = 1000,
-    shuffle: bool = True,
 ) -> OptHardInstance:
-    """Two opposing clusters at (1 -/+ delta)*x_q plus non-support fillers.
+    """Two opposing clusters at (1 -/+ delta)*x_q plus non-support fillers,
+    in shuffled order, for x_q the first basis vector.
 
     Emits n/4 copies of ((1-delta)x_q, -1), n/4 copies of ((1+delta)x_q, +1),
     optionally one probe copy of (x_q, -1) (case 1), and fillers v with label
@@ -233,11 +231,7 @@ def gen_opt_hard(
     if case not in (0, 1):
         raise ValueError("case must be 0 or 1")
     lam = delta * delta
-    if x_q is None:
-        x_q = tuple([1.0] + [0.0] * (d - 1))
-    xq = np.asarray(x_q, dtype=float)
-    if abs(float(xq @ xq) - 1.0) > 1e-9:
-        raise ValueError("x_q must be a unit vector")
+    xq = np.array([1.0] + [0.0] * (d - 1))
     rng = philox_generator(seed, "opthard")
     quarter = n // 4
     pts = []
@@ -247,7 +241,7 @@ def gen_opt_hard(
         pts.append(LabeledPoint(tuple(xq), -1))
     fillers_needed = n - 2 * quarter
     got = 0
-    for _ in range(max_tries):
+    for _ in range(1000):
         cand = rng.uniform(-1.0, 1.0, size=(4 * fillers_needed, d))
         norms = np.sqrt((cand**2).sum(axis=1))
         ok = (norms <= 1.0) & (cand @ xq < 1.0 - 10.0 * delta)
@@ -264,9 +258,8 @@ def gen_opt_hard(
         )
     n_total = len(pts)
     theta_mag, b_star = closed_form_opt(delta, lam, n_total, case)
-    if shuffle:
-        order = rng.permutation(len(pts))
-        pts = [pts[i] for i in order]
+    order = rng.permutation(len(pts))
+    pts = [pts[i] for i in order]
     return OptHardInstance(delta, lam, n_total, case, d, tuple(xq), theta_mag, b_star, pts)
 
 

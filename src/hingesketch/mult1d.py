@@ -282,8 +282,9 @@ class MultStream1D:
         values that reach scale j, in ascending order.
 
         Below p, the largest retained level-0 value, the level-0 buffer answers
-        exactly.  Above it, (p, q] is cut into scales (q - D/2^(j-1), q - D/2^j]
-        for D = q - p, and each scale adds its sampled estimate.
+        exactly, and everywhere when it holds the whole stream.  Above it,
+        (p, q] is cut into scales (q - D/2^(j-1), q - D/2^j] for D = q - p, and
+        each scale adds its sampled estimate.
         """
         if not self.frozen:
             raise UnfrozenSketchError("freeze() the sketch before querying")
@@ -298,7 +299,7 @@ class MultStream1D:
         c = np.searchsorted(buf, qs, side="right")
         out = c * qs - pre[c]  # exact below p
         far = np.flatnonzero(qs > p)
-        if far.size == 0:
+        if far.size == 0 or buf.size == self.count:
             return out, 0.0, no_rows
         # in ascending order, so that each scale's bounds reach searchsorted sorted
         far = far[np.argsort(qs[far])]

@@ -73,6 +73,9 @@ def grid_blocks(spec: GridSpec, budget: int = 2_000_000) -> tuple[int, Iterator[
     allocating anything if the enclosing integer box already exceeds
     ``budget`` points.
     """
+    if not (spec.delta > 0 and spec.R / spec.delta < math.inf):  # no integer floor
+        raise GridBudgetError(f"grid of radius {spec.R!r} and step {spec.delta!r} overflows "
+                              f"float64 (budget {budget}); increase epsilon or lambda")
     kmax = int(math.floor(spec.R / spec.delta + 1e-12))
     dims = spec.d + 1
     box = (2 * kmax + 1) ** dims
@@ -363,14 +366,18 @@ def sgd_baseline(
     check_positive("lambda", lam)
     check_positive("epsilon", epsilon)
     xs, ys = _as_matrix(points)
+    scale = lam * epsilon
+    if not (scale > 0 and 20.0 / scale < math.inf):
+        raise ValueError(f"lambda * epsilon = {scale!r} is too small: "
+                         "the step count 20/(lambda*epsilon) overflows")
     rng = philox_generator(seed, "sgd")
-    capacity = math.ceil(1.0 / (lam * epsilon))
+    capacity = math.ceil(1.0 / scale)
     res = reservoir_sample(range(len(xs)), capacity, rng)
     if not res:
         raise ValueError("empty dataset")
     d = xs.shape[1]
     zs = np.concatenate([xs[res], np.ones((len(res), 1))], axis=1) * ys[res, None]
-    steps = max(len(res), math.ceil(20.0 / (lam * epsilon)))
+    steps = max(len(res), math.ceil(20.0 / scale))
     radius = math.sqrt(2.0 / lam)
     w = np.zeros(d + 1)
     acc = np.zeros(d + 1)

@@ -37,9 +37,6 @@ class Writer:
     def u64(self, v: int):
         self._parts.append(struct.pack("<Q", v & (2**64 - 1)))
 
-    def i64(self, v: int):
-        self._parts.append(struct.pack("<q", v))
-
     def f64(self, v: float):
         self._parts.append(struct.pack("<d", v))
 
@@ -114,42 +111,3 @@ class Reader:
         extra = len(self._data) - self._pos
         if extra:
             raise FormatError(f"{extra} trailing bytes after the sketch payload")
-
-
-# -- adaptive trees ---------------------------------------------------------
-#
-# A tree node has ``children``, None or a tuple, and ``write(w)``/``read(r)``
-# for its record.  A file holds the roots' subtrees in order, each in
-# pre-order: the node's has-children u8, its record, then its children's
-# subtrees.
-
-
-def walk(roots, mirror: bool = False):
-    """Every node in pre-order, or with ``mirror`` in the pre-order of the
-    mirrored tree (roots and children last to first).  A node's children are
-    looked up after the caller has had the node, so a decoder may add them."""
-    order = slice(None) if mirror else slice(None, None, -1)
-    stack = list(roots[order])
-    while stack:
-        node = stack.pop()
-        yield node
-        if node.children is not None:
-            stack.extend(node.children[order])
-
-
-def write_tree(w: Writer, roots) -> None:
-    for node in walk(roots):
-        w.u8(node.children is not None)
-        node.write(w)
-
-
-def read_tree(r: Reader, roots, split) -> None:
-    """Read the subtrees of ``roots``; ``split(node)`` gives a node its children
-    and returns False where the tree could not have split it."""
-    for node in walk(roots):
-        has_children = r.u8()
-        if has_children > 1:
-            raise FormatError(f"bad has-children byte {has_children}")
-        if has_children and not split(node):
-            raise FormatError(f"node at depth {node.depth} split past the depth cap")
-        node.read(r)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hingesketch import core
 from hingesketch.add1d import (
     KAPPA_NODES_P1,
     KAPPA_NODES_P2,
@@ -31,7 +30,7 @@ class TestStructure:
         # threshold 1: first point fills the leaf, second forces a split with
         # fresh child counters
         tree = additive_tree_1d(0.25, 4)
-        assert tree.split_threshold == 1
+        assert tree.threshold == 1
         tree.update(0.1)
         node = next(n for n in tree._walk() if n.c == 1)
         assert node.lo <= 0.1 <= node.hi and node.children is None
@@ -100,7 +99,7 @@ class TestUpdateMany:
         xs = data.draw(st.lists(values_in(*domain), max_size=150))
         a = update_loop(Tree1D(eps_struct, n_declared, p=p, lo=domain[0], hi=domain[1]), xs)
         b = Tree1D(eps_struct, n_declared, p=p, lo=domain[0], hi=domain[1])
-        with mock.patch.object(core, "INSERT_BLOCK", block):
+        with mock.patch.object(Tree1D, "INSERT_BLOCK", block):
             b.update_many(np.asarray(xs, dtype=float))
         assert b.to_bytes() == a.to_bytes()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
-from hingesketch import add2d, core
+from hingesketch import add2d
 from hingesketch.add2d import (
     KAPPA_SPACE_P1,
     KAPPA_SPACE_P2,
@@ -86,7 +86,7 @@ class TestUpdateMany:
     def test_same_bytes_as_update_loop(self, pts, p, eps_struct, n_declared, seed, block):
         a = update_loop(QuadTree2D(eps_struct, n_declared, p=p, seed=seed), pts)
         b = QuadTree2D(eps_struct, n_declared, p=p, seed=seed)
-        with mock.patch.object(core, "INSERT_BLOCK", block):
+        with mock.patch.object(QuadTree2D, "INSERT_BLOCK", block):
             b.update_many(np.asarray(pts, dtype=float).reshape(-1, 2))
         assert b.to_bytes() == a.to_bytes()
 

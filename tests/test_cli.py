@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hingesketch import cli, families, optimize
+from hingesketch import add1d, add2d, cli, families, optimize
 from hingesketch.add1d import additive_tree_1d
-from hingesketch.add2d import additive_quadtree
-from hingesketch.core import HyperplaneQuery, hinge_objective
+from hingesketch.add2d import QuadTree2D, additive_quadtree
+from hingesketch.core import HyperplaneQuery, SketchParams, hinge_objective
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
 from hingesketch.mult1d import OfflineSketch1D
@@ -468,6 +468,38 @@ class TestCommands:
             "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    # a seed past int64 at either end, and replica seeds that leave int64 or
+    # wrap past 2^64; a RuntimeWarning fails the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["mult1d", "dyn1d", "add2d"])
+    @pytest.mark.parametrize("seed,replicas", [
+        (-1, 3), (2**63, 1), (2**63 - 1, 3), (2**64 - 1, 3)])
+    def test_build_takes_any_integer_seed(self, tmp_path, capsys, algorithm, seed, replicas):
+        d = "2" if algorithm == "add2d" else "1"
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "200", "--d", d, "--out", str(stream))
+        out = str(tmp_path / "s")
+        build = ["build", "--algorithm", algorithm, "--input", str(stream), "--epsilon", "0.3"]
+        code, _, err = run(capsys, *build, f"--seed={seed}", "--replicas", str(replicas),
+                           "--out", out)
+        assert code == 0 and all("warning" in json.loads(e) for e in err.splitlines())
+        files = [out] if replicas == 1 else [f"{out}.{i}" for i in range(replicas)]
+        flags = ["--theta", "0.6,0.8", "--b", "0.5"] if d == "2" else ["--q", "0.5"]
+        code, got, _ = run(capsys, "query", *sum((["--sketch", f] for f in files), []), *flags)
+        assert code == 0 and json.loads(got)["replicas"] == replicas
+        if seed == 2**64 - 1:  # the second replica's seed wraps to 0
+            assert run(capsys, *build, "--seed", "0", "--out", str(tmp_path / "z"))[0] == 0
+            assert (tmp_path / "s.1").read_bytes() == (tmp_path / "z").read_bytes()
+
+    @given(st.integers(-2**63, 2**63 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_seed_in_int64_keeps_its_header_bytes(self, seed):
+        w = Writer(MAGIC_MULT1D)
+        SketchParams(0.5, seed=seed).write(w)
+        assert w.getvalue()[-8:] == struct.pack("<q", seed)
+        # HSKQ: magic, version, eps_struct, n_declared and p, then the seed
+        assert QuadTree2D(0.25, 10, seed=seed).to_bytes()[23:31] == struct.pack("<q", seed)
+
     def test_index1d_gen_metadata(self, tmp_path, capsys):
         stream = tmp_path / "i.csv"
         code, _, _ = run(capsys, "gen", "--kind", "index1d", "--bits", "101",
@@ -555,6 +587,9 @@ CRAFTED_TREES = {
     # ... and a stored depth of 0 must not let the constructor build them
     "hskb_root_grid_depth_mismatch": (hskb((0,), eps=2.0**-34, depth=0), "initial depth"),
     "hskq_root_grid_depth_mismatch": (hskq((0,), eps=2.0**-34, depth=0), "initial depth"),
+    # eps 2^-32 asks for 2^17 roots: a file that holds them passes the byte
+    # check, but the grid is past the root-grid bound
+    "hskb_root_grid_past_the_bound": (hskb((0,) * 2**17, eps=2.0**-32, depth=17), "too small"),
     "hskb_minus_inf_domain": (hskb(lo=-np.inf), "domain"),
     "hskb_empty_domain": (hskb(lo=1.0, hi=1.0), "domain"),
 }
@@ -639,10 +674,19 @@ class TestCraftedParams:
         assert code == cli.EXIT_DATA and not out
         assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
 
-    @pytest.mark.parametrize("algorithm,epsilon", [("mult1d", "1e-320"), ("dyn1d", "1e-110")])
-    def test_tiny_epsilon_flag_is_config_error(self, tmp_path, capsys, algorithm, epsilon):
+    # the trees' root grids: add1d 2^538 and 2^24 cells, add2d 4^426 and 4^14
+    @pytest.mark.parametrize("algorithm,epsilon", [
+        ("mult1d", "1e-320"), ("dyn1d", "1e-110"), ("add1d", "1e-320"), ("add1d", "1e-12"),
+        ("add2d", "1e-320"), ("add2d", "1e-10")])
+    def test_tiny_epsilon_flag_is_config_error(self, tmp_path, capsys, monkeypatch, algorithm,
+                                               epsilon):
+        def no_node(*args):
+            raise AssertionError("a tree node was built")
+        monkeypatch.setattr(add1d, "_Node", no_node)
+        monkeypatch.setattr(add2d, "_QNode", no_node)
         stream = tmp_path / "u.csv"
-        run(capsys, "gen", "--kind", "uniform", "--n", "50", "--out", str(stream))
+        run(capsys, "gen", "--kind", "uniform", "--n", "50", "--d",
+            "2" if algorithm == "add2d" else "1", "--out", str(stream))
         code, out, err = run(capsys, "build", "--algorithm", algorithm, "--input", str(stream),
                              "--epsilon", epsilon, "--out", str(tmp_path / "s"))
         assert code == cli.EXIT_CONFIG and not out
@@ -907,6 +951,23 @@ class TestNonFiniteParams:
         name = "lambda" if lam in ("inf", "nan") else "epsilon"
         self.expect_config_error(capsys, name, "optimize", "--algorithm", algorithm, "--input",
                                  str(stream), "--lam", lam, "--epsilon", epsilon)
+
+
+    # lambda or epsilon whose grid, or SGD step count, overflows float64
+    @pytest.mark.parametrize("algorithm,d,lam,epsilon", [
+        ("add1d", 1, "1e-320", "0.2"), ("mult1d", 1, "0.5", "1e-320"),
+        ("add2d", 2, "1e-320", "0.5"), ("dyn1d", 1, "0.5", "5e-324"),
+        ("pegasos", 1, "1e-320", "0.2"), ("pegasos", 2, "0.5", "1e-320"),
+    ])
+    def test_optimize_sizes_overflow(self, tmp_path, capsys, algorithm, d, lam, epsilon):
+        stream = tmp_path / "u.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--d", str(d), "--labels",
+            "random", "--out", str(stream))
+        code, out, err = run(capsys, "optimize", "--algorithm", algorithm, "--input",
+                             str(stream), "--lam", lam, "--epsilon", epsilon)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert "overflows" in err
 
 
 class TestBench:

@@ -9,7 +9,6 @@ from hingesketch.core import (
     HyperplaneQuery,
     LabeledPoint,
     SketchParams,
-    add_in_order,
     distance_sums_1d,
     exact_optimize,
     hinge_objective,
@@ -18,6 +17,7 @@ from hingesketch.core import (
 )
 from hingesketch.cli import record_dtype
 from hingesketch.gen import gen_opt_hard, gen_uniform
+from hingesketch.tree import add_in_order
 
 
 def lp(x, y=1):

@@ -101,7 +101,7 @@ def scalar_query(sk, q):
         return 0.0, True, 0.0, []
     buf, pre = level0
     p = float(buf[-1])
-    if q <= p:
+    if q <= p or buf.size == sk.count:  # the level-0 buffer answers exactly
         c = int(np.searchsorted(buf, q, side="right"))
         return c * q - float(pre[c]), True, 0.0, []
 
@@ -162,6 +162,20 @@ class TestStream:
             est, bd = sk.query(q)
             assert bd.exact_regime
             assert est == pytest.approx(distance_sums_1d(xs, q)[0], rel=1e-12, abs=1e-9)
+
+    def test_level0_holding_the_stream_answers_above_p(self):
+        # level 0 holds all 500 values (capacities 576 and 768), so a value
+        # above p = 20 is exact: no distance scale and no boundary mass
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            xs = np.concatenate([rng.uniform(1.0, 20.0, 100), np.full(400, 20.0)])
+            sk = MultStream1D(SketchParams(epsilon=0.5, W=64, n_hint=500, seed=seed))
+            sk.update_many(xs)
+            sk.freeze()
+            assert sk.S.buffers[0].size == xs.size
+            est, bd = sk.query(40.0)
+            assert bd.exact_regime and bd.boundary_mass == 0.0 and not bd.rows
+            assert est == pytest.approx(distance_sums_1d(xs, 40.0)[0], rel=1e-12)
 
     def test_capacity_enforced(self):
         params = SketchParams(epsilon=0.9, W=2**4, n_hint=2000, seed=3)
@@ -410,7 +424,7 @@ def per_scale_reference(sk, qs):
     c = np.searchsorted(buf, qs, side="right")
     out = c * qs - pre[c]
     far = np.flatnonzero(qs > p)
-    if far.size == 0:
+    if far.size == 0 or buf.size == sk.count:  # the level-0 buffer answers exactly
         return out, 0.0, []
     q = qs[far]
     d_scale = q - p
