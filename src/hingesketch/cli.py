@@ -9,26 +9,25 @@ The HSK_SEED environment variable overrides --seed everywhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
-import struct
 import sys
 import time
 
 import numpy as np
 
-from . import add1d, add2d, dyn1d, families, gen, mult1d, optimize, serialize
+from . import add1d, add2d, dyn1d, families, gen, mult1d, optimize
 from .core import (
-    LabeledPoint,
     SketchParams,
     distance_sums_1d,
     exact_optimize,
     hinge_objective,
     HyperplaneQuery,
 )
+from .stream import DataError, ingest, write_stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,252 +41,8 @@ class ConfigError(ValueError):
     pass
 
 
-class DataError(ValueError):
-    pass
-
-
-def _err(kind: str, message: str, **extra) -> None:
-    rec = {"error": kind, "message": message}
-    rec.update(extra)
-    print(json.dumps(rec), file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# Stream I/O
-# ---------------------------------------------------------------------------
-
-
-# rows per block of the stream readers
-_BLOCK_ROWS = 65536
-
-
-def record_dtype(d: int) -> np.dtype:
-    """One stream record, as HSTR stores it: a label byte and d float64 coordinates."""
-    return np.dtype([("y", "i1"), ("x", "<f8", (d,))])
-
-
-class _RowChecker:
-    """The per-row checks of a stream, and the single source of row errors.
-
-    The block readers call it only on rows a mask rejects, and on CSV blocks
-    that ``np.loadtxt`` cannot parse.  ``dim`` is fixed by the first row with a
-    valid label and parseable coordinates, even if that row then fails.
-    """
-
-    def __init__(self, max_norm: float, fail_fast: bool):
-        self.max_norm = max_norm
-        self.fail_fast = fail_fast
-        self.dim: int | None = None
-        self.errors: list[str] = []
-
-    def bad(self, lineno: int, msg: str) -> None:
-        self.errors.append(f"line {lineno}: {msg}")
-        if self.fail_fast:
-            raise DataError(f"line {lineno}: {msg}")
-
-    def point(self, lineno: int, coords, y: int):
-        """The coordinates of a point with a valid label, or None once its error is reported."""
-        try:
-            p = LabeledPoint(coords, y)
-        except ValueError as e:
-            self.bad(lineno, str(e))
-            return None
-        if p.norm() > self.max_norm + 1e-9:
-            self.bad(lineno, f"norm {p.norm():.6g} exceeds bound {self.max_norm:.6g}")
-            return None
-        return p.x
-
-    def csv_line(self, lineno: int, line: str):
-        """(y, coordinates) of a CSV line; None for a blank or '#' line, and once
-        the line's error is reported."""
-        line = line.strip()
-        if not line or line.startswith("#"):
-            return None
-        parts = line.split(",")
-        try:
-            label = float(parts[0])
-        except ValueError:
-            label = math.nan
-        if not math.isfinite(label):
-            self.bad(lineno, f"bad label {parts[0]!r}")
-            return None
-        if label not in (-1.0, 1.0):
-            self.bad(lineno, "label must be -1 or 1")
-            return None
-        try:
-            coords = tuple(float(v) for v in parts[1:])
-        except ValueError:
-            self.bad(lineno, "bad coordinate")
-            return None
-        if not coords:
-            self.bad(lineno, "missing coordinates")
-            return None
-        if self.dim is None:
-            self.dim = len(coords)
-        elif len(coords) != self.dim:
-            self.bad(lineno, f"dimension drift: {len(coords)} != {self.dim}")
-            return None
-        x = self.point(lineno, coords, int(label))
-        return None if x is None else (int(label), x)
-
-    def mask(self, y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Rows that pass every check: labels +-1, finite, within the norm bound.
-
-        A NaN or infinite coordinate makes the norm NaN or infinite, which
-        fails the bound.  Python 3.12+ sums floats with compensation, which
-        can move a norm of ``_row_norms`` by an ulp for d >= 3, so rows within
-        1e-12 of the bound go to the per-row check.
-        """
-        limit = self.max_norm + 1e-9
-        return ((y == 1) | (y == -1)) & (_row_norms(X) <= limit - 1e-12 * abs(limit))
-
-
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean row norms, the squares added column by column as ``LabeledPoint.norm`` adds them."""
-    sq = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        sq += X[:, j] * X[:, j]
-    return np.sqrt(sq)
-
-
-def _records(y, X: np.ndarray) -> np.ndarray:
-    rec = np.empty(len(X), record_dtype(X.shape[1]))
-    rec["y"] = y
-    rec["x"] = X
-    return rec
-
-
-def _passing(y: np.ndarray, X: np.ndarray, ok: np.ndarray, check) -> np.ndarray:
-    """Records of the rows of a block that pass: the ``ok`` rows, and each
-    other row ``i`` for which the per-row ``check(i)`` returns (y, coordinates)."""
-    for i in np.flatnonzero(~ok).tolist():
-        res = check(i)
-        if res is not None:
-            ok[i] = True
-            X[i] = res[1]
-    return _records(y[ok], X[ok])
-
-
-def _csv_records(stream, chk: _RowChecker):
-    """Record blocks of a CSV stream, read _BLOCK_ROWS lines at a time."""
-    first = 1
-    while True:
-        lines = list(itertools.islice(stream, _BLOCK_ROWS))
-        if not lines:
-            return
-        linenos = np.arange(first, first + len(lines))
-        first += len(lines)
-        if min(lines) < "$":  # lines that are blank or '#' once stripped sort below "$"
-            lines = list(map(str.strip, lines))
-            keep = np.fromiter(map(len, lines), np.intp, len(lines)) > 0
-            keep &= ~np.fromiter(map(str.startswith, lines, itertools.repeat("#")),
-                                 bool, len(lines))
-            lines = list(itertools.compress(lines, keep.tolist()))
-            linenos = linenos[keep]
-            if not lines:
-                continue
-        try:
-            # comments=None: the default "#" would cut "1,0.5#x", a bad coordinate
-            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            a = None
-        # loadtxt skips empty lines: its rows must still map one to one onto lines
-        if a is None or len(a) != len(lines):
-            rows = [r for r in map(chk.csv_line, linenos.tolist(), lines) if r is not None]
-            if rows:
-                y, X = zip(*rows)
-                yield _records(y, np.array(X))
-            continue
-        y, X = a[:, 0], a[:, 1:]
-        if chk.dim is None and X.shape[1] and ((y == 1) | (y == -1)).any():
-            chk.dim = X.shape[1]
-        ok = chk.mask(y, X) if X.shape[1] == chk.dim else np.zeros(len(a), bool)
-        yield _passing(y, X, ok, lambda i: chk.csv_line(int(linenos[i]), lines[i]))
-
-
-def _hstr_records(f, chk: _RowChecker):
-    """Record blocks of an HSTR stream."""
-    head = f.read(8)
-    if len(head) < 8 or head[:4] != serialize.MAGIC_STREAM:
-        raise DataError("bad stream header (expected HSTR magic)")
-    chk.dim = struct.unpack("<I", head[4:8])[0]
-    if not 1 <= chk.dim < 2**31:  # numpy cannot shape a record of 2**31 coordinates
-        raise DataError(f"bad stream header (dimension {chk.dim})")
-    dtype = record_dtype(chk.dim)
-    # reads of at most 16 MB, or one record: a crafted dimension asks for no more
-    rows = max(1, min(_BLOCK_ROWS, (1 << 24) // dtype.itemsize))
-    done = 0
-    while True:
-        # a fresh, writable buffer per block: a block whose rows all pass is
-        # yielded as is.  np.empty, not bytearray: the pages a short read does
-        # not fill are never touched
-        buf = np.empty(dtype.itemsize * rows, np.uint8)
-        got = f.readinto(buf)
-        if not got:
-            return
-        recs = buf[: got - got % dtype.itemsize].view(dtype)
-        y, X = recs["y"], recs["x"]
-
-        def check(i):
-            if y[i] not in (-1, 1):
-                chk.bad(done + 1 + i, "label must be -1 or 1")
-                return None
-            x = chk.point(done + 1 + i, X[i].tolist(), int(y[i]))
-            return None if x is None else (int(y[i]), x)
-
-        ok = chk.mask(y, X)
-        yield recs if ok.all() else _passing(y, X, ok, check)
-        done += len(recs)
-        if got % dtype.itemsize:
-            chk.bad(done + 1, "truncated record")
-            return
-
-
-def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
-    """Read a labeled stream; returns (records, row_errors).
-
-    ``records`` is one structured array of ``record_dtype(d)``: the points
-    that pass every check, in stream order.  CSV rows are "y,x1[,x2]" with y
-    in {-1, 1}; binary streams carry an 8-byte header (magic "HSTR", u32
-    dimension) and records of one label byte plus d little-endian float64
-    coordinates.  ``max_norm`` relaxes the unit-ball check (the adversarial
-    optimization instances deliberately place one cluster at norm 1+delta).
-    Both formats are read in blocks; rows that fail a check, and CSV blocks
-    that ``np.loadtxt`` rejects, go through the per-row checks of
-    ``_RowChecker``, which write every row error.
-    """
-    chk = _RowChecker(max_norm, fail_fast)
-    if fmt == "csv":
-        stream = sys.stdin if path == "-" else open(path, "r")
-        try:
-            blocks = [b for b in _csv_records(stream, chk) if len(b)]
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: {e}") from e
-        finally:
-            if stream is not sys.stdin:
-                stream.close()
-    elif fmt == "bin":
-        with open(path, "rb") as f:
-            blocks = [b for b in _hstr_records(f, chk) if len(b)]
-    else:
-        raise ConfigError(f"unknown stream format {fmt!r}")
-    records = np.concatenate(blocks) if blocks else np.empty(0, record_dtype(chk.dim or 1))
-    return records, chk.errors
-
-
-def write_stream(points, path: str, fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w") as f:
-            for p in points:
-                f.write(f"{p.y}," + ",".join(repr(v) for v in p.x) + "\n")
-    elif fmt == "bin":
-        dim = points[0].dim if points else 1
-        with open(path, "wb") as f:
-            f.write(serialize.MAGIC_STREAM + struct.pack("<I", dim))
-            for p in points:
-                f.write(struct.pack("<b", p.y) + struct.pack(f"<{dim}d", *p.x))
-    else:
-        raise ConfigError(f"unknown stream format {fmt!r}")
+def _err(kind: str, message: str) -> None:
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -296,43 +51,30 @@ def write_stream(points, path: str, fmt: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
-    meta = {"kind": args.kind, "seed": seed, "n": args.n}
+    meta = {"kind": args.kind, "seed": args.seed, "n": args.n}
     if args.kind == "uniform":
-        points = gen.gen_uniform(args.n, args.d, seed=seed, label_mode=args.labels)
+        points = gen.gen_uniform(args.n, args.d, seed=args.seed, label_mode=args.labels)
     elif args.kind == "clustered":
-        points = gen.gen_clustered(args.n, args.d, seed=seed, label_mode=args.labels)
-    elif args.kind == "index1d":
+        points = gen.gen_clustered(args.n, args.d, seed=args.seed, label_mode=args.labels)
+    elif args.kind in ("index1d", "index2d"):
         if not args.bits:
-            raise ConfigError("--bits required for index1d")
-        inst = gen.gen_index1d([int(c) for c in args.bits], args.epsilon, args.n)
+            raise ConfigError(f"--bits required for {args.kind}")
+        bits = [int(c) for c in args.bits]
+        if args.kind == "index1d":
+            inst = gen.gen_index1d(bits, args.epsilon, args.n)
+        else:
+            inst = gen.gen_index2d(bits, args.s, args.r, args.n)
         points = inst.points
         meta.update(
             bits=args.bits,
             per_bit=inst.per_bit,
             positions=list(inst.positions),
-            queries=[
-                {"bit": q.bit, "theta": list(q.theta), "b": q.b, "signal": q.signal}
-                for q in inst.queries
-            ],
-            decode_threshold=(inst.queries[0].signal / 2.0) if inst.queries else None,
+            queries=[dataclasses.asdict(q) for q in inst.queries],
         )
-    elif args.kind == "index2d":
-        if not args.bits:
-            raise ConfigError("--bits required for index2d")
-        inst = gen.gen_index2d([int(c) for c in args.bits], args.s, args.r, args.n)
-        points = inst.points
-        meta.update(
-            bits=args.bits,
-            per_bit=inst.per_bit,
-            positions=[list(p) for p in inst.positions],
-            queries=[
-                {"bit": q.bit, "theta": list(q.theta), "b": q.b, "signal": q.signal}
-                for q in inst.queries
-            ],
-        )
+        if args.kind == "index1d":
+            meta["decode_threshold"] = (inst.queries[0].signal / 2.0) if inst.queries else None
     elif args.kind == "opthard":
-        inst = gen.gen_opt_hard(args.delta, args.n, d=args.d, case=args.case, seed=seed)
+        inst = gen.gen_opt_hard(args.delta, args.n, d=args.d, case=args.case, seed=args.seed)
         points = inst.points
         meta.update(
             delta=inst.delta,
@@ -353,15 +95,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_build(args) -> int:
-    if args.replicas < 1:
-        raise ConfigError(f"--replicas must be >= 1, not {args.replicas}")
+def _read_stream(args) -> np.ndarray:
+    """The records of ``--input``; one error line per bad row, and a DataError if none pass."""
     records, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
                              max_norm=args.max_norm)
     for e in errors:
         _err("data", e)
     if not len(records):
         raise DataError("no valid points in stream")
+    return records
+
+
+def cmd_build(args) -> int:
+    if args.replicas < 1:
+        raise ConfigError(f"--replicas must be >= 1, not {args.replicas}")
+    records = _read_stream(args)
     fam = families.FAMILIES[args.algorithm]
     d = records["x"].shape[1]
     if d != fam.dim:
@@ -447,12 +195,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    records, errors = ingest(args.input, args.format, fail_fast=args.fail_fast,
-                             max_norm=args.max_norm)
-    for e in errors:
-        _err("data", e)
-    if not len(records):
-        raise DataError("no valid points in stream")
+    records = _read_stream(args)
     if args.algorithm == "pegasos":
         theta, b = optimize.sgd_baseline(records, args.lam, args.epsilon, seed=args.seed)
         value = hinge_objective(records, HyperplaneQuery(theta, b), args.lam)
@@ -777,13 +520,10 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as e:
-        _err("config", str(e))
-        return EXIT_CONFIG
     except DataError as e:  # before ValueError, which it subclasses
         _err("data", str(e))
         return EXIT_DATA
-    except (optimize.GridBudgetError, ValueError) as e:
+    except ValueError as e:  # ConfigError, GridBudgetError and other bad values
         _err("config", str(e))
         return EXIT_CONFIG
     except OSError as e:

@@ -12,13 +12,14 @@ holding a sub-sketch per class: for d=1 two sketches of a d=1 family (one per
 sign of theta), for d=2 a quad-tree.
 
 Every entry point takes a LabeledPoint sequence or the record array that
-``cli.ingest`` returns.
+``stream.ingest`` returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -43,21 +44,16 @@ class GridSpec:
     lam: float
     epsilon: float
     d: int
-    k: int = 1
-    R: float = 0.0
-    delta: float = 0.0
+    R: float = field(init=False)
+    delta: float = field(init=False)
 
     def __post_init__(self):
         check_positive("lambda", self.lam)
         check_positive("epsilon", self.epsilon)
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.R == 0.0:
-            self.R = math.sqrt(2.0 / self.lam)
-        if self.delta == 0.0:
-            self.delta = self.epsilon / (2.0 * math.sqrt(self.d))
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError("replication k must be odd and >= 1")
+        self.R = math.sqrt(2.0 / self.lam)
+        self.delta = self.epsilon / (2.0 * math.sqrt(self.d))
 
 
 # grid_blocks lists this many candidates at a time (rounded up to whole prefixes),
@@ -311,7 +307,9 @@ def optimize_via_sketch(
     xs, _ = _as_matrix(points)
     if not len(xs):
         raise ValueError("empty dataset")
-    spec = GridSpec(lam=lam, epsilon=epsilon, d=xs.shape[1], k=k)
+    spec = GridSpec(lam=lam, epsilon=epsilon, d=xs.shape[1])
+    if k < 1 or k % 2 == 0:
+        raise ValueError("replication k must be odd and >= 1")
     size, blocks = grid_blocks(spec, budget=budget)
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),
@@ -336,6 +334,8 @@ def optimize_via_sketch(
 # ---------------------------------------------------------------------------
 # Reservoir + SGD baseline
 # ---------------------------------------------------------------------------
+
+SGD_BLOCK = 2**16
 
 
 def reservoir_sample(points, capacity: int, rng) -> list:
@@ -381,7 +381,10 @@ def sgd_baseline(
     radius = math.sqrt(2.0 / lam)
     w = np.zeros(d + 1)
     acc = np.zeros(d + 1)
-    order = rng.integers(0, len(res), steps)
+    # step indices drawn SGD_BLOCK at a time: Philox keeps the leftover half of
+    # a 64-bit draw between calls, so the values are those of one draw of all steps
+    order = itertools.chain.from_iterable(
+        rng.integers(0, len(res), min(SGD_BLOCK, steps - s)) for s in range(0, steps, SGD_BLOCK))
     for t, idx in enumerate(order, start=1):
         z = zs[idx]
         g = lam * w

@@ -17,7 +17,6 @@ MAGIC_DYN1D = b"HSKD"
 MAGIC_BINTREE = b"HSKB"
 MAGIC_QUADTREE = b"HSKQ"
 MAGIC_OFFLINE1D = b"HSKO"
-MAGIC_STREAM = b"HSTR"
 
 
 class FormatError(ValueError):

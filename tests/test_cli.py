@@ -1,8 +1,12 @@
 import functools
+import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hingesketch import add1d, add2d, cli, families, optimize
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import QuadTree2D, additive_quadtree
-from hingesketch.core import HyperplaneQuery, SketchParams, hinge_objective
+from hingesketch.core import HyperplaneQuery, LabeledPoint, SketchParams, hinge_objective
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
 from hingesketch.mult1d import OfflineSketch1D
 from hingesketch.serialize import (MAGIC_BINTREE, MAGIC_DYN1D, MAGIC_MULT1D, MAGIC_OFFLINE1D,
-                                   MAGIC_QUADTREE, MAGIC_STREAM, FormatError, Writer)
+                                   MAGIC_QUADTREE, FormatError, Writer)
+from hingesketch.stream import MAGIC, record_dtype
 
 
 def run(capsys, *argv):
@@ -112,7 +117,7 @@ class TestIngest:
     def test_csv_bin_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         pts = [
-            cli.LabeledPoint((float(a), float(b)), int(y))
+            LabeledPoint((float(a), float(b)), int(y))
             for a, b, y in zip(
                 rng.uniform(-0.5, 0.5, 30), rng.uniform(-0.5, 0.5, 30),
                 rng.choice([-1, 1], 30),
@@ -130,13 +135,13 @@ class TestIngest:
 
     def test_valid_bin_blocks_are_the_payload(self, tmp_path, monkeypatch):
         """The records of a valid two-block HSTR file are its payload bytes, writable."""
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)
+        monkeypatch.setattr("hingesketch.stream._BLOCK_ROWS", 64)
         rng = np.random.default_rng(1)
-        rec = np.empty(100, cli.record_dtype(2))
+        rec = np.empty(100, record_dtype(2))
         rec["y"] = rng.choice([-1, 1], 100)
         rec["x"] = rng.uniform(-0.7, 0.7, (100, 2))
         f = tmp_path / "s.bin"
-        f.write_bytes(MAGIC_STREAM + struct.pack("<I", 2) + rec.tobytes())
+        f.write_bytes(MAGIC + struct.pack("<I", 2) + rec.tobytes())
         records, errors = cli.ingest(str(f), "bin")
         assert not errors and records.flags.writeable
         assert records.tobytes() == f.read_bytes()[8:]
@@ -159,13 +164,69 @@ class TestIngest:
     @pytest.mark.parametrize("d", [0, 2**32 - 1])
     def test_bin_header_dimension_out_of_range(self, tmp_path, capsys, d):
         f = tmp_path / "d.bin"
-        f.write_bytes(MAGIC_STREAM + struct.pack("<I", d) + b"\x01" * 5)
+        f.write_bytes(MAGIC + struct.pack("<I", d) + b"\x01" * 5)
         with pytest.raises(cli.DataError, match=rf"bad stream header \(dimension {d}\)"):
             cli.ingest(str(f), "bin")
         code, _, err = run(capsys, "build", "--algorithm", "add2d", "--format", "bin",
                            "--input", str(f), "--epsilon", "0.2", "--out", str(tmp_path / "s"))
         assert code == cli.EXIT_DATA
         assert len(err.strip().splitlines()) == 1
+
+    def test_csv_decodes_as_utf8_in_any_locale(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes("# café — sample\n1,0.5\n-1,0.25\n".encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hingesketch.cli", "build", "--algorithm", "add1d",
+             "--input", str(f), "--epsilon", "0.2", "--out", str(tmp_path / "s.hsk")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["points"] == 2
+
+    @pytest.mark.parametrize("command", ["build", "optimize"])
+    def test_stdin_reads_as_the_file(self, tmp_path, capsys, monkeypatch, command):
+        f = tmp_path / "s.csv"
+        run(capsys, "gen", "--kind", "uniform", "--n", "300", "--labels", "random",
+            "--out", str(f))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f.read_text()))
+        outputs = []
+        for src in (str(f), "-"):
+            out = tmp_path / ("stdin.hsk" if src == "-" else "path.hsk")
+            if command == "build":
+                argv = ["build", "--algorithm", "mult1d", "--epsilon", "0.3", "--out", str(out)]
+            else:
+                argv = ["optimize", "--algorithm", "add1d", "--lam", "0.5", "--epsilon", "0.3"]
+            code, stdout, _ = run(capsys, *argv, "--input", src)
+            assert code == cli.EXIT_OK
+            outputs.append(out.read_bytes() if command == "build" else stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_stdin_is_csv_only(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "build", "--algorithm", "add2d", "--format", "bin",
+                           "--input", "-", "--epsilon", "0.2", "--out", "s.hsk")
+        assert code == cli.EXIT_DATA and "No such file" in err
+
+    @pytest.mark.parametrize("command", ["build", "optimize"])
+    def test_commands_read_through_cli_ingest(self, tmp_path, capsys, monkeypatch, command):
+        """Each command reads its stream with one call of ``cli.ingest``, the
+        name the benchmark's ingest layer wraps."""
+        f = tmp_path / "s.csv"
+        f.write_text("1,0.5\n-1,-0.25\n1,0.75\n")
+        calls, ingest = [], cli.ingest
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ingest(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ingest", counted)
+        if command == "build":
+            argv = ["build", "--algorithm", "add1d", "--out", str(tmp_path / "s.hsk")]
+        else:
+            argv = ["optimize", "--lam", "0.5"]
+        code, _, _ = run(capsys, *argv, "--input", str(f), "--epsilon", "0.3")
+        assert code == cli.EXIT_OK and calls == [(str(f), "csv")]
 
 
 class TestCommands:
@@ -528,7 +589,7 @@ class TestOptimizeRecords:
         pts = gen_uniform(300, d, seed=21, low=-1.0)
         if labels == "halfplane":  # the side of sum(x) = 0.1, 10% of the labels flipped
             flip = np.random.default_rng(22).uniform(size=len(pts)) < 0.1
-            pts = [cli.LabeledPoint(p.x, (1 if sum(p.x) > 0.1 else -1) * (-1 if f else 1))
+            pts = [LabeledPoint(p.x, (1 if sum(p.x) > 0.1 else -1) * (-1 if f else 1))
                    for p, f in zip(pts, flip.tolist())]
         stream = tmp_path / f"{algorithm}-{labels}.csv"
         cli.write_stream(pts, str(stream), "csv")

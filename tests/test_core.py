@@ -15,8 +15,8 @@ from hingesketch.core import (
     simplified_objective,
     strong_convexity_radius,
 )
-from hingesketch.cli import record_dtype
 from hingesketch.gen import gen_opt_hard, gen_uniform
+from hingesketch.stream import record_dtype
 from hingesketch.tree import add_in_order
 
 

@@ -1,8 +1,8 @@
 """Block ingest against the per-row checks.
 
-``cli.ingest`` reads CSV and HSTR streams in numpy blocks.  Rows that fail a
-mask, and CSV blocks that ``np.loadtxt`` rejects, go through
-``cli._RowChecker``, which writes every row error.  The reference here runs
+``stream.ingest`` reads CSV and HSTR streams in numpy blocks.  Rows that fail
+a mask, and CSV blocks that ``np.loadtxt`` rejects, go through
+``stream._RowChecker``, which writes every row error.  The reference here runs
 that checker on every line (CSV) or unpacks every record with ``struct``
 (HSTR): block ingest must give the same points bit for bit, the same errors
 in the same order and the same first error under ``fail_fast``, for any
@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hingesketch import cli
+from hingesketch import cli, stream
 from hingesketch.core import LabeledPoint
-from hingesketch.serialize import MAGIC_STREAM
 
 BLOCK_ROWS = (1, 7, 65536)
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -37,7 +36,7 @@ def _ref_rows(points):
 
 
 def per_row_csv(path, max_norm, fail_fast=False):
-    chk = cli._RowChecker(max_norm, fail_fast)
+    chk = stream._RowChecker(max_norm, fail_fast)
     points = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -48,7 +47,7 @@ def per_row_csv(path, max_norm, fail_fast=False):
 
 
 def per_row_hstr(path, max_norm, fail_fast=False):
-    chk = cli._RowChecker(max_norm, fail_fast)
+    chk = stream._RowChecker(max_norm, fail_fast)
     data = open(path, "rb").read()
     d = struct.unpack("<I", data[4:8])[0]
     rec = 1 + 8 * d
@@ -81,7 +80,7 @@ def assert_same_as_per_row(path, fmt, max_norm, monkeypatch):
     points, errors = ref(path, max_norm)
     first_error = _outcome(lambda: ref(path, max_norm, fail_fast=True))
     for rows in BLOCK_ROWS:
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(stream, "_BLOCK_ROWS", rows)
         records, got_errors = cli.ingest(path, fmt, max_norm=max_norm)
         assert _rows(records) == _ref_rows(points)
         assert got_errors == errors
@@ -138,7 +137,7 @@ def hstr_streams(draw):
         struct.pack("<b", draw(labels)) + struct.pack(f"<{d}d", *(draw(coords) for _ in range(d)))
         for _ in range(draw(st.integers(0, 30))))
     tail = draw(st.binary(max_size=8 * d))  # a partial record when non-empty
-    return MAGIC_STREAM + struct.pack("<I", d) + body + tail
+    return stream.MAGIC + struct.pack("<I", d) + body + tail
 
 
 class TestBlocksMatchPerRow:
@@ -173,7 +172,7 @@ def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
     calls = []
 
     def counted(name):
-        method = getattr(cli._RowChecker, name)
+        method = getattr(stream._RowChecker, name)
 
         def wrapper(self, *args):
             calls.append(name)
@@ -181,7 +180,7 @@ def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
         return wrapper
 
     for name in ("csv_line", "point"):
-        monkeypatch.setattr(cli._RowChecker, name, counted(name))
+        monkeypatch.setattr(stream._RowChecker, name, counted(name))
     rows = [f"1,{x!r},0.5" for x in np.linspace(-0.5, 0.5, 500).tolist()]
     rows[7], rows[300] = "1,nan,0.5", "-1,0.9,0.9"
     path = tmp_path / "s.csv"
@@ -192,11 +191,11 @@ def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
     calls.clear()
     X = np.column_stack([np.linspace(-0.5, 0.5, 500), np.full(500, 0.5)])
     X[7, 0], X[300] = np.inf, (0.9, 0.9)
-    rec = np.empty(500, cli.record_dtype(2))
+    rec = np.empty(500, stream.record_dtype(2))
     rec["y"], rec["x"] = 1, X
     rec["y"][11] = 0
     path = tmp_path / "s.bin"
-    path.write_bytes(MAGIC_STREAM + struct.pack("<I", 2) + rec.tobytes())
+    path.write_bytes(stream.MAGIC + struct.pack("<I", 2) + rec.tobytes())
     records, errors = cli.ingest(str(path), "bin")
     assert len(records) == 497 and len(errors) == 3
     assert calls.count("point") == 2  # the bad label byte is reported before point()
@@ -211,9 +210,9 @@ def test_mask_norms_match_labeled_point(d):
     X = rng.uniform(-1.0, 1.0, (20000, d)) * rng.choice([1e-3, 1.0, 1e3], (20000, 1))
     ref = np.array([LabeledPoint(tuple(x), 1).norm() for x in X.tolist()])
     if d <= 2 or sys.version_info < (3, 12):
-        np.testing.assert_array_equal(cli._row_norms(X), ref)
+        np.testing.assert_array_equal(stream._row_norms(X), ref)
     else:
-        np.testing.assert_allclose(cli._row_norms(X), ref, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(stream._row_norms(X), ref, rtol=1e-15, atol=0)
 
 
 BAD_ROWS = ["0,0.5", "1.5,0.5", "inf,0.5", "1,nan", "1,2.0", "1,0.5,0.5", "1,1_0", "1,", "x"]
@@ -228,7 +227,7 @@ def test_one_bad_row_builds_same_sketch(tmp_path, capsys, monkeypatch, algorithm
     clean.write_text("\n".join(good) + "\n")
     dirty.write_text("\n".join(good[:137] + [bad] + good[137:]) + "\n")
     for rows in (7, 65536):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(stream, "_BLOCK_ROWS", rows)
         sketches = []
         for src in (clean, dirty):
             out = tmp_path / f"{src.stem}.hsk"

@@ -43,7 +43,7 @@ def box_grid(spec):
 def sweep_specs(count=120, budget=200_000):
     """Specs with points on the sphere, the origin alone, and random (lam, eps) pairs."""
     specs = [GridSpec(lam=2.0, epsilon=1.0, d=d) for d in (1, 2)]
-    specs += [GridSpec(lam=2.0, epsilon=1.0, d=d, delta=3.0) for d in (1, 2)]
+    specs += [GridSpec(lam=2.0, epsilon=3.0, d=d) for d in (1, 2)]
     rng = np.random.default_rng(8)
     for d in (1, 2):
         drawn = 0
@@ -92,7 +92,7 @@ class TestGrid:
         assert np.all(norms <= 1.0 + 1e-12)
 
     def test_only_origin_when_delta_exceeds_ball(self):
-        spec = GridSpec(lam=2.0, epsilon=1.0, d=1, delta=3.0)
+        spec = GridSpec(lam=2.0, epsilon=3.0, d=1)
         g = grid_points(spec)
         assert g.shape == (1, 2) and np.all(g == 0.0)
 
@@ -340,3 +340,13 @@ class TestSgdBaseline:
 
     def test_space_accounting(self):
         assert sgd_space_words(0.01, 0.1, 1) == 1000 * 2 + 8
+
+    @pytest.mark.parametrize("block", [999, 1000])
+    def test_step_indices_drawn_in_blocks(self, monkeypatch, block):
+        """Step indices drawn a block at a time give the iterate of one draw of
+        every step: 4,000 steps span several blocks of either parity."""
+        pts = gen_uniform(500, 2, seed=15, label_mode="random")
+        monkeypatch.setattr(optimize, "SGD_BLOCK", 10**9)
+        one_shot = sgd_baseline(pts, 0.5, 0.01, seed=3)
+        monkeypatch.setattr(optimize, "SGD_BLOCK", block)
+        assert sgd_baseline(pts, 0.5, 0.01, seed=3) == one_shot
