@@ -14,7 +14,6 @@ from .core import (
     SketchParams,
     exact_optimize,
     hinge_objective,
-    simplified_objective,
     strong_convexity_radius,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "SketchParams",
     "exact_optimize",
     "hinge_objective",
-    "simplified_objective",
     "strong_convexity_radius",
 ]
 

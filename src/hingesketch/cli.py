@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="build a sketch from a stream file")
     common(b)
-    b.add_argument("--algorithm", required=True, choices=ALGORITHMS[:-1])
+    b.add_argument("--algorithm", required=True, choices=list(families.FAMILIES))
     b.add_argument("--input", required=True)
     b.add_argument("--epsilon", type=float, required=True)
     b.add_argument("--W", type=int, default=2**20)
@@ -481,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("optimize", help="approximately minimize the objective")
     common(o)
-    o.add_argument("--algorithm", default="add1d",
-                   choices=("add1d", "mult1d", "dyn1d", "add2d", "pegasos"))
+    o.add_argument("--algorithm", default="add1d", choices=ALGORITHMS)
     o.add_argument("--input", required=True)
     o.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     o.add_argument("--epsilon", type=float, required=True)

@@ -105,6 +105,10 @@ class SketchParams:
     C: float = 1.0
     p: int = 1
     seed: int = 0
+    # (attribute, Writer/Reader method) of the header that HSK1 and HSKD share,
+    # in file order; u64 stores the seed modulo 2^64, as the samplers read it
+    HEADER = (("epsilon", "f64"), ("W", "u64"), ("n_hint", "u64"), ("C1", "f64"),
+              ("C2", "f64"), ("C", "f64"), ("p", "u8"), ("seed", "u64"))
 
     def __post_init__(self):
         if not (0 < self.epsilon < 1):
@@ -122,23 +126,6 @@ class SketchParams:
         if not (self.epsilon**3 > 0 and all(map(math.isfinite, self.sample_sizes()))):
             raise ValueError(
                 f"epsilon {self.epsilon!r} is too small: the sample sizes it implies overflow")
-
-    def write(self, w) -> None:
-        """The parameter header that HSK1 and HSKD share, to a ``serialize.Writer``."""
-        w.f64(self.epsilon)
-        w.u64(self.W)
-        w.u64(self.n_hint)
-        for c in (self.C1, self.C2, self.C):
-            w.f64(c)
-        w.u8(self.p)
-        w.u64(self.seed)  # modulo 2^64, as the samplers read it
-
-    @classmethod
-    def read(cls, r) -> "SketchParams":
-        """The header ``write`` wrote, from a ``serialize.Reader``; invalid
-        parameters raise ValueError, as the constructor does."""
-        return cls(epsilon=r.f64(), W=r.u64(), n_hint=r.u64(), C1=r.f64(), C2=r.f64(),
-                   C=r.f64(), p=r.u8(), seed=r.i64())
 
     def replica_key(self) -> tuple:
         """Every field but the seed: replicas of one sketch differ only in their seeds."""
@@ -193,45 +180,6 @@ def hinge_objective(points, q: HyperplaneQuery, lam: float) -> float:
     margins = ys * (xs @ theta + q.b)
     reg = 0.5 * lam * (float(theta @ theta) + q.b * q.b)
     return reg + float(np.mean(np.maximum(0.0, 1.0 - margins)))
-
-
-def _coords_1d(points) -> np.ndarray:
-    vals = []
-    for p in points:
-        if isinstance(p, LabeledPoint):
-            if p.dim != 1:
-                raise ValueError("scalar objective path requires d=1 points")
-            vals.append(p.x[0])
-        else:
-            vals.append(float(p))
-    return np.asarray(vals, dtype=float)
-
-
-def simplified_objective(points, q, p: int = 1) -> float:
-    """One-sided distance objective (1/n) * sum max{0, b - theta.x}^p.
-
-    This is the ground-truth oracle for every sketch.  ``points`` may be raw
-    1-d reals or LabeledPoints; ``q`` may be a bare scalar (d=1 with theta=+1)
-    or a HyperplaneQuery.
-    """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    if len(points) == 0:
-        raise ValueError("empty dataset")
-    if isinstance(q, HyperplaneQuery):
-        theta = np.asarray(q.theta, dtype=float)
-        b = q.b
-        if len(theta) == 1 and not isinstance(points[0], LabeledPoint):
-            proj = _coords_1d(points) * theta[0]
-        else:
-            xs, _ = _as_matrix(points)
-            if theta.shape[0] != xs.shape[1]:
-                raise ValueError("dimension mismatch between query and data")
-            proj = xs @ theta
-    else:
-        proj = _coords_1d(points)
-        b = float(q)
-    return float(np.mean(np.maximum(0.0, b - proj) ** p))
 
 
 def hypot_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -546,7 +546,7 @@ class DynSketch1D:
         # freeze sorted the arrays already
         expl = self._expl_sorted if self.frozen else np.sort(-np.asarray(self._heap, dtype=float))
         w = Writer(serialize.MAGIC_DYN1D)
-        self.params.write(w)
+        w.fields(self.params, SketchParams.HEADER)
         w.u64(self.count)
         w.array(expl)
         w.u64(len(self.intervals))
@@ -560,7 +560,7 @@ class DynSketch1D:
     @classmethod
     def from_bytes(cls, data: bytes) -> "DynSketch1D":
         r = Reader(data, serialize.MAGIC_DYN1D)
-        sk = cls(SketchParams.read(r))
+        sk = cls(SketchParams(**r.fields(SketchParams.HEADER)))
         sk.count = r.u64()
         expl = r.sorted_array()
         m = r.u64()

@@ -408,7 +408,7 @@ class MultStream1D:
 
     def to_bytes(self) -> bytes:
         w = Writer(serialize.MAGIC_MULT1D)
-        self.params.write(w)
+        w.fields(self.params, SketchParams.HEADER)
         w.u8(0)  # reserved
         w.u64(self.count)
         w.u16(self.params.num_levels)
@@ -421,7 +421,7 @@ class MultStream1D:
     @classmethod
     def from_bytes(cls, data: bytes) -> "MultStream1D":
         r = Reader(data, serialize.MAGIC_MULT1D)
-        params = SketchParams.read(r)
+        params = SketchParams(**r.fields(SketchParams.HEADER))
         if r.u8() != 0:
             raise serialize.FormatError("reserved byte must be 0")
         sk = cls(params)

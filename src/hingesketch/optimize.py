@@ -248,16 +248,21 @@ class HingeEstimator:
         return out / self.n
 
 
-def build_estimator(points, family: str, epsilon: float, seed: int = 0,
-                    norm_budget: float = 1.0) -> HingeEstimator:
-    """A HingeEstimator over a LabeledPoint sequence or an ingest record array."""
+def _backend(family: str, d: int) -> Family:
+    """The registry entry of ``family``, which must take points of dimension d."""
     if family not in families.FAMILIES:
         raise ValueError(f"unknown backend {family!r}")
     fam = families.FAMILIES[family]
-    xs, ys = _as_matrix(points)
-    if xs.shape[1] != fam.dim:
+    if d != fam.dim:
         raise ValueError(f"backend {family} supports d={fam.dim} only")
-    return HingeEstimator(xs, ys, fam, epsilon, seed, norm_budget)
+    return fam
+
+
+def build_estimator(points, family: str, epsilon: float, seed: int = 0,
+                    norm_budget: float = 1.0) -> HingeEstimator:
+    """A HingeEstimator over a LabeledPoint sequence or an ingest record array."""
+    xs, ys = _as_matrix(points)
+    return HingeEstimator(xs, ys, _backend(family, xs.shape[1]), epsilon, seed, norm_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +315,7 @@ def optimize_via_sketch(
     spec = GridSpec(lam=lam, epsilon=epsilon, d=xs.shape[1])
     if k < 1 or k % 2 == 0:
         raise ValueError("replication k must be odd and >= 1")
+    _backend(family, spec.d)  # a wrong backend is named before the grid is sized
     size, blocks = grid_blocks(spec, budget=budget)
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),

@@ -39,6 +39,12 @@ class Writer:
     def f64(self, v: float):
         self._parts.append(struct.pack("<d", v))
 
+    def fields(self, obj, header) -> None:
+        """``obj``'s attribute of each (attribute, method) pair of ``header``,
+        written by that method."""
+        for name, kind in header:
+            getattr(self, kind)(getattr(obj, name))
+
     def array(self, a: np.ndarray):
         a = np.ascontiguousarray(a, dtype=np.float64)
         self.u64(a.size)
@@ -75,11 +81,13 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
+
+    def fields(self, header) -> dict:
+        """Each attribute of the (attribute, method) pairs of ``header``, by
+        name, read by its method."""
+        return {name: getattr(self, kind)() for name, kind in header}
 
     def array(self) -> np.ndarray:
         n = self.u64()

@@ -231,8 +231,10 @@ def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
     place one cluster at norm 1+delta).  Both formats are read in blocks;
     rows that fail a check, and CSV blocks that ``np.loadtxt`` rejects, go
     through the per-row checks of ``_RowChecker``, which write every row
-    error.
+    error.  A NaN or negative ``max_norm`` raises ValueError before any row is read.
     """
+    if not max_norm >= 0:  # NaN fails too: every norm check against it would pass
+        raise ValueError(f"max_norm must be >= 0, not {max_norm!r}")
     chk = _RowChecker(max_norm, fail_fast)
     blocks = [b for b in _blocks(path, fmt, chk) if len(b)]
     records = np.concatenate(blocks) if blocks else np.empty(0, record_dtype(chk.dim or 1))

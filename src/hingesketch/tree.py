@@ -154,8 +154,7 @@ class AdaptiveTree:
 
     def to_bytes(self) -> bytes:
         w = Writer(self.MAGIC)
-        for name, kind in self.HEADER:
-            getattr(w, kind)(getattr(self, name))
+        w.fields(self, self.HEADER)
         w.u64(self.count)
         w.u16(self.init_depth)
         for node in self._walk(mirror=False):
@@ -166,7 +165,7 @@ class AdaptiveTree:
     @classmethod
     def from_bytes(cls, data: bytes):
         r = Reader(data, cls.MAGIC)
-        head = {name: getattr(r, kind)() for name, kind in cls.HEADER}
+        head = r.fields(cls.HEADER)
         count, depth = r.u64(), r.u16()
         r.need(cls.NODE_BYTES << cls.DIM * depth, f"a root grid of depth {depth}")
         tree = cls(**head, init_depth=depth)

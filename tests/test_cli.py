@@ -108,6 +108,28 @@ class TestIngest:
         pts2, errs2 = cli.ingest(str(f), "csv", max_norm=1.5)
         assert len(pts2) == 1 and not errs2
 
+    def test_max_norm_bounds_the_build(self, tmp_path, capsys):
+        f = tmp_path / "s.csv"
+        f.write_text("1,5\n-1,-7\n1,0.5\n")  # norms 5, 7 and 0.5
+        for max_norm, points, bad in (("1", 1, 2), ("inf", 3, 0)):
+            code, out, err = run(capsys, "build", "--algorithm", "offline1d", "--input", str(f),
+                                 "--epsilon", "0.2", "--max-norm", max_norm,
+                                 "--out", str(tmp_path / "s"))
+            assert code == 0 and json.loads(out)["points"] == points
+            assert sum("exceeds bound" in e for e in err.splitlines()) == bad
+
+    @pytest.mark.parametrize("max_norm", ["nan", "-1", "-inf"])
+    @pytest.mark.parametrize("command", ["build", "optimize"])
+    def test_bad_max_norm_is_config_error(self, tmp_path, capsys, command, max_norm):
+        f = tmp_path / "s.csv"
+        f.write_text("1,5\n-1,-7\n1,0.5\n")
+        flags = (["--algorithm", "offline1d", "--epsilon", "0.2", "--out", str(tmp_path / "s")]
+                 if command == "build" else ["--lam", "0.5", "--epsilon", "0.5"])
+        code, out, err = run(capsys, command, "--input", str(f), f"--max-norm={max_norm}", *flags)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert "max_norm must be >= 0" in err and not (tmp_path / "s").exists()
+
     def test_fail_fast(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_text("0,0.5\n")
@@ -556,7 +578,7 @@ class TestCommands:
     @settings(max_examples=50, deadline=None)
     def test_seed_in_int64_keeps_its_header_bytes(self, seed):
         w = Writer(MAGIC_MULT1D)
-        SketchParams(0.5, seed=seed).write(w)
+        w.fields(SketchParams(0.5, seed=seed), SketchParams.HEADER)
         assert w.getvalue()[-8:] == struct.pack("<q", seed)
         # HSKQ: magic, version, eps_struct, n_declared and p, then the seed
         assert QuadTree2D(0.25, 10, seed=seed).to_bytes()[23:31] == struct.pack("<q", seed)
@@ -581,8 +603,9 @@ class TestOptimizeRecords:
     equals the library's on the LabeledPoint list of the same rows."""
 
     # algorithm: (d, lambda, epsilon, replicas)
-    CASES = {"add1d": (1, 0.5, 0.3, 1), "mult1d": (1, 0.5, 0.4, 3),
-             "dyn1d": (1, 0.5, 0.3, 3), "add2d": (2, 0.5, 0.5, 1), "pegasos": (1, 0.5, 0.2, 1)}
+    CASES = {"offline1d": (1, 0.5, 0.3, 1), "add1d": (1, 0.5, 0.3, 1),
+             "mult1d": (1, 0.5, 0.4, 3), "dyn1d": (1, 0.5, 0.3, 3), "add2d": (2, 0.5, 0.5, 1),
+             "pegasos": (1, 0.5, 0.2, 1)}
 
     def run_optimize(self, capsys, tmp_path, algorithm, labels):
         d, lam, eps, k = self.CASES[algorithm]
@@ -602,7 +625,8 @@ class TestOptimizeRecords:
     # "positive": every label +1, so the y=-1 class is empty
     @pytest.mark.parametrize("algorithm, labels", [
         ("add1d", "halfplane"), ("mult1d", "halfplane"), ("dyn1d", "halfplane"),
-        ("add2d", "halfplane"), ("add1d", "positive"), ("add2d", "positive")])
+        ("add2d", "halfplane"), ("offline1d", "halfplane"), ("add1d", "positive"),
+        ("add2d", "positive")])
     def test_sketch_backends(self, capsys, tmp_path, algorithm, labels):
         rec, pts, lam, eps, k = self.run_optimize(capsys, tmp_path, algorithm, labels)
         assert {p.y for p in pts} == ({1} if labels == "positive" else {-1, 1})
@@ -610,6 +634,18 @@ class TestOptimizeRecords:
         res = optimize.optimize_via_sketch(pts, lam, eps, family=algorithm, k=k, seed=4)
         assert rec == {"algorithm": algorithm, "theta": list(res.theta), "b": res.b,
                        "value": res.value, "grid_size": res.grid_size, "k": k}
+
+    @pytest.mark.parametrize("algorithm", ["add1d", "add2d"])
+    @pytest.mark.parametrize("lam,epsilon", [("0.5", "0.25"), ("5", "0.9")])
+    def test_wrong_dimension_names_the_backend(self, capsys, tmp_path, algorithm, lam, epsilon):
+        # at lambda 0.5, epsilon 0.25 the d=3 grid's box holds 55^4 points, past the budget
+        stream = tmp_path / "u.csv"
+        stream.write_text("1,0.1,0.2,0.3\n-1,-0.5,0.5,0.5\n")
+        code, out, err = run(capsys, "optimize", "--algorithm", algorithm, "--input",
+                             str(stream), "--lam", lam, "--epsilon", epsilon)
+        assert code == cli.EXIT_CONFIG and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "config"
+        assert f"backend {algorithm} supports d={families.FAMILIES[algorithm].dim} only" in err
 
     def test_pegasos(self, capsys, tmp_path):
         rec, pts, lam, eps, _ = self.run_optimize(capsys, tmp_path, "pegasos", "halfplane")
@@ -788,7 +824,7 @@ def hsk1(buffer=lambda bank, i, b: b):
     ``buffer(bank name, level, buffer)``."""
     sk = sample_sketch("mult1d")
     w = Writer(MAGIC_MULT1D)
-    sk.params.write(w)
+    w.fields(sk.params, SketchParams.HEADER)
     w.u8(0)
     w.u64(sk.count)
     w.u16(sk.params.num_levels)
@@ -805,7 +841,7 @@ def hskd(expl=None, interval=lambda i, fields: fields, count=None):
     ``interval(index, fields)`` and the stored interval count by ``count``."""
     sk = sample_sketch("dyn1d")
     w = Writer(MAGIC_DYN1D)
-    sk.params.write(w)
+    w.fields(sk.params, SketchParams.HEADER)
     w.u64(sk.count)
     w.array(sk._expl_sorted if expl is None else expl)
     w.u64(len(sk.intervals) if count is None else count)
@@ -1032,6 +1068,21 @@ class TestNonFiniteParams:
 
 
 class TestBench:
+    def test_every_registry_name_is_a_choice(self, capsys):
+        names = [*families.FAMILIES, "pegasos"]
+        ap = cli.build_parser()
+        for name in names:
+            if name != "pegasos":
+                args = ap.parse_args(["build", "--algorithm", name, "--input", "s.csv",
+                                      "--epsilon", "0.5", "--out", "s"])
+                assert args.algorithm == name
+            args = ap.parse_args(["optimize", "--algorithm", name, "--input", "s.csv",
+                                  "--lam", "1", "--epsilon", "0.5"])
+            assert args.algorithm == name
+        code, out, _ = run(capsys, "bench", "--algorithms", ",".join(names), "--epsilons", "0.5",
+                           "--n", "50", "--seeds", "1")
+        assert code == 0 and [r.split(",")[0] for r in out.splitlines()[1:]] == names
+
     def test_bench_csv_shape_and_determinism(self, tmp_path, capsys):
         args = ["bench", "--algorithms", "offline1d,add1d", "--epsilons",
                 "0.2,0.1", "--n", "1000", "--seeds", "2"]

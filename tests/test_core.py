@@ -12,7 +12,6 @@ from hingesketch.core import (
     distance_sums_1d,
     exact_optimize,
     hinge_objective,
-    simplified_objective,
     strong_convexity_radius,
 )
 from hingesketch.gen import gen_opt_hard, gen_uniform
@@ -70,55 +69,49 @@ class TestHingeObjective:
             hinge_objective([lp(0.5)], HyperplaneQuery((1.0, 0.0), 0.0), 0.1)
 
 
+# values in [-1, 1] drawn from a few, so that lists repeat them; -0.0 included
+coords = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-1, 1)
+
+
 class TestSimplifiedObjective:
+    """The one-sided distance objective sum_i max{0, q - x_i}^p of the
+    simplified problem, as its one oracle ``distance_sums_1d`` computes it."""
+
     def test_two_points(self):
-        assert simplified_objective([1.0, 3.0], 2.0) == pytest.approx(0.5)
+        assert distance_sums_1d([1.0, 3.0], [2.0]).tolist() == [1.0]
 
     def test_query_left_of_points(self):
-        assert simplified_objective([1.0, 3.0], 0.0) == 0.0
+        assert distance_sums_1d([1.0, 3.0], [0.0]).tolist() == [0.0]
 
     def test_squared(self):
-        assert simplified_objective([0.0], 2.0, p=2) == pytest.approx(4.0)
+        assert distance_sums_1d([0.0], [2.0], p=2).tolist() == [4.0]
 
-    def test_labeled_points_with_query(self):
-        pts = [LabeledPoint((0.5, 0.5), 1)]
-        q = HyperplaneQuery((1.0, 0.0), 1.0)
-        assert simplified_objective(pts, q) == pytest.approx(0.5)
-
-    @given(
-        st.lists(st.floats(-1, 1), min_size=1, max_size=30),
-        st.floats(-2, 2),
-        st.floats(0, 2),
-    )
+    @given(st.lists(coords, min_size=1, max_size=30), st.floats(-2, 2), st.floats(0, 2))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_b(self, xs, b, db):
-        assert simplified_objective(xs, b + db) >= simplified_objective(xs, b) - 1e-12
+        for p in (1, 2):
+            lo, hi = distance_sums_1d(xs, [b, b + db], p=p)
+            assert hi >= lo - 1e-12
 
-    @given(
-        st.lists(st.floats(-1, 1), min_size=1, max_size=30),
-        st.floats(-1, 1),
-        st.floats(-1, 1),
-    )
+    @given(st.lists(coords, min_size=1, max_size=30), st.floats(-1, 1), st.floats(-1, 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_hinge_for_single_label(self, xs, theta, b):
         # hinge loss with all labels +1: max{0, 1 - (theta x + b)} = max{0, (1-b) - theta x}
         pts = [lp(float(x)) for x in xs]
         got = hinge_objective(pts, HyperplaneQuery((theta,), b), 0.0)
-        want = simplified_objective(xs, HyperplaneQuery((theta,), 1.0 - b))
+        want = distance_sums_1d(theta * np.asarray(xs), [1.0 - b])[0] / len(xs)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestDistanceSums:
-    def test_matches_simplified(self):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(-1, 1, 200)
-        qs = rng.uniform(-1.5, 1.5, 17)
+    @given(st.lists(coords, max_size=40), st.lists(coords | st.floats(-1.5, 1.5), min_size=1,
+                                                   max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, xs, qs):
         for p in (1, 2):
             got = distance_sums_1d(xs, qs, p=p)
-            for i, q in enumerate(qs):
-                assert got[i] / len(xs) == pytest.approx(
-                    simplified_objective(list(xs), q, p=p), rel=1e-12
-                )
+            want = [sum(max(0.0, q - x) ** p for x in xs) for q in qs]
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestAddInOrder:

@@ -241,7 +241,7 @@ class TestSerialization:
         data = sk.to_bytes()
         # the HSKD layout with the explicit and sample arrays stored in reverse order
         w = Writer(MAGIC_DYN1D)
-        sk.params.write(w)
+        w.fields(sk.params, SketchParams.HEADER)
         w.u64(sk.count)
         w.array(sk._expl_sorted[::-1])
         w.u64(len(sk.intervals))

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hingesketch import families, sampler
+from hingesketch.core import SketchParams
+from hingesketch.serialize import MAGIC_MULT1D, Reader, Writer
 
 W = 2**16
 
@@ -85,3 +89,37 @@ def test_non_finite_queries_rejected(name):
         qs = [[1.0, 0.0, 0.5], [1.0, 0.0, bad], [bad, 0.0, 0.5]] if fam.dim == 2 else [0.5, bad]
         with pytest.raises(ValueError, match="must be finite"):
             sk.query_many(np.asarray(qs))
+
+
+SEEDS = [0, 1, -1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sketch_params_header_round_trips(seed):
+    params = SketchParams(0.3, W=2**12, n_hint=500, C1=9.5, C2=33.0, C=1.5, p=2, seed=seed)
+    assert [name for name, _ in SketchParams.HEADER] == [
+        f.name for f in dataclasses.fields(SketchParams)]
+    w = Writer(MAGIC_MULT1D)
+    w.fields(params, SketchParams.HEADER)
+    r = Reader(w.getvalue(), MAGIC_MULT1D)
+    got = r.fields(SketchParams.HEADER)
+    r.done()
+    # the seed comes back modulo 2^64, as it was written
+    assert got == {**dataclasses.asdict(params), "seed": seed % 2**64}
+    assert SketchParams(**got).replica_key() == params.replica_key()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ["mult1d", "dyn1d"])
+def test_seeded_files_reserialize_to_their_bytes(name, seed):
+    fam = families.FAMILIES[name]
+    xs = stream(fam, 3000, seed=25)
+    data = []
+    for s in (seed, seed % 2**64):  # a seed and its residue build the same file
+        sk = fam.make(0.3, len(xs), s, 1, W)
+        sk.update_many(xs)
+        sk.freeze()
+        data.append(sk.to_bytes())
+    assert data[0] == data[1]
+    back = fam.cls.from_bytes(data[0])
+    assert back.params.seed == seed % 2**64 and back.to_bytes() == data[0]
