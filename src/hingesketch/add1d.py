@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .core import check_positive
-from .serialize import MAGIC_BINTREE, Reader, Writer
+from .serialize import Reader, Writer
 from .tree import AdaptiveTree, add_in_order
 
 # Node-count constant: measured node count stays below
@@ -63,7 +63,7 @@ class Tree1D(AdaptiveTree):
     depends on it.
     """
 
-    MAGIC = MAGIC_BINTREE
+    MAGIC = b"HSKB"
     DIM = 1
     DEPTH_CAP = 3.0
     NODE_BYTES = 25

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import check_positive, hypot_rows
 from .sampler import Reservoir1
-from .serialize import MAGIC_QUADTREE, Reader, Writer
+from .serialize import Reader, Writer
 from .tree import AdaptiveTree, add_in_order
 
 # Internal resolution: a structural parameter of c * eps^(4/5) (p=1, c below)
@@ -43,7 +43,7 @@ _BLOCK_VALUES = 2**13
 
 class _QNode:
     __slots__ = ("x0", "y0", "size", "depth", "c", "X", "Y", "Xvv", "Yvv", "Zxy",
-                 "res", "children")
+                 "res", "sample", "children")
 
     def __init__(self, x0: float, y0: float, size: float, depth: int, seed: int):
         self.x0 = x0
@@ -59,6 +59,7 @@ class _QNode:
         ix = int(round(x0 / size)) if size > 0 else 0
         iy = int(round(y0 / size)) if size > 0 else 0
         self.res = Reservoir1(seed, "qt", depth, ix, iy)
+        self.sample = None  # the point the reservoir picked
         self.children = None
 
     def write(self, w: Writer) -> None:
@@ -66,8 +67,8 @@ class _QNode:
         for v in (self.X, self.Y, self.Xvv, self.Yvv, self.Zxy):
             w.f64(v)
         w.u64(self.res.count_seen)
-        w.u8(self.res.sample is not None)
-        for v in self.res.sample or ():
+        w.u8(self.sample is not None)
+        for v in self.sample or ():
             w.f64(v)
 
     def read(self, r: Reader) -> None:
@@ -75,23 +76,7 @@ class _QNode:
         self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = (r.f64() for _ in range(5))
         self.res.count_seen = r.u64()
         if r.u8():
-            self.res.sample = (r.f64(), r.f64())
-
-
-class _Points:
-    """The points (x[i], y[i]) of two coordinate arrays, as a sequence of
-    tuples of floats made only when read."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __getitem__(self, i: int) -> tuple[float, float]:
-        return float(self.x[i]), float(self.y[i])
+            self.sample = (r.f64(), r.f64())
 
 
 class QuadTree2D(AdaptiveTree):
@@ -102,7 +87,7 @@ class QuadTree2D(AdaptiveTree):
     below side eps^2).
     """
 
-    MAGIC = MAGIC_QUADTREE
+    MAGIC = b"HSKQ"
     DIM = 2
     DEPTH_CAP = 2.0
     NODE_BYTES = 58
@@ -141,7 +126,8 @@ class QuadTree2D(AdaptiveTree):
             node.Xvv += x * x
             node.Yvv += y * y
             node.Zxy += x * y
-        node.res.offer((x, y))
+        if node.res.offer(1) is not None:
+            node.sample = (x, y)
         self.count += 1
 
     def _split(self, node: _QNode) -> bool:
@@ -192,7 +178,9 @@ class QuadTree2D(AdaptiveTree):
             node.Xvv = add_in_order(node.Xvv, x * x)
             node.Yvv = add_in_order(node.Yvv, y * y)
             node.Zxy = add_in_order(node.Zxy, x * y)
-        node.res.offer_many(_Points(x, y))
+        i = node.res.offer(len(x))
+        if i is not None:
+            node.sample = float(x[i]), float(y[i])
 
     @staticmethod
     def _partition(node: _QNode, cols: list) -> list:
@@ -232,7 +220,7 @@ class QuadTree2D(AdaptiveTree):
             rows = [(n.x0, n.x0 + n.size, n.y0, n.y0 + n.size, n.X, rx, n.Y, ry, n.c, n.Xvv,
                      n.Yvv, n.Zxy)
                     for n in self._walk() if n.c
-                    for rx, ry in [n.res.sample or (math.nan, math.nan)]]
+                    for rx, ry in [n.sample or (math.nan, math.nan)]]
             flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
                                count=12 * len(rows))
             self._flat = flat.reshape(-1, 12).T.copy()[:, :, None]

@@ -41,10 +41,7 @@ class LabeledPoint:
     y: int
 
     def __post_init__(self):
-        if isinstance(self.x, (int, float)):
-            object.__setattr__(self, "x", (float(self.x),))
-        else:
-            object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         if len(self.x) < 1:
             raise ValueError("point dimension must be >= 1")
         if not all(math.isfinite(v) for v in self.x):
@@ -68,10 +65,7 @@ class HyperplaneQuery:
     b: float
 
     def __post_init__(self):
-        if isinstance(self.theta, (int, float)):
-            object.__setattr__(self, "theta", (float(self.theta),))
-        else:
-            object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
         object.__setattr__(self, "b", float(self.b))
         if not all(math.isfinite(v) for v in self.theta) or not math.isfinite(self.b):
             raise ValueError("query parameters must be finite")

@@ -99,6 +99,8 @@ class _Interval:
 class DynSketch1D:
     """One-pass dynamic-interval sketch for sum_{x <= q} (q - x)."""
 
+    MAGIC = b"HSKD"
+
     def __init__(self, params: SketchParams):
         if params.p != 1:
             raise ValueError(f"dyn1d answers p=1 only, not p={params.p}")
@@ -143,22 +145,17 @@ class DynSketch1D:
         return -float(self._heap[0]) if len(self._heap) else -math.inf
 
     def update(self, x: float) -> None:
-        if self.frozen:
-            raise UnfrozenSketchError("sketch is frozen; no further updates")
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"stream values must be finite, got {x}")
-        self._step(x)
+        self.update_many(np.asarray([x], dtype=float))
 
     def update_many(self, xs: np.ndarray) -> None:
         """``update`` each value in turn; a non-finite value raises ValueError
         after the values before it are in.
 
-        The explicit regime pushes the points one by one.  In the interval
-        regime, ``_run`` takes in a block of points at a time up to the next
-        one that would split, merge or thin an interval, or retry a split,
-        and that point goes to ``_step`` (RUN_MIN says where points go to
-        ``_step`` one by one).
+        The explicit regime pushes the points one by one, and the first point
+        past its capacity opens the tail.  From then on ``_run`` takes in a
+        block of points at a time up to the next one that would split, merge
+        or thin an interval, or retry a split, and that point goes to
+        ``_step`` (RUN_MIN says where points go to ``_step`` one by one).
         """
         xs = np.asarray(xs, dtype=float)
         if self.frozen and xs.size:
@@ -171,12 +168,11 @@ class DynSketch1D:
                 room = self.explicit_capacity - len(self._heap)
                 for x in good[pos : pos + room].tolist():
                     heapq.heappush(self._heap, -x)
-                done = min(room, n - pos)
+                done = min(room + 1, n - pos)
                 self.count += done
+                if done > room:  # the first point past the capacity opens the tail
+                    self._open_tail(float(good[pos + room]))
                 pos += done
-                if pos < n:  # the first point past the capacity opens the tail
-                    self._step(float(good[pos]))
-                    pos += 1
                 continue
             if n - pos < RUN_MIN or self._thin_slack < RUN_MIN:
                 for x in good[pos:].tolist():
@@ -195,17 +191,11 @@ class DynSketch1D:
             raise ValueError(f"stream values must be finite, got {float(xs[bad[0]])}")
 
     def _step(self, x: float) -> None:
-        """The per-point step: keep x explicitly or sample it into the
-        intervals whose prefix it falls in, then restore the fixpoint."""
+        """The per-point step that ``_run`` matches: sample x into the intervals
+        whose prefix it falls in, keep it if below the anchor, restore the fixpoint."""
         self.count += 1
         heap = self._heap
         itvs = self.intervals
-        if not itvs:
-            if len(heap) < self.explicit_capacity:
-                heapq.heappush(heap, -x)
-            else:
-                self._open_tail(x)
-            return
         if x < -heap.item(0):  # the explicit points stay at capacity
             self._keep(x)
         lo = bisect.bisect_left(self._bounds, x)
@@ -218,11 +208,7 @@ class DynSketch1D:
                 if itv.mark and (itv.mark[0] != (self._bounds[j - 1] if j else -heap[0])
                                  or itv.mark[0] < x < itv.mark[1]):
                     itv.mark = None  # the split could succeed now
-                if len(itv.samples) > self._max_samples:
-                    zs[j + 1] = self._recompute(itv)
-                else:  # _recompute without the thinning
-                    z = zs[j + 1] = len(itv.samples) / itv.rho
-                    itv.rho_star = self._c_log / (z * self._eps3)
+                zs[j + 1] = self._recompute(itv)
                 if first < 0:
                     first = j
                 last = j
@@ -286,8 +272,7 @@ class DynSketch1D:
             itv.extend(head[hit[i, :run]])
             if i in cleared and cleared[i][run - 1]:
                 itv.mark = None
-            z = zs[i + 1] = len(itv.samples) / itv.rho
-            itv.rho_star = self._c_log / (z * self._eps3)
+            zs[i + 1] = self._recompute(itv)
         # the points below the anchor, as _keep takes them in one at a time:
         # keep the capacity largest negated points, the later arrival first
         # among equal values
@@ -545,7 +530,7 @@ class DynSketch1D:
     def to_bytes(self) -> bytes:
         # freeze sorted the arrays already
         expl = self._expl_sorted if self.frozen else np.sort(-np.asarray(self._heap, dtype=float))
-        w = Writer(serialize.MAGIC_DYN1D)
+        w = Writer(self.MAGIC)
         w.fields(self.params, SketchParams.HEADER)
         w.u64(self.count)
         w.array(expl)
@@ -559,7 +544,7 @@ class DynSketch1D:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DynSketch1D":
-        r = Reader(data, serialize.MAGIC_DYN1D)
+        r = Reader(data, cls.MAGIC)
         sk = cls(SketchParams(**r.fields(SketchParams.HEADER)))
         sk.count = r.u64()
         expl = r.sorted_array()

@@ -7,10 +7,10 @@ Every family's class implements
   space_words()       retained words;
   replica_key()       what replicas of one sketch share: everything but the seed;
   to_bytes(), from_bytes(data).
-``FAMILIES`` maps each family's name to its file magic, class, point
-dimension and constructor, so callers look a family up here instead of
-naming its class.  Adding a family means one module plus one entry in
-``FAMILIES``.
+``FAMILIES`` maps each family's name to its class, point dimension and
+constructor, so callers look a family up here instead of naming its class;
+each class owns its file magic, ``MAGIC``.  Adding a family means one module
+plus one entry in ``FAMILIES``.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import add1d, add2d, dyn1d, mult1d, serialize
+from . import add1d, add2d, dyn1d, mult1d
 from .core import SketchParams
 
 
 @dataclass(frozen=True)
 class Family:
     name: str
-    magic: bytes
     cls: type
     dim: int
     # (epsilon, n_hint, seed, p, W) -> an empty sketch
@@ -39,22 +38,22 @@ class Family:
 
 
 FAMILIES = {f.name: f for f in (
-    Family("offline1d", serialize.MAGIC_OFFLINE1D, mult1d.OfflineSketch1D, 1,
+    Family("offline1d", mult1d.OfflineSketch1D, 1,
            lambda eps, n, seed, p, W: mult1d.OfflineSketch1D(eps, p)),
-    Family("mult1d", serialize.MAGIC_MULT1D, mult1d.MultStream1D, 1,
+    Family("mult1d", mult1d.MultStream1D, 1,
            lambda eps, n, seed, p, W: mult1d.MultStream1D(SketchParams(eps, W, n, p=p, seed=seed)),
            universe=True, kappa=mult1d.KAPPA),
-    Family("dyn1d", serialize.MAGIC_DYN1D, dyn1d.DynSketch1D, 1,
+    Family("dyn1d", dyn1d.DynSketch1D, 1,
            lambda eps, n, seed, p, W: dyn1d.DynSketch1D(SketchParams(eps, W, n, p=p, seed=seed)),
            universe=True, kappa=dyn1d.KAPPA_QUERY),
-    Family("add1d", serialize.MAGIC_BINTREE, add1d.Tree1D, 1,
+    Family("add1d", add1d.Tree1D, 1,
            lambda eps, n, seed, p, W: add1d.additive_tree_1d(eps, n, p=p),
            normalized=True),
-    Family("add2d", serialize.MAGIC_QUADTREE, add2d.QuadTree2D, 2,
+    Family("add2d", add2d.QuadTree2D, 2,
            lambda eps, n, seed, p, W: add2d.additive_quadtree(eps, n, p=p, seed=seed),
            normalized=True),
 )}
-BY_MAGIC = {f.magic: f for f in FAMILIES.values()}
+BY_MAGIC = {f.cls.MAGIC: f for f in FAMILIES.values()}
 _BY_CLASS = {f.cls: f for f in FAMILIES.values()}
 
 

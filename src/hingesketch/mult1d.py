@@ -57,9 +57,12 @@ class OfflineSketch1D:
     largest stored rank with x_j <= q, which never overestimates.
 
     The sketch is offline: ``update_many`` keeps the points and ``freeze``
-    sorts them and builds the index.  It answers first powers only: ``p``
-    other than 1 is rejected, not ignored.
+    sorts them and builds the index.  As in the streaming sketches, queries
+    follow ``freeze`` and updates precede it; ``build`` and ``from_bytes``
+    give frozen sketches.  ``p`` other than 1 is rejected, not ignored.
     """
+
+    MAGIC = b"HSKO"
 
     def __init__(self, epsilon: float, p: int = 1):
         check_positive("epsilon", epsilon)
@@ -70,6 +73,7 @@ class OfflineSketch1D:
         self.epsilon = float(epsilon)
         self._pending: list[np.ndarray] = []
         self._index(np.empty(0))
+        self.frozen = False
 
     @classmethod
     def build(cls, points, epsilon: float) -> "OfflineSketch1D":
@@ -98,16 +102,20 @@ class OfflineSketch1D:
         pre = np.concatenate([[0.0], np.cumsum(xs)])
         self.xs = xs[self.ranks - 1].copy()
         self.sums = self.ranks * self.xs - pre[self.ranks]
+        self.frozen = True
 
     def update_many(self, xs: np.ndarray) -> None:
+        if self.frozen:
+            raise UnfrozenSketchError("sketch is frozen; no further updates")
         xs = np.asarray(xs, dtype=float)
         if not np.isfinite(xs).all():
             raise ValueError("stream values must be finite")
         self._pending.append(xs)
 
     def freeze(self) -> None:
-        self._index(np.sort(np.concatenate([np.empty(0), *self._pending])))
-        self._pending = []
+        if not self.frozen:
+            self._index(np.sort(np.concatenate([np.empty(0), *self._pending])))
+            self._pending = []
 
     def __len__(self) -> int:
         return int(self.ranks.size)
@@ -123,6 +131,8 @@ class OfflineSketch1D:
         return float(self.query_many(np.asarray([q]))[0])
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
+        if not self.frozen:
+            raise UnfrozenSketchError("freeze() the sketch before querying")
         qs = np.asarray(qs, dtype=float)
         if not np.isfinite(qs).all():
             raise ValueError("queries must be finite")
@@ -134,7 +144,7 @@ class OfflineSketch1D:
         return out
 
     def to_bytes(self) -> bytes:
-        w = Writer(serialize.MAGIC_OFFLINE1D)
+        w = Writer(self.MAGIC)
         w.f64(self.epsilon)
         w.array(self.ranks.astype(np.float64))
         w.array(self.xs)
@@ -143,7 +153,7 @@ class OfflineSketch1D:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OfflineSketch1D":
-        r = Reader(data, serialize.MAGIC_OFFLINE1D)
+        r = Reader(data, cls.MAGIC)
         sk = cls(r.f64())
         ranks, sk.xs, sk.sums = r.array(), r.array(), r.array()
         r.done()
@@ -157,6 +167,7 @@ class OfflineSketch1D:
         if not ((ranks >= 1) & (ranks <= 2.0**53) & (ranks == np.floor(ranks))).all():
             raise serialize.FormatError("HSKO ranks must be whole numbers from 1 to 2^53")
         sk.ranks = ranks.astype(np.int64)
+        sk.frozen = True
         return sk
 
 
@@ -192,6 +203,8 @@ def space_bound_words(params: SketchParams) -> int:
 
 class MultStream1D:
     """One-pass multiplicative sketch over a d=1 value stream."""
+
+    MAGIC = b"HSK1"
 
     def __init__(self, params: SketchParams):
         if params.p != 1:
@@ -407,7 +420,7 @@ class MultStream1D:
         return self.params.replica_key()
 
     def to_bytes(self) -> bytes:
-        w = Writer(serialize.MAGIC_MULT1D)
+        w = Writer(self.MAGIC)
         w.fields(self.params, SketchParams.HEADER)
         w.u8(0)  # reserved
         w.u64(self.count)
@@ -420,7 +433,7 @@ class MultStream1D:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MultStream1D":
-        r = Reader(data, serialize.MAGIC_MULT1D)
+        r = Reader(data, cls.MAGIC)
         params = SketchParams(**r.fields(SketchParams.HEADER))
         if r.u8() != 0:
             raise serialize.FormatError("reserved byte must be 0")

@@ -1,11 +1,12 @@
 """Seeded sampling primitives shared by every sketch.
 
 Three building blocks: per-level Bernoulli subsampling with keep-smallest
-retention (LevelSampleBank), size-1 reservoir sampling (Reservoir1), and a
-buffered stream of uniforms that also draws exact-size subsets
-(UniformStream).  Every generator is a counter-based Philox generator keyed
-by a digest of (seed, domain tags).  So identical seed + identical offer
-sequence replays byte-for-byte, independent of chunking.
+retention (LevelSampleBank), a size-1 reservoir that picks a position and
+leaves the value to its caller (Reservoir1), and a buffered stream of
+uniforms that also draws exact-size subsets (UniformStream).  Every
+generator is a counter-based Philox generator keyed by a digest of (seed,
+domain tags).  So identical seed + identical offer sequence replays
+byte-for-byte, independent of chunking.
 """
 
 from __future__ import annotations
@@ -207,36 +208,34 @@ class LevelSampleBank:
 
 
 class Reservoir1:
-    """Uniform size-1 reservoir: after k offers each value is retained w.p. 1/k.
+    """Uniform size-1 reservoir: after k offers each one is the pick w.p. 1/k.
 
-    It draws once per replacement (the k=1 case of Vitter's skip and Li's
-    Algorithm L): with c values seen, the sample stays through offer m with
-    probability c/m, so the next replacement, ``next_replace``, is offer
-    ``floor(c/U) + 1`` for U uniform on (0, 1], drawn at the first offer after c.
+    It only picks: ``offer(n)`` names which of the next n offers, if any,
+    replaces the pick, and the caller keeps that value.  It draws once per
+    replacement (the k=1 case of Vitter's skip and Li's Algorithm L): with c
+    offers seen, the pick stays through offer m with probability c/m, so the
+    next replacement, ``next_replace``, is offer ``floor(c/U) + 1`` for U
+    uniform on (0, 1], drawn at the first offer after c.
 
     The generator, built at the first draw, is Philox keyed by (seed, *tags, c),
-    c the count then: 1 unless the reservoir was given a count and a sample, as
-    a loaded sketch's are.  Such a one draws from a stream of its own, not a
-    replay of the draws that chose its sample.
+    c the count then: 1 unless the reservoir was given a count, as a loaded
+    sketch's are.  Such a one draws from a stream of its own, not a replay of
+    the draws that made its pick.
     """
 
-    __slots__ = ("count_seen", "sample", "next_replace", "_key", "_rng")
+    __slots__ = ("count_seen", "next_replace", "_key", "_rng")
 
     def __init__(self, seed: int = 0, *tags):
         self.count_seen = 0
-        self.sample = None
         self.next_replace: int | None = None
         self._key = (seed, *tags)
         self._rng: np.random.Generator | None = None
 
-    def offer(self, value) -> None:
-        self.offer_many((value,))
-
-    def offer_many(self, values) -> None:
-        """``offer`` each of ``values`` (a sequence) in turn.  Only the value
-        kept is read."""
+    def offer(self, n: int) -> int | None:
+        """Take n more offers; the index among them (0 to n - 1) of the one
+        picked now, or None if the pick stays."""
         start = self.count_seen
-        end = start + len(values)
+        end = start + n
         c, kept = (1, 1) if start == 0 and end else (start, None)
         nxt = self.next_replace
         while c < end:
@@ -249,5 +248,4 @@ class Reservoir1:
             c = kept = nxt
             nxt = None
         self.count_seen, self.next_replace = end, nxt
-        if kept is not None:
-            self.sample = values[kept - start - 1]
+        return None if kept is None else kept - start - 1

@@ -1,6 +1,6 @@
 """Little-endian binary container shared by all sketch file formats.
 
-Layout: 4-byte magic, u16 format version, then a type-specific payload.
+Layout: 4-byte magic (the sketch class's ``MAGIC``), u16 format version, then a type-specific payload.
 See docs/formats.md for the per-type payload layouts.
 """
 
@@ -11,12 +11,6 @@ import struct
 import numpy as np
 
 FORMAT_VERSION = 1
-
-MAGIC_MULT1D = b"HSK1"
-MAGIC_DYN1D = b"HSKD"
-MAGIC_BINTREE = b"HSKB"
-MAGIC_QUADTREE = b"HSKQ"
-MAGIC_OFFLINE1D = b"HSKO"
 
 
 class FormatError(ValueError):

@@ -109,18 +109,21 @@ class _RowChecker:
         A NaN or infinite coordinate makes the norm NaN or infinite, which
         fails the bound.  Python 3.12+ sums floats with compensation, which
         can move a norm of ``_row_norms`` by an ulp for d >= 3, so rows within
-        1e-12 of the bound go to the per-row check.
+        1e-12 of the bound go to the per-row check.  An infinite bound cuts at
+        the largest finite float, so that every finite norm passes.
         """
         limit = self.max_norm + 1e-9
-        return ((y == 1) | (y == -1)) & (_row_norms(X) <= limit - 1e-12 * abs(limit))
+        cut = limit - 1e-12 * limit if limit < math.inf else sys.float_info.max
+        return ((y == 1) | (y == -1)) & (_row_norms(X) <= cut)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean row norms, the squares added column by column as ``LabeledPoint.norm`` adds them."""
-    sq = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        sq += X[:, j] * X[:, j]
-    return np.sqrt(sq)
+    with np.errstate(over="ignore"):  # a square past the float range is inf, as in Python
+        sq = X[:, 0] * X[:, 0]
+        for j in range(1, X.shape[1]):
+            sq += X[:, j] * X[:, j]
+        return np.sqrt(sq)
 
 
 def _passing(y: np.ndarray, X: np.ndarray, ok: np.ndarray, check) -> np.ndarray:
@@ -160,8 +163,7 @@ def _csv_records(stream, chk: _RowChecker):
             a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
         except ValueError:
             a = None
-        # loadtxt skips empty lines: its rows must still map one to one onto lines
-        if a is None or len(a) != len(lines):
+        if a is None:
             rows = [r for r in map(chk.csv_line, linenos.tolist(), lines) if r is not None]
             if rows:
                 yield np.array(rows, record_dtype(chk.dim))

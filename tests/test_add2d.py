@@ -35,7 +35,7 @@ class TestStructure:
         tree.update(0.5, 0.5)
         node = next(n for n in tree._walk() if n.c == 1)
         assert node.X == 0.5 and node.Y == 0.5
-        assert node.res.sample == (0.5, 0.5)
+        assert node.sample == (0.5, 0.5)
 
     def test_conservation(self):
         pts = disk_square_points(2000, 0)

@@ -18,9 +18,8 @@ from hingesketch.add2d import QuadTree2D, additive_quadtree
 from hingesketch.core import HyperplaneQuery, LabeledPoint, SketchParams, hinge_objective
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
-from hingesketch.mult1d import OfflineSketch1D
-from hingesketch.serialize import (MAGIC_BINTREE, MAGIC_DYN1D, MAGIC_MULT1D, MAGIC_OFFLINE1D,
-                                   MAGIC_QUADTREE, FormatError, Writer)
+from hingesketch.mult1d import MultStream1D, OfflineSketch1D
+from hingesketch.serialize import FormatError, Writer
 from hingesketch.stream import MAGIC, record_dtype
 
 
@@ -577,7 +576,7 @@ class TestCommands:
     @given(st.integers(-2**63, 2**63 - 1))
     @settings(max_examples=50, deadline=None)
     def test_seed_in_int64_keeps_its_header_bytes(self, seed):
-        w = Writer(MAGIC_MULT1D)
+        w = Writer(MultStream1D.MAGIC)
         w.fields(SketchParams(0.5, seed=seed), SketchParams.HEADER)
         assert w.getvalue()[-8:] == struct.pack("<q", seed)
         # HSKQ: magic, version, eps_struct, n_declared and p, then the seed
@@ -657,13 +656,13 @@ class TestOptimizeRecords:
 
 def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4):
     """An HSKB file of n_declared 100; eps 0.01 gives 16 roots and depth cap 20."""
-    head = MAGIC_BINTREE + struct.pack("<HdQBddQH", 1, eps, 100, 1, lo, hi, 0, depth)
+    head = add1d.Tree1D.MAGIC + struct.pack("<HdQBddQH", 1, eps, 100, 1, lo, hi, 0, depth)
     return head + b"".join(HSKB_NODE.pack(f, 0, 0.0, 0.0) for f in flags)
 
 
 def hskq(flags=(0,) * 64, eps=0.01, depth=3):
     """An HSKQ file of n_declared 100; eps 0.01 gives 64 roots and depth cap 14."""
-    head = MAGIC_QUADTREE + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, 0, depth)
+    head = QuadTree2D.MAGIC + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, 0, depth)
     return head + b"".join(HSKQ_NODE.pack(f, 0, *[0.0] * 5, 0, 0) for f in flags)
 
 
@@ -794,7 +793,7 @@ class TestCraftedParams:
         def array(*values):
             return struct.pack(f"<Q{len(values)}d", len(values), *values)
         # one rank, three positions, one sum
-        data = (MAGIC_OFFLINE1D + struct.pack("<Hd", 1, 0.1) + array(1.0)
+        data = (OfflineSketch1D.MAGIC + struct.pack("<Hd", 1, 0.1) + array(1.0)
                 + array(0.1, 0.2, 0.3) + array(0.0))
         assert len(data) == 78
         path = tmp_path / "s"
@@ -823,7 +822,7 @@ def hsk1(buffer=lambda bank, i, b: b):
     """The HSK1 bytes of the mult1d sample sketch, each level's buffer replaced by
     ``buffer(bank name, level, buffer)``."""
     sk = sample_sketch("mult1d")
-    w = Writer(MAGIC_MULT1D)
+    w = Writer(MultStream1D.MAGIC)
     w.fields(sk.params, SketchParams.HEADER)
     w.u8(0)
     w.u64(sk.count)
@@ -840,7 +839,7 @@ def hskd(expl=None, interval=lambda i, fields: fields, count=None):
     by ``expl``, each interval's (boundary, rho, rho_star, samples) by
     ``interval(index, fields)`` and the stored interval count by ``count``."""
     sk = sample_sketch("dyn1d")
-    w = Writer(MAGIC_DYN1D)
+    w = Writer(DynSketch1D.MAGIC)
     w.fields(sk.params, SketchParams.HEADER)
     w.u64(sk.count)
     w.array(sk._expl_sorted if expl is None else expl)
@@ -858,7 +857,7 @@ def hskd(expl=None, interval=lambda i, fields: fields, count=None):
 def hsko(ranks=None, xs=None, sums=None):
     """The HSKO bytes of the offline1d sample sketch, with arrays replaced."""
     sk = sample_sketch("offline1d")
-    w = Writer(MAGIC_OFFLINE1D)
+    w = Writer(OfflineSketch1D.MAGIC)
     w.f64(sk.epsilon)
     for new, old in ((ranks, sk.ranks.astype(float)), (xs, sk.xs), (sums, sk.sums)):
         w.array(old if new is None else new)

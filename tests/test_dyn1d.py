@@ -7,7 +7,7 @@ import pytest
 
 from hingesketch.core import SketchParams, distance_sums_1d
 from hingesketch.dyn1d import DynSketch1D, KAPPA_COUNT, KAPPA_QUERY, UnfrozenSketchError
-from hingesketch.serialize import MAGIC_DYN1D, Writer
+from hingesketch.serialize import Writer
 
 
 def logged(params):
@@ -240,7 +240,7 @@ class TestSerialization:
         assert sk.intervals
         data = sk.to_bytes()
         # the HSKD layout with the explicit and sample arrays stored in reverse order
-        w = Writer(MAGIC_DYN1D)
+        w = Writer(DynSketch1D.MAGIC)
         w.fields(sk.params, SketchParams.HEADER)
         w.u64(sk.count)
         w.array(sk._expl_sorted[::-1])

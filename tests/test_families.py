@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hingesketch import families, sampler
+from hingesketch import cli, families, sampler
 from hingesketch.core import SketchParams
-from hingesketch.serialize import MAGIC_MULT1D, Reader, Writer
+from hingesketch.mult1d import MultStream1D
+from hingesketch.serialize import Reader, Writer
 
 W = 2**16
 
@@ -34,6 +35,23 @@ def test_bytes_do_not_depend_on_chunking(name):
         sk.freeze()
         got[chunk] = sk.to_bytes()
     assert got[7] == got[65536] and got[1] == got[65536]
+
+
+def test_each_class_owns_its_file_magic(tmp_path):
+    """A family's files start with its class's MAGIC, which names it alone in
+    ``BY_MAGIC``; a file with no family's magic is a data error that names it."""
+    for fam in families.FAMILIES.values():
+        sk = fam.make(0.3, 100, 1, 1, W)
+        sk.update_many(stream(fam, 100, seed=23))
+        sk.freeze()
+        data = sk.to_bytes()
+        assert len(fam.cls.MAGIC) == 4 and data[:4] == fam.cls.MAGIC
+        assert families.BY_MAGIC[fam.cls.MAGIC] is fam
+    assert len(families.BY_MAGIC) == len(families.FAMILIES)
+    path = tmp_path / "s"
+    path.write_bytes(b"HSKX" + data[4:])
+    with pytest.raises(cli.DataError, match="unrecognized sketch magic b'HSKX'"):
+        cli.load_sketch(str(path))
 
 
 def loaded_and_in_memory(name, n, monkeypatch):
@@ -99,9 +117,9 @@ def test_sketch_params_header_round_trips(seed):
     params = SketchParams(0.3, W=2**12, n_hint=500, C1=9.5, C2=33.0, C=1.5, p=2, seed=seed)
     assert [name for name, _ in SketchParams.HEADER] == [
         f.name for f in dataclasses.fields(SketchParams)]
-    w = Writer(MAGIC_MULT1D)
+    w = Writer(MultStream1D.MAGIC)
     w.fields(params, SketchParams.HEADER)
-    r = Reader(w.getvalue(), MAGIC_MULT1D)
+    r = Reader(w.getvalue(), MultStream1D.MAGIC)
     got = r.fields(SketchParams.HEADER)
     r.done()
     # the seed comes back modulo 2^64, as it was written

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from hingesketch import cli, stream
 from hingesketch.core import LabeledPoint
@@ -104,6 +104,28 @@ SPECIAL = st.sampled_from(["", "   ", "\t", "# comment", "  # indented", "#1,0.5
                           "\xa0# indented"])
 
 
+ROWS = st.tuples(st.sampled_from(["1", "-1"]), st.floats(-0.9, 0.9)).map(
+    lambda r: f"{r[0]},{r[1]!r}")
+BLANK_LINES = ["", " ", "\t", "\xa0", "\u3000", " \t\xa0\u3000 ", "#", "# 1,0.5", "\xa0#x",
+               "\u3000#1,0.5"]
+# rows that loadtxt parses and the mask rejects
+FAILING = ["0,0.5", "2,0.5", "1,nan", "-1,inf", "1,2.0", "-1,-1.5"]
+# rows that loadtxt rejects among rows of one coordinate
+MALFORMED = ["1,", "x,0.5", "1,0.5,0.5", "1,abc", "1,0.5#x", "1", ",", "1,0.5,"]
+
+
+@st.composite
+def lines_among_rows(draw):
+    """Valid rows mixed with a few kinds of line each: lines that strip to
+    nothing or to a '#' line, rows the mask rejects and rows that
+    ``np.loadtxt`` rejects.  Few kinds make blocks that only one of them
+    breaks common."""
+    odd = [*draw(st.lists(st.sampled_from(BLANK_LINES), min_size=1, max_size=2)),
+           *draw(st.lists(st.sampled_from(FAILING), min_size=1, max_size=2)),
+           *draw(st.lists(st.sampled_from(MALFORMED), max_size=1))]
+    return draw(st.lists(st.one_of(ROWS, st.sampled_from(odd)), max_size=40))
+
+
 @st.composite
 def csv_streams(draw):
     d = draw(st.integers(1, 3))
@@ -167,8 +189,26 @@ class TestBlocksMatchPerRow:
         path.write_text(text)
         assert_same_as_per_row(str(path), "csv", 1.0, monkeypatch)
 
+    @SETTINGS
+    @given(lines=lines_among_rows())
+    # blocks of 2 to 8 lines put a blank line before a row the mask rejects
+    @example(lines=["1,0.5", "", "2,0.5", "\xa0", "1,nan", "\u3000", "-1,2.0"])
+    def test_blank_comment_and_malformed_lines_among_rows(self, tmp_path, monkeypatch, lines):
+        """Lines that strip to nothing (U+00A0 and U+3000 included, which
+        ``np.loadtxt`` rejects rather than skips), '#' lines and malformed rows
+        among valid ones: every block maps its rows one to one onto its lines."""
+        path = tmp_path / "s.csv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        points, errors = per_row_csv(str(path), 1.0)
+        for rows in range(1, 9):
+            monkeypatch.setattr(stream, "_BLOCK_ROWS", rows)
+            records, got_errors = cli.ingest(str(path), "csv")
+            assert _rows(records) == _ref_rows(points)
+            assert got_errors == errors
 
-def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
+
+def count_row_checks(monkeypatch) -> list:
+    """The per-row checks called from here on, by name, one entry per call."""
     calls = []
 
     def counted(name):
@@ -179,8 +219,44 @@ def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
             return method(self, *args)
         return wrapper
 
-    for name in ("csv_line", "point"):
+    for name in ("csv_line", "labeled", "point"):
         monkeypatch.setattr(stream._RowChecker, name, counted(name))
+    return calls
+
+
+def write_hstr(path, y, X):
+    rec = np.empty(len(y), stream.record_dtype(X.shape[1]))
+    rec["y"], rec["x"] = y, X
+    path.write_bytes(stream.MAGIC + struct.pack("<I", X.shape[1]) + rec.tobytes())
+
+
+def test_infinite_max_norm_sends_no_finite_row_to_the_checks(tmp_path, monkeypatch):
+    calls = count_row_checks(monkeypatch)
+    X = np.random.default_rng(4).uniform(-1e150, 1e150, (1000, 2))
+    csv, hstr = tmp_path / "s.csv", tmp_path / "s.bin"
+    csv.write_text("".join(f"-1,{a!r},{b!r}\n" for a, b in X.tolist()))
+    write_hstr(hstr, np.full(1000, -1), X)
+    for path, fmt in ((csv, "csv"), (hstr, "bin")):
+        records, errors = cli.ingest(str(path), fmt, max_norm=math.inf)
+        assert len(records) == 1000 and errors == [] and calls == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_infinite_max_norm_rules_as_the_per_row_checks(tmp_path, monkeypatch, fmt):
+    """Rows of infinite or NaN norm, or whose squares overflow, go to the
+    per-row checks, which rule on them as on any row."""
+    coords = [0.5, -1e150, 1e200, 1.7976931348623157e308, math.inf, -math.inf, math.nan, 3.0]
+    rows = [(y, a, b) for y in (1, -1, 0) for a in coords for b in coords]
+    path = tmp_path / f"s.{fmt}"
+    if fmt == "csv":
+        path.write_text("".join(f"{y},{a!r},{b!r}\n" for y, a, b in rows))
+    else:
+        write_hstr(path, np.array([r[0] for r in rows]), np.array([r[1:] for r in rows]))
+    assert_same_as_per_row(str(path), fmt, math.inf, monkeypatch)
+
+
+def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
+    calls = count_row_checks(monkeypatch)
     rows = [f"1,{x!r},0.5" for x in np.linspace(-0.5, 0.5, 500).tolist()]
     rows[7], rows[300] = "1,nan,0.5", "-1,0.9,0.9"
     path = tmp_path / "s.csv"
@@ -191,11 +267,10 @@ def test_per_row_checks_run_only_on_failing_rows(tmp_path, monkeypatch):
     calls.clear()
     X = np.column_stack([np.linspace(-0.5, 0.5, 500), np.full(500, 0.5)])
     X[7, 0], X[300] = np.inf, (0.9, 0.9)
-    rec = np.empty(500, stream.record_dtype(2))
-    rec["y"], rec["x"] = 1, X
-    rec["y"][11] = 0
+    y = np.ones(500)
+    y[11] = 0
     path = tmp_path / "s.bin"
-    path.write_bytes(stream.MAGIC + struct.pack("<I", 2) + rec.tobytes())
+    write_hstr(path, y, X)
     records, errors = cli.ingest(str(path), "bin")
     assert len(records) == 497 and len(errors) == 3
     assert calls.count("point") == 2  # the bad label byte is reported before point()

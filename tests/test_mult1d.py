@@ -66,6 +66,27 @@ class TestOffline:
         with pytest.raises(ValueError, match="1 \\+ epsilon rounds to 1"):
             OfflineSketch1D(eps)
 
+    def test_query_before_freeze_rejected(self):
+        sk = OfflineSketch1D(0.1)
+        sk.update_many([1.0, 2.0, 3.0])
+        with pytest.raises(UnfrozenSketchError, match="freeze"):
+            sk.query_many([10.0])
+        sk.freeze()
+        assert sk.query(10.0) == 24.0
+
+    def test_update_after_freeze_rejected(self):
+        """An update after ``freeze`` raises and loses no point, as does a second
+        ``freeze``; ``build`` and ``from_bytes`` give frozen sketches."""
+        sk = OfflineSketch1D(0.1)
+        sk.update_many([1.0, 2.0, 3.0])
+        sk.freeze()
+        built = OfflineSketch1D.build([1.0, 2.0, 3.0], 0.1)
+        for frozen in (sk, built, OfflineSketch1D.from_bytes(sk.to_bytes())):
+            with pytest.raises(UnfrozenSketchError, match="frozen"):
+                frozen.update_many([4.0])
+            frozen.freeze()
+            assert frozen.query(10.0) == 24.0
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             OfflineSketch1D.build([2.0, 1.0], 0.5)

@@ -174,34 +174,34 @@ class TestBank:
 
 
 def _state(r: Reservoir1):
-    return (r.count_seen, r.sample, r.next_replace,
-            r._rng and r._rng.bit_generator.state)
+    return (r.count_seen, r.next_replace, r._rng and r._rng.bit_generator.state)
+
+
+def offer_each(r: Reservoir1, values, kept=None):
+    """Offer ``values`` one at a time; returns the value picked."""
+    for v in values:
+        if r.offer(1) is not None:
+            kept = v
+    return kept
 
 
 class TestReservoir:
     def test_first_offer_retained(self):
         r = Reservoir1(seed=0)
-        r.offer("a")
-        assert r.sample == "a" and r.count_seen == 1
+        assert r.offer(1) == 0 and r.count_seen == 1
 
     def test_two_offer_uniformity(self):
         hits = 0
         trials = 10_000
         for seed in range(trials):
-            r = Reservoir1(seed=seed)
-            r.offer(0)
-            r.offer(1)
-            hits += r.sample
+            hits += offer_each(Reservoir1(seed=seed), [0, 1])
         assert abs(hits / trials - 0.5) <= 0.02
 
     def test_k_offer_uniformity(self):
         k, trials = 7, 4000
         counts = np.zeros(k)
         for seed in range(trials):
-            r = Reservoir1(seed=derive_seed(seed, "resv"))
-            for v in range(k):
-                r.offer(v)
-            counts[r.sample] += 1
+            counts[offer_each(Reservoir1(seed=derive_seed(seed, "resv")), range(k))] += 1
         p = 1.0 / k
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.all(np.abs(counts - trials * p) <= 5 * sigma)
@@ -209,25 +209,18 @@ class TestReservoir:
     def test_determinism(self):
         a = Reservoir1(seed=42)
         b = Reservoir1(seed=42)
-        for v in range(100):
-            a.offer(v)
-            b.offer(v)
-        assert a.sample == b.sample
-
+        assert offer_each(a, range(100)) == offer_each(b, range(100))
 
     @given(st.sampled_from([0, 1, 5]), st.integers(0, 40), st.integers(0, 2**64 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_offer_many_is_repeated_offer(self, start, m, seed):
-        """Runs that start at count 0, 1 and k: the same count, sample, next
+    def test_one_offer_of_n_is_n_offers_of_one(self, start, m, seed):
+        """Runs that start at count 0, 1 and k: the same count, pick, next
         replacement and generator state as one offer per value."""
         a, b = Reservoir1(seed=seed), Reservoir1(seed=seed)
-        for v in range(start):
-            a.offer(v)
-            b.offer(v)
-        values = [(float(v), -float(v)) for v in range(start, start + m)]
-        for v in values:
-            a.offer(v)
-        b.offer_many(values)
+        kept = offer_each(a, range(start))
+        assert offer_each(b, range(start)) == kept
+        i = b.offer(m)
+        assert offer_each(a, range(start, start + m), kept) == (kept if i is None else start + i)
         assert_equal(_state(b), _state(a))
 
     @pytest.mark.parametrize("m", [7, 50])
@@ -250,17 +243,17 @@ class TestReservoir:
                 tree = QuadTree2D.from_bytes(tree.to_bytes())
                 tree.update_many(pts[c:])
                 (node,) = tree.roots
-                counts[round(node.res.sample[0] * m)] += 1
+                counts[round(node.sample[0] * m)] += 1
                 continue
-            r = Reservoir1(seed, "resv")
+            r, kept = Reservoir1(seed, "resv"), None
             if feed == "per_point":
-                for v in range(m):
-                    r.offer(v)
+                kept = offer_each(r, range(m))
             else:
                 cuts = np.sort(rng.integers(0, m + 1, 3)).tolist()
                 for a, b in zip([0, *cuts], [*cuts, m]):
-                    r.offer_many(range(a, b))
-            counts[r.sample] += 1
+                    i = r.offer(b - a)
+                    kept = kept if i is None else a + i
+            counts[kept] += 1
         chi2 = ((counts - trials / m) ** 2 / (trials / m)).sum()
         # the 0.999 quantiles of chi-square with 6 and 49 degrees of freedom
         assert chi2 < {7: 22.46, 50: 85.35}[m]
