@@ -53,9 +53,9 @@ def _err(kind: str, message: str) -> None:
 def cmd_gen(args) -> int:
     meta = {"kind": args.kind, "seed": args.seed, "n": args.n}
     if args.kind == "uniform":
-        points = gen.gen_uniform(args.n, args.d, seed=args.seed, label_mode=args.labels)
+        records = gen.gen_uniform(args.n, args.d, seed=args.seed, label_mode=args.labels)
     elif args.kind == "clustered":
-        points = gen.gen_clustered(args.n, args.d, seed=args.seed, label_mode=args.labels)
+        records = gen.gen_clustered(args.n, args.d, seed=args.seed, label_mode=args.labels)
     elif args.kind in ("index1d", "index2d"):
         if not args.bits:
             raise ConfigError(f"--bits required for {args.kind}")
@@ -64,7 +64,7 @@ def cmd_gen(args) -> int:
             inst = gen.gen_index1d(bits, args.epsilon, args.n)
         else:
             inst = gen.gen_index2d(bits, args.s, args.r, args.n)
-        points = inst.points
+        records = inst.points
         meta.update(
             bits=args.bits,
             per_bit=inst.per_bit,
@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
             meta["decode_threshold"] = (inst.queries[0].signal / 2.0) if inst.queries else None
     elif args.kind == "opthard":
         inst = gen.gen_opt_hard(args.delta, args.n, d=args.d, case=args.case, seed=args.seed)
-        points = inst.points
+        records = inst.points
         meta.update(
             delta=inst.delta,
             lam=inst.lam,
@@ -88,10 +88,10 @@ def cmd_gen(args) -> int:
         )
     else:
         raise ConfigError(f"unknown generator kind {args.kind!r}")
-    write_stream(points, args.out, args.format)
+    write_stream(records, args.out, args.format)
     with open(args.out + ".meta.json", "w") as f:
         json.dump(meta, f, indent=2)
-    print(json.dumps({"written": args.out, "points": len(points)}))
+    print(json.dumps({"written": args.out, "points": len(records)}))
     return EXIT_OK
 
 
@@ -233,7 +233,7 @@ def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
     d=1: distance sums at 50 points q of [0, 1] over n uniform values; d=2:
     mean distances to 20 random halfplanes over n points of the unit disk.
     """
-    pts = np.array([pp.x for pp in gen.gen_uniform(n, fam.dim, seed=seed)])
+    pts = np.ascontiguousarray(gen.gen_uniform(n, fam.dim, seed=seed)["x"])
     qrng = np.random.default_rng(seed + 777)
     if fam.dim == 2:
         rows, exact = [], []
@@ -393,7 +393,7 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
                     f"{est:.6f} vs {orc:.6f}"))
 
     inst = gen.gen_index1d([1, 0, 1, 1], 0.01, 2000)
-    bxs = np.array([p.x[0] for p in inst.points])
+    bxs = np.ascontiguousarray(inst.points["x"][:, 0])
     tree1 = add1d.additive_tree_1d(0.003, max(len(bxs), 1), lo=0.0, hi=1.0)
     tree1.update_many(bxs)
     dec = inst.decode(lambda q: tree1.query(q) * len(bxs))
@@ -434,15 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hingesketch")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # --format where a stream is written or read, the ingest checks where one is read
+    def common(p, writes=False, reads=False):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("csv", "bin"), default="csv")
-        p.add_argument("--fail-fast", action="store_true")
-        p.add_argument("--max-norm", type=float, default=1.0,
-                       help="unit-ball relaxation for ingestion (opthard streams use 1+delta)")
+        if writes or reads:
+            p.add_argument("--format", choices=("csv", "bin"), default="csv")
+        if reads:
+            p.add_argument("--fail-fast", action="store_true")
+            p.add_argument("--max-norm", type=float, default=1.0,
+                           help="unit-ball relaxation for ingestion (opthard streams use 1+delta)")
 
     g = sub.add_parser("gen", help="generate a stream plus metadata sidecar")
-    common(g)
+    common(g, writes=True)
     g.add_argument("--kind", required=True,
                    choices=("uniform", "clustered", "index1d", "index2d", "opthard"))
     g.add_argument("--n", type=int, default=1000)
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen)
 
     b = sub.add_parser("build", help="build a sketch from a stream file")
-    common(b)
+    common(b, reads=True)
     b.add_argument("--algorithm", required=True, choices=list(families.FAMILIES))
     b.add_argument("--input", required=True)
     b.add_argument("--epsilon", type=float, required=True)
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_query)
 
     o = sub.add_parser("optimize", help="approximately minimize the objective")
-    common(o)
+    common(o, reads=True)
     o.add_argument("--algorithm", default="add1d", choices=ALGORITHMS)
     o.add_argument("--input", required=True)
     o.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)

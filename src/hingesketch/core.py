@@ -70,10 +70,6 @@ class HyperplaneQuery:
         if not all(math.isfinite(v) for v in self.theta) or not math.isfinite(self.b):
             raise ValueError("query parameters must be finite")
 
-    @property
-    def dim(self) -> int:
-        return len(self.theta)
-
 
 def check_positive(name: str, value: float) -> None:
     """Reject a parameter that is not a positive finite number, naming it."""
@@ -143,26 +139,21 @@ class SketchParams:
 
 def _as_matrix(points):
     """(xs, ys): the (n, d) coordinates and the n labels, as float arrays, of a
-    LabeledPoint sequence or of an ingest record array (fields ``y`` and ``x``).
-    An empty sequence gives d=1."""
+    ``stream.record_dtype`` array (fields ``y`` and ``x``), which the generators
+    and ``stream.ingest`` return, or of a LabeledPoint sequence (d=1 if empty)."""
     if isinstance(points, np.ndarray):
         return np.ascontiguousarray(points["x"], dtype=float), points["y"].astype(float)
-    if not len(points):
-        return np.empty((0, 1)), np.empty(0)
-    d = points[0].dim
-    xs = np.empty((len(points), d))
-    ys = np.empty(len(points))
+    d = points[0].dim if len(points) else 1
     for i, p in enumerate(points):
         if p.dim != d:
             raise ValueError(f"dimension mismatch at point {i}: {p.dim} != {d}")
-        xs[i] = p.x
-        ys[i] = p.y
-    return xs, ys
+    return (np.array([p.x for p in points], float).reshape(-1, d),
+            np.array([p.y for p in points], float))
 
 
 def hinge_objective(points, q: HyperplaneQuery, lam: float) -> float:
     """Regularized hinge objective lam/2*||(theta,b)||^2 + mean hinge loss over a
-    LabeledPoint sequence or an ingest record array."""
+    record array or a LabeledPoint sequence."""
     if len(points) == 0:
         raise ValueError("empty dataset")
     if not 0 <= lam < math.inf:

@@ -3,7 +3,8 @@
 Three families: bit-encoding layouts on the line and in the disk whose bits
 can be recovered from sufficiently accurate point-estimation queries, a
 two-cluster optimization instance with a closed-form optimum, and plain
-synthetic benchmark streams.  Every generator is seeded and reproducible.
+synthetic benchmark streams.  Every generator is seeded and reproducible, and
+returns its points as one ``stream.record_dtype(d)`` array (``stream.make_records``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledPoint
 from .sampler import philox_generator
+from .stream import make_records
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +37,7 @@ class IndexInstance1D:
     epsilon: float
     per_bit: int
     positions: tuple[float, ...]
-    points: list[LabeledPoint] = field(repr=False)
+    points: np.recarray = field(repr=False)
     queries: list[DecoderQuery] = field(repr=False)
 
     @property
@@ -83,10 +84,8 @@ def gen_index1d(bits, epsilon: float, n: int) -> IndexInstance1D:
             f"need len(bits) <= {int(1.0 // (3.0 * se)) + 1}"
         )
     per_bit = max(1, round(n * se))
-    points = []
-    for i, b in enumerate(bits):
-        if b:
-            points.extend(LabeledPoint((positions[i],), 1) for _ in range(per_bit))
+    xs = np.repeat(np.array(positions)[np.array(bits, bool)], per_bit)
+    points = make_records(np.ones(len(xs)), xs[:, None])
     queries = [
         DecoderQuery(i, (1.0,), 3.0 * (i + 1) * se, per_bit * 3.0 * se)
         for i in range(len(bits))
@@ -106,7 +105,7 @@ class IndexInstance2D:
     r: int
     per_bit: int
     positions: list[tuple[float, float]] = field(repr=False)
-    points: list[LabeledPoint] = field(repr=False)
+    points: np.recarray = field(repr=False)
     queries: list[DecoderQuery] = field(repr=False)
 
     @property
@@ -155,7 +154,6 @@ def gen_index2d(bits, s: int, r: int, n: int) -> IndexInstance2D:
     per_bit = max(1, round(n / (s * r)))
     positions = []
     queries = []
-    points = []
     for k in range(len(bits)):
         j = k // s + 1  # tier, 1-based, shallow first
         i = k % s
@@ -163,11 +161,11 @@ def gen_index2d(bits, s: int, r: int, n: int) -> IndexInstance2D:
         radius = 1.0 - (j - 1) / (2.0 * r)
         pos = (radius * math.cos(ang), radius * math.sin(ang))
         positions.append(pos)
-        if bits[k]:
-            points.extend(LabeledPoint(pos, 1) for _ in range(per_bit))
         theta = (-math.cos(ang), -math.sin(ang))
         b = j / (2.0 * r) - 1.0  # target lands at depth exactly 1/(2r)
         queries.append(DecoderQuery(k, theta, b, per_bit / (2.0 * r)))
+    X = np.repeat(np.array(positions).reshape(-1, 2)[np.array(bits, bool)], per_bit, axis=0)
+    points = make_records(np.ones(len(X)), X)
     return IndexInstance2D(bits, s, r, per_bit, positions, points, queries)
 
 
@@ -186,7 +184,7 @@ class OptHardInstance:
     x_q: tuple[float, ...]
     theta_star_magnitude: float
     b_star: float
-    points: list[LabeledPoint] = field(repr=False)
+    points: np.recarray = field(repr=False)
 
 
 def closed_form_opt(delta: float, lam: float, n: int, case: int) -> tuple[float, float]:
@@ -234,33 +232,28 @@ def gen_opt_hard(
     xq = np.array([1.0] + [0.0] * (d - 1))
     rng = philox_generator(seed, "opthard")
     quarter = n // 4
-    pts = []
-    pts.extend(LabeledPoint(tuple((1.0 - delta) * xq), -1) for _ in range(quarter))
-    pts.extend(LabeledPoint(tuple((1.0 + delta) * xq), 1) for _ in range(quarter))
-    if case == 1:
-        pts.append(LabeledPoint(tuple(xq), -1))
     fillers_needed = n - 2 * quarter
-    got = 0
+    fillers = np.empty((0, d))
     for _ in range(1000):
         cand = rng.uniform(-1.0, 1.0, size=(4 * fillers_needed, d))
         norms = np.sqrt((cand**2).sum(axis=1))
         ok = (norms <= 1.0) & (cand @ xq < 1.0 - 10.0 * delta)
-        for v in cand[ok]:
-            pts.append(LabeledPoint(tuple(v), -1))
-            got += 1
-            if got == fillers_needed:
-                break
-        if got == fillers_needed:
+        fillers = np.concatenate([fillers, cand[ok][: fillers_needed - len(fillers)]])
+        if len(fillers) == fillers_needed:
             break
     else:
         raise RuntimeError(
             "filler rejection sampling exhausted its retry budget; use a smaller delta"
         )
-    n_total = len(pts)
+    X = np.concatenate([np.tile((1.0 - delta) * xq, (quarter, 1)),
+                        np.tile((1.0 + delta) * xq, (quarter, 1)), np.tile(xq, (case, 1)),
+                        fillers])
+    y = np.repeat([-1, 1, -1], [quarter, quarter, case + fillers_needed])
+    n_total = len(X)
     theta_mag, b_star = closed_form_opt(delta, lam, n_total, case)
-    order = rng.permutation(len(pts))
-    pts = [pts[i] for i in order]
-    return OptHardInstance(delta, lam, n_total, case, d, tuple(xq), theta_mag, b_star, pts)
+    order = rng.permutation(n_total)
+    return OptHardInstance(delta, lam, n_total, case, d, tuple(xq), theta_mag, b_star,
+                           make_records(y[order], X[order]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +264,7 @@ def gen_opt_hard(
 def gen_uniform(
     n: int, d: int, seed: int = 0, low: float = 0.0, high: float = 1.0,
     label_mode: str = "positive",
-) -> list[LabeledPoint]:
+) -> np.recarray:
     """Seeded uniform stream inside the unit ball.
 
     d=1 draws from [low, high] (within [-1, 1]); d=2 draws from
@@ -285,20 +278,18 @@ def gen_uniform(
     if d == 1:
         coords = rng.uniform(low, high, n)[:, None]
     else:
-        out = []
-        while len(out) < n:
+        coords = np.empty((0, 2))
+        while len(coords) < n:
             cand = rng.uniform(low, high, size=(2 * n + 16, 2))
             keep = (cand**2).sum(axis=1) <= 1.0
-            out.extend(cand[keep][: n - len(out)])
-        coords = np.asarray(out)
-    labels = _labels(rng, n, label_mode)
-    return [LabeledPoint(tuple(coords[i]), int(labels[i])) for i in range(n)]
+            coords = np.concatenate([coords, cand[keep][: n - len(coords)]])
+    return make_records(_labels(rng, n, label_mode), coords)
 
 
 def gen_clustered(
     n: int, d: int, seed: int = 0, centers: int = 3, spread: float = 0.05,
     label_mode: str = "positive",
-) -> list[LabeledPoint]:
+) -> np.recarray:
     """Seeded mixture of Gaussian blobs clipped to the unit ball."""
     if d not in (1, 2):
         raise ValueError("gen_clustered supports d in {1, 2}")
@@ -309,8 +300,7 @@ def gen_clustered(
     norms = np.sqrt((coords**2).sum(axis=1))
     over = norms > 1.0
     coords[over] /= norms[over][:, None] * (1.0 + 1e-9)
-    labels = _labels(rng, n, label_mode)
-    return [LabeledPoint(tuple(coords[i]), int(labels[i])) for i in range(n)]
+    return make_records(_labels(rng, n, label_mode), coords)
 
 
 def _labels(rng, n: int, mode: str) -> np.ndarray:

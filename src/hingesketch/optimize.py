@@ -11,8 +11,8 @@ direction -theta and offset 1+b.  So each replica is one HingeEstimator
 holding a sub-sketch per class: for d=1 two sketches of a d=1 family (one per
 sign of theta), for d=2 a quad-tree.
 
-Every entry point takes a LabeledPoint sequence or the record array that
-``stream.ingest`` returns.
+Every entry point takes the record array that the generators and
+``stream.ingest`` return, or a LabeledPoint sequence.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _backend(family: str, d: int) -> Family:
 
 def build_estimator(points, family: str, epsilon: float, seed: int = 0,
                     norm_budget: float = 1.0) -> HingeEstimator:
-    """A HingeEstimator over a LabeledPoint sequence or an ingest record array."""
+    """A HingeEstimator over a record array or a LabeledPoint sequence."""
     xs, ys = _as_matrix(points)
     return HingeEstimator(xs, ys, _backend(family, xs.shape[1]), epsilon, seed, norm_budget)
 

@@ -32,6 +32,15 @@ def record_dtype(d: int) -> np.dtype:
     return np.dtype([("y", "i1"), ("x", "<f8", (d,))])
 
 
+def make_records(y, X) -> np.recarray:
+    """The ``record_dtype(d)`` array of labels ``y`` and (n, d) coordinates ``X``, as a
+    recarray view so that a row reads as ``p.x``/``p.y``; library code reads fields."""
+    rec = np.empty(len(X), record_dtype(X.shape[1]))
+    rec["y"] = y
+    rec["x"] = X
+    return rec.view(np.recarray)
+
+
 class _RowChecker:
     """The per-row checks of a stream, and the single source of row errors.
 
@@ -134,10 +143,7 @@ def _passing(y: np.ndarray, X: np.ndarray, ok: np.ndarray, check) -> np.ndarray:
         if res is not None:
             ok[i] = True
             X[i] = res[1]
-    rec = np.empty(np.count_nonzero(ok), record_dtype(X.shape[1]))
-    rec["y"] = y[ok]
-    rec["x"] = X[ok]
-    return rec
+    return make_records(y[ok], X[ok])
 
 
 def _csv_records(stream, chk: _RowChecker):
@@ -243,17 +249,20 @@ def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
     return records, chk.errors
 
 
-def write_stream(points, path: str, fmt: str) -> None:
-    """Write a LabeledPoint sequence as a CSV or HSTR stream."""
+def write_stream(records: np.ndarray, path: str, fmt: str) -> None:
+    """Write a ``record_dtype(d)`` array as a CSV or HSTR stream; d comes from
+    its ``x`` field, so an empty stream keeps its dimension."""
+    d = records["x"].shape[1]
     if fmt == "csv":
         with open(path, "w") as f:
-            for p in points:
-                f.write(f"{p.y}," + ",".join(repr(v) for v in p.x) + "\n")
+            for s in range(0, len(records), _BLOCK_ROWS):
+                blk = records[s : s + _BLOCK_ROWS]
+                # a row is "y,x1,..."; repr prints a float's shortest round-trip text
+                cols = [map(str, blk["y"].tolist()), *(map(repr, c) for c in blk["x"].T.tolist())]
+                f.write("\n".join(map(",".join, zip(*cols))) + "\n")
     elif fmt == "bin":
-        dim = points[0].dim if points else 1
-        rec = np.array([(p.y, p.x) for p in points], record_dtype(dim))
         with open(path, "wb") as f:
-            f.write(MAGIC + dim.to_bytes(4, "little"))
-            f.write(rec.tobytes())
+            f.write(MAGIC + d.to_bytes(4, "little"))
+            f.write(records.astype(record_dtype(d), copy=False).tobytes())
     else:
         raise ValueError(f"unknown stream format {fmt!r}")

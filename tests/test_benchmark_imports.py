@@ -3,11 +3,13 @@
 The suite does not import ``perfbench/``, so a library name the benchmark
 imports and a change deletes would first show up in a benchmark run.  Here
 each ``perfbench/*.py`` is parsed (not run), and every name it imports from
-``hingesketch`` must still exist.
+``hingesketch`` must still exist.  One test runs the ``optimize`` workload's
+input set-up, the one that calls a generator, and checks its file digests.
 """
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,17 @@ def test_imported_name_resolves(path, module, name):
     # a submodule that nothing has imported yet is not an attribute of its package
     assert hasattr(mod, name) or (
         hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_optimize_inputs_keep_their_recorded_bytes(tmp_path):
+    """The ``optimize`` workload's set-up reads ``gen.gen_opt_hard(...).points``
+    row by row (``p.x``, ``p.y``) to write ``opthard.csv``.  Its input files,
+    written here by the benchmark's own ``make_inputs``, must hash to the
+    values ``workloads.json`` records."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))["optimize"]
+    workloads.make_inputs("optimize", rec["seed"], tmp_path)
+    assert {name: workloads.sha256(tmp_path / name) for name in rec["sha256"]} == rec["sha256"]

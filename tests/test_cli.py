@@ -15,12 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hingesketch import add1d, add2d, cli, families, optimize
 from hingesketch.add1d import additive_tree_1d
 from hingesketch.add2d import QuadTree2D, additive_quadtree
-from hingesketch.core import HyperplaneQuery, LabeledPoint, SketchParams, hinge_objective
+from hingesketch.core import HyperplaneQuery, SketchParams, hinge_objective
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
 from hingesketch.mult1d import MultStream1D, OfflineSketch1D
 from hingesketch.serialize import FormatError, Writer
-from hingesketch.stream import MAGIC, record_dtype
+from hingesketch.stream import MAGIC, make_records, record_dtype
 
 
 def run(capsys, *argv):
@@ -137,13 +137,8 @@ class TestIngest:
 
     def test_csv_bin_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        pts = [
-            LabeledPoint((float(a), float(b)), int(y))
-            for a, b, y in zip(
-                rng.uniform(-0.5, 0.5, 30), rng.uniform(-0.5, 0.5, 30),
-                rng.choice([-1, 1], 30),
-            )
-        ]
+        a, b, y = rng.uniform(-0.5, 0.5, 30), rng.uniform(-0.5, 0.5, 30), rng.choice([-1, 1], 30)
+        pts = make_records(y, np.column_stack([a, b]))
         c = tmp_path / "s.csv"
         b = tmp_path / "s.bin"
         cli.write_stream(pts, str(c), "csv")
@@ -582,6 +577,21 @@ class TestCommands:
         # HSKQ: magic, version, eps_struct, n_declared and p, then the seed
         assert QuadTree2D(0.25, 10, seed=seed).to_bytes()[23:31] == struct.pack("<q", seed)
 
+    # --format is on the commands that write or read a stream, --fail-fast and
+    # --max-norm on those that read one; argparse refuses them elsewhere
+    @pytest.mark.parametrize("command,flag", [
+        ("gen", "--fail-fast"), ("gen", "--max-norm 0.01"),
+        *((c, f) for c in ("query", "bench", "verify")
+          for f in ("--format bin", "--fail-fast", "--max-norm 7"))])
+    def test_flags_a_command_does_not_read_exit_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "s.csv"
+        argv = {"gen": ["--kind", "uniform", "--n", "10", "--out", str(out)],
+                "query": ["--sketch", str(tmp_path / "s.hsk"), "--q", "0.5"],
+                "bench": ["--n", "10", "--seeds", "1"], "verify": []}[command]
+        code, stdout, err = run(capsys, command, *argv, *flag.split())
+        assert code == cli.EXIT_CONFIG and not stdout and not out.exists()
+        assert f"unrecognized arguments: {flag}" in err
+
     def test_index1d_gen_metadata(self, tmp_path, capsys):
         stream = tmp_path / "i.csv"
         code, _, _ = run(capsys, "gen", "--kind", "index1d", "--bits", "101",
@@ -599,7 +609,7 @@ HSKQ_NODE = struct.Struct("<BQ5dQB")  # has-children, c, X..Zxy, reservoir count
 
 class TestOptimizeRecords:
     """``optimize`` feeds ingest's records straight to the library: its output
-    equals the library's on the LabeledPoint list of the same rows."""
+    equals the library's on the generator's record array of the same rows."""
 
     # algorithm: (d, lambda, epsilon, replicas)
     CASES = {"offline1d": (1, 0.5, 0.3, 1), "add1d": (1, 0.5, 0.3, 1),
@@ -611,8 +621,7 @@ class TestOptimizeRecords:
         pts = gen_uniform(300, d, seed=21, low=-1.0)
         if labels == "halfplane":  # the side of sum(x) = 0.1, 10% of the labels flipped
             flip = np.random.default_rng(22).uniform(size=len(pts)) < 0.1
-            pts = [LabeledPoint(p.x, (1 if sum(p.x) > 0.1 else -1) * (-1 if f else 1))
-                   for p, f in zip(pts, flip.tolist())]
+            pts["y"] = np.where(pts["x"].sum(axis=1) > 0.1, 1, -1) * np.where(flip, -1, 1)
         stream = tmp_path / f"{algorithm}-{labels}.csv"
         cli.write_stream(pts, str(stream), "csv")
         code, out, err = run(capsys, "optimize", "--algorithm", algorithm, "--input",

@@ -311,7 +311,7 @@ class StubEstimator:
 
 class TestSgdBaseline:
     def test_reservoir_bigger_than_stream_keeps_all(self):
-        pts = gen_uniform(100, 1, seed=13, label_mode="random")
+        pts = list(gen_uniform(100, 1, seed=13, label_mode="random"))
         res = reservoir_sample(pts, 1000, philox_generator(0, "r"))
         assert res == pts
 
