@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import check_positive, hypot_rows
+from .core import check_positive
 from .sampler import Reservoir1
 from .serialize import Reader, Writer
 from .tree import AdaptiveTree, add_in_order
@@ -237,7 +237,8 @@ class QuadTree2D(AdaptiveTree):
         if not np.isfinite(rows).all():
             raise ValueError("halfplanes must be finite")
         tx, ty, b = rows.T
-        norm = hypot_rows(tx, ty)
+        with np.errstate(over="ignore"):  # an infinite norm fails the check below
+            norm = np.hypot(tx, ty)
         lo, hi = norm.min(initial=1.0), norm.max(initial=1.0)
         if lo < 1e-300:
             raise ValueError("theta must be nonzero")

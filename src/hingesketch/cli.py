@@ -3,7 +3,7 @@ benchmarking, and self-verification.
 
 Results go to stdout; errors go to stderr as one JSON object per line.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 verification failure.
-The HSK_SEED environment variable overrides --seed everywhere.
+The HSK_SEED environment variable overrides --seed wherever a command takes it.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def cmd_query(args) -> int:
     if len({(type(sk), sk.replica_key()) for sk in sketches}) > 1:
         raise ConfigError("--sketch files must be replicas of one sketch: "
                           "same family and parameters, differing only in seed")
-    fam = families.of(sketches[0])
+    fam = families.BY_MAGIC[sketches[0].MAGIC]
     if fam.dim == 2:
         if args.q:
             raise ConfigError(f"{fam.name} queries take --theta and --b, not --q")
@@ -223,7 +223,7 @@ BENCH_HEADER = (
 )
 
 
-# universe [1, W] of the multiplicative families in the bench
+# universe [1, W] of the non-normalized families in the bench
 BENCH_W = 2**16
 
 
@@ -248,12 +248,10 @@ def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
     xs = pts[:, 0]
     qs = qrng.uniform(0.0, 1.0, 50)
     exact = distance_sums_1d(xs, qs, p=p)
-    if fam.universe:
-        return (1.0 + xs * (BENCH_W - 1), 1.0 + qs * (BENCH_W - 1), exact,
-                lambda est: est / (BENCH_W - 1))
     if fam.normalized:
         return xs, qs, exact, lambda est: est * n
-    return xs, qs, exact, lambda est: est
+    return (1.0 + xs * (BENCH_W - 1), 1.0 + qs * (BENCH_W - 1), exact,
+            lambda est: est / (BENCH_W - 1))
 
 
 def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
@@ -474,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_build)
 
     q = sub.add_parser("query", help="query a serialized sketch")
-    common(q)
     q.add_argument("--sketch", required=True, action="append",
                    help="sketch file; repeat for repeat-and-median boosting")
     q.add_argument("--q", type=float, action="append")

@@ -167,12 +167,6 @@ def hinge_objective(points, q: HyperplaneQuery, lam: float) -> float:
     return reg + float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
-def hypot_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``math.hypot(x, y)`` for each pair, as an array.  np.hypot may differ
-    from it in the last place."""
-    return np.fromiter(map(math.hypot, xs.tolist(), ys.tolist()), dtype=float, count=len(xs))
-
-
 def distance_sums_1d(xs: np.ndarray, qs: np.ndarray, p: int = 1) -> np.ndarray:
     """Vectorized unnormalized oracle: sum_i max{0, q - x_i}^p per query.
 

@@ -31,8 +31,6 @@ class Family:
     make: Callable[[float, int, int, int, int], object]
     # answers the mean over the stream, not the sum
     normalized: bool = False
-    # reads values in the universe [1, W]
-    universe: bool = False
     # answers are within relative error kappa*epsilon (additive epsilon if normalized)
     kappa: float = 1.0
 
@@ -42,10 +40,10 @@ FAMILIES = {f.name: f for f in (
            lambda eps, n, seed, p, W: mult1d.OfflineSketch1D(eps, p)),
     Family("mult1d", mult1d.MultStream1D, 1,
            lambda eps, n, seed, p, W: mult1d.MultStream1D(SketchParams(eps, W, n, p=p, seed=seed)),
-           universe=True, kappa=mult1d.KAPPA),
+           kappa=mult1d.KAPPA),
     Family("dyn1d", dyn1d.DynSketch1D, 1,
            lambda eps, n, seed, p, W: dyn1d.DynSketch1D(SketchParams(eps, W, n, p=p, seed=seed)),
-           universe=True, kappa=dyn1d.KAPPA_QUERY),
+           kappa=dyn1d.KAPPA_QUERY),
     Family("add1d", add1d.Tree1D, 1,
            lambda eps, n, seed, p, W: add1d.additive_tree_1d(eps, n, p=p),
            normalized=True),
@@ -54,8 +52,3 @@ FAMILIES = {f.name: f for f in (
            normalized=True),
 )}
 BY_MAGIC = {f.cls.MAGIC: f for f in FAMILIES.values()}
-_BY_CLASS = {f.cls: f for f in FAMILIES.values()}
-
-
-def of(sketch) -> Family:
-    return _BY_CLASS[type(sketch)]

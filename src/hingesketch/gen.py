@@ -261,6 +261,10 @@ def gen_opt_hard(
 # ---------------------------------------------------------------------------
 
 
+# rows per draw of gen_uniform's d=2 rejection rounds
+REJECT_BLOCK = 2**16
+
+
 def gen_uniform(
     n: int, d: int, seed: int = 0, low: float = 0.0, high: float = 1.0,
     label_mode: str = "positive",
@@ -278,11 +282,17 @@ def gen_uniform(
     if d == 1:
         coords = rng.uniform(low, high, n)[:, None]
     else:
-        coords = np.empty((0, 2))
-        while len(coords) < n:
-            cand = rng.uniform(low, high, size=(2 * n + 16, 2))
-            keep = (cand**2).sum(axis=1) <= 1.0
-            coords = np.concatenate([coords, cand[keep][: n - len(coords)]])
+        coords = np.empty((n, 2))
+        got, rows = 0, 2 * n + 16
+        while got < n:
+            # a rejection round draws 2n+16 rows, REJECT_BLOCK rows at a time: Philox
+            # doubles run on across calls, so the rows are those of one call, and the
+            # round is drawn to its end so that _labels sees the same generator state
+            for start in range(0, rows, REJECT_BLOCK):
+                cand = rng.uniform(low, high, size=(min(REJECT_BLOCK, rows - start), 2))
+                keep = cand[(cand**2).sum(axis=1) <= 1.0][: n - got]
+                coords[got : got + len(keep)] = keep
+                got += len(keep)
     return make_records(_labels(rng, n, label_mode), coords)
 
 

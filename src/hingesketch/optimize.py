@@ -1,5 +1,5 @@
 """Grid-search optimization on top of point-estimation sketches, plus an
-SGD-over-reservoir baseline.
+SGD baseline over a uniform sample of the stream.
 
 The reduction enumerates the delta-grid inside the norm ball ||w|| <=
 sqrt(2/lambda) in fixed-size blocks, evaluates the data term of the
@@ -25,9 +25,9 @@ from typing import Iterator
 import numpy as np
 
 from . import families
-from .core import _as_matrix, check_positive, hypot_rows
+from .core import _as_matrix, check_positive
 from .families import Family
-from .sampler import derive_seed, philox_generator
+from .sampler import UniformStream, derive_seed, philox_generator
 
 # universe [1, SKETCH_W] that the multiplicative backends read
 SKETCH_W = 2**16
@@ -200,7 +200,7 @@ class _Class2D:
 
     def add_sums(self, out: np.ndarray, cols: list, offset: np.ndarray) -> None:
         tx, ty = cols
-        norm = hypot_rows(tx, ty)
+        norm = np.hypot(tx, ty)
         zero = norm < 1e-300
         out[zero] += np.where(offset[zero] > 0.0, offset[zero], 0.0) * self.n
         nz = ~zero
@@ -333,28 +333,15 @@ def optimize_via_sketch(
                              f"{tuple(blk[j].tolist())} is not finite")
         i = int(values.argmin())
         if values[i] < best_val:  # a tie keeps the earlier candidate
-            best_val, best_w = values[i], tuple(blk[i])
-    return OptimizationResult(best_w[:-1], float(best_w[-1]), float(best_val), size, k)
+            best_val, best_w = values[i], tuple(blk[i].tolist())
+    return OptimizationResult(best_w[:-1], best_w[-1], float(best_val), size, k)
 
 
 # ---------------------------------------------------------------------------
-# Reservoir + SGD baseline
+# SGD baseline
 # ---------------------------------------------------------------------------
 
 SGD_BLOCK = 2**16
-
-
-def reservoir_sample(points, capacity: int, rng) -> list:
-    """Algorithm-R uniform sample of ``capacity`` stream elements."""
-    res = []
-    for i, p in enumerate(points):
-        if len(res) < capacity:
-            res.append(p)
-        else:
-            j = int(rng.integers(0, i + 1))
-            if j < capacity:
-                res[j] = p
-    return res
 
 
 def sgd_baseline(
@@ -363,9 +350,10 @@ def sgd_baseline(
     epsilon: float,
     seed: int = 0,
 ) -> tuple[tuple[float, ...], float]:
-    """Projected SGD with 1/(lam*t) steps over a bounded uniform reservoir.
+    """Projected SGD with 1/(lam*t) steps over a bounded uniform sample.
 
-    Maintains ceil(1/(lam*epsilon)) random stream elements, then runs the
+    Keeps ceil(1/(lam*epsilon)) random stream elements (``UniformStream.subset``:
+    one uniform per element, those that drew the smallest kept), then runs the
     strongly convex SGD schedule over them, projecting onto the ball of
     radius sqrt(2/lam); returns the suffix-averaged iterate.
     """
@@ -378,8 +366,8 @@ def sgd_baseline(
                          "the step count 20/(lambda*epsilon) overflows")
     rng = philox_generator(seed, "sgd")
     capacity = math.ceil(1.0 / scale)
-    res = reservoir_sample(range(len(xs)), capacity, rng)
-    if not res:
+    res = UniformStream(rng).subset(np.arange(len(xs)), capacity)
+    if not res.size:
         raise ValueError("empty dataset")
     d = xs.shape[1]
     zs = np.concatenate([xs[res], np.ones((len(res), 1))], axis=1) * ys[res, None]
@@ -403,7 +391,7 @@ def sgd_baseline(
         if t > steps // 2:
             acc += w
     w = acc / (steps - steps // 2)
-    return tuple(w[:-1]), float(w[-1])
+    return tuple(w[:-1].tolist()), float(w[-1])
 
 
 def sgd_space_words(lam: float, epsilon: float, d: int) -> int:

@@ -43,10 +43,10 @@ def derive_seed(seed: int, *tags) -> int:
 class UniformStream:
     """Uniforms on [0, 1) from one generator, handed out in draw order.
 
-    They are drawn ``BLOCK`` or more at a time into an array, and ``take``
-    reads them through a window of Python floats.  A Philox generator's doubles
-    run on across ``random`` calls, so the values handed out do not depend on
-    how many are asked for at once, nor on which method asks.
+    They are drawn ``BLOCK`` or more at a time into an array.  A Philox
+    generator's doubles run on across ``random`` calls, so the values handed
+    out do not depend on how many are asked for at once, nor on which method
+    asks.
     """
 
     BLOCK = 2048
@@ -55,8 +55,6 @@ class UniformStream:
         self._rng = rng
         self._arr = np.empty(0)  # drawn values; those from _pos on are not handed out yet
         self._pos = 0
-        self._list: list[float] = []  # _arr[_start : _start + len(_list)] as Python floats
-        self._start = 0
 
     def peek(self, k: int) -> np.ndarray:
         """The next k uniforms, left in the stream: the next call sees them
@@ -65,7 +63,6 @@ class UniformStream:
             fresh = self._rng.random(max(k, self.BLOCK))
             self._arr = np.concatenate([self._arr[self._pos:], fresh])
             self._pos = 0
-            self._list, self._start = [], 0
         return self._arr[self._pos : self._pos + k]
 
     def skip(self, k: int) -> None:
@@ -75,12 +72,9 @@ class UniformStream:
 
     def take(self, k: int) -> list[float]:
         """The next k uniforms."""
-        i = self._pos - self._start
-        if i + k > len(self._list):
-            self._list = self.peek(max(k, self.BLOCK)).tolist()
-            self._start, i = self._pos, 0
+        out = self.peek(k).tolist()
         self._pos += k
-        return self._list[i : i + k]
+        return out
 
     def subset(self, values: np.ndarray, k: int) -> np.ndarray:
         """A uniform random subset of exactly k of the array ``values``, as a

@@ -142,8 +142,10 @@ class TestQuery:
 
     def test_oversized_theta_rejected(self):
         tree = QuadTree2D(0.25, 10)
-        with pytest.raises(ValueError, match="norm"):
-            tree.query((2.0, 0.0), 0.5)
+        # a norm past float64 too, with no overflow warning
+        for theta in ((2.0, 0.0), (1.5e308, 1.5e308)):
+            with pytest.raises(ValueError, match="norm"):
+                tree.query(theta, 0.5)
 
     def test_short_theta_normalized(self):
         pts = disk_square_points(1000, 6)

@@ -5,6 +5,8 @@ imports and a change deletes would first show up in a benchmark run.  Here
 each ``perfbench/*.py`` is parsed (not run), and every name it imports from
 ``hingesketch`` must still exist.  One test runs the ``optimize`` workload's
 input set-up, the one that calls a generator, and checks its file digests.
+Another resolves the benchmark's tracer targets, whose per-layer metrics read
+0 when a target is gone.
 """
 
 import ast
@@ -54,3 +56,20 @@ def test_optimize_inputs_keep_their_recorded_bytes(tmp_path):
     rec = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))["optimize"]
     workloads.make_inputs("optimize", rec["seed"], tmp_path)
     assert {name: workloads.sha256(tmp_path / name) for name in rec["sha256"]} == rec["sha256"]
+
+
+def test_tracer_targets_absent_are_the_known_three(monkeypatch):
+    """Every library function the benchmark's tracer wraps resolves, but the
+    three it still names on ``optimize`` classes since merged into
+    ``HingeEstimator``.  A library change that removes one more would darken
+    its per-layer metric."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracing = importlib.import_module("tracing")
+    tr = tracing.Tracer()
+    try:
+        tr.install(layers.targets())
+    finally:
+        tr.uninstall()
+    assert sorted(tr.absent) == ["optimize.estimate", "optimize.estimate",
+                                 "optimize.estimate_bulk"]

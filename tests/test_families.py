@@ -12,12 +12,12 @@ W = 2**16
 
 
 def stream(fam, n, seed):
-    """n values in the family's domain (the unit square, the universe [1, W] or
-    [-1, 1]), piled up at one end so that the trees split."""
+    """n values in the family's domain (the unit square; the universe [1, W], or
+    [-1, 1] for a normalized family), piled up at one end so that the trees split."""
     u = np.random.default_rng(seed).uniform(0.0, 1.0, (n, fam.dim)) ** 4
     if fam.dim == 2:
         return u
-    if fam.universe:
+    if not fam.normalized:
         return 1.0 + (W - 1) * u[:, 0]
     return 2.0 * u[:, 0] - 1.0
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hingesketch import gen
 from hingesketch.core import (
     HyperplaneQuery,
     distance_sums_1d,
@@ -198,6 +199,14 @@ class TestSyntheticStreams:
         b = gen_uniform(100, 1, seed=1)
         assert np.array_equal(a, b)
         assert not np.array_equal(gen_uniform(100, 1, seed=2), a)
+
+    def test_d2_rejection_rounds_drawn_in_blocks(self, monkeypatch):
+        """A round drawn 7 rows at a time gives the records, labels included, of
+        one draw per round; on [0.5, 1]^2 about a third of the rows land in the
+        disk, so 40 points take more than one round of 96 rows."""
+        want = gen_uniform(40, 2, seed=5, low=0.5, label_mode="random")
+        monkeypatch.setattr(gen, "REJECT_BLOCK", 7)
+        assert gen_uniform(40, 2, seed=5, low=0.5, label_mode="random").tobytes() == want.tobytes()
 
     def test_norms_inside_ball(self):
         for pts in (gen_uniform(500, 2, seed=3), gen_clustered(500, 2, seed=3)):

@@ -135,7 +135,7 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
            'dyn1d,0.2,1,608,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
            'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
            'add2d,0.2,1,160,0.00311049,0.0216437,0.0317949,1.0000',
-           'pegasos,0.2,1,108,0.0202948,0.0202948,0.0202948,1.0000'],
+           'pegasos,0.2,1,108,0.0182474,0.0182474,0.0182474,1.0000'],
  'batch': {'add2d_p1': [0.3338712271403005,
                         0.10627276756474498,
                         0.2722617255164996,

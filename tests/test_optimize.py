@@ -24,11 +24,9 @@ from hingesketch.optimize import (
     median_estimate,
     optimize_via_sketch,
     regularizer,
-    reservoir_sample,
     sgd_baseline,
     sgd_space_words,
 )
-from hingesketch.sampler import philox_generator
 
 
 def box_grid(spec):
@@ -193,6 +191,12 @@ class TestOptimizeViaSketch:
         assert math.hypot(res.theta[0], res.b) <= 1e-3
         assert res.value == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("d,family", [(1, "add1d"), (2, "add2d")])
+    def test_result_holds_python_floats(self, d, family):
+        pts = gen_uniform(200, d, seed=11, label_mode="random")
+        res = optimize_via_sketch(pts, 1.0, 0.5, family=family)
+        assert all(type(v) is float for v in (*res.theta, res.b, res.value))
+
     def test_beats_exact_optimizer_within_kappa_eps(self):
         kappa = 4.0
         eps = 0.25
@@ -310,20 +314,6 @@ class StubEstimator:
 
 
 class TestSgdBaseline:
-    def test_reservoir_bigger_than_stream_keeps_all(self):
-        pts = list(gen_uniform(100, 1, seed=13, label_mode="random"))
-        res = reservoir_sample(pts, 1000, philox_generator(0, "r"))
-        assert res == pts
-
-    def test_reservoir_uniformity(self):
-        hits = np.zeros(10)
-        for seed in range(3000):
-            res = reservoir_sample(list(range(10)), 1, philox_generator(seed, "r"))
-            hits[res[0]] += 1
-        p = 0.1
-        sigma = math.sqrt(3000 * p * (1 - p))
-        assert np.all(np.abs(hits - 300) <= 5 * sigma)
-
     def test_hard_instance_gap(self):
         ok = 0
         for seed in range(50):
@@ -337,6 +327,10 @@ class TestSgdBaseline:
             )
             ok += f_hat - f_star <= 0.1
         assert ok >= 40  # 80% at the paper-style capacity
+
+    def test_result_holds_python_floats(self):
+        theta, b = sgd_baseline(gen_uniform(200, 2, seed=11, label_mode="random"), 0.5, 0.2)
+        assert all(type(v) is float for v in (*theta, b))
 
     def test_space_accounting(self):
         assert sgd_space_words(0.01, 0.1, 1) == 1000 * 2 + 8

@@ -295,19 +295,20 @@ class TestUniformStream:
             got += s.take(k)
         assert got == want[: len(got)].tolist()
 
-    @pytest.mark.parametrize("m,k", [(10, 3), (200, 150), (3000, 300)])
+    @pytest.mark.parametrize("m,k", [(10, 1), (10, 3), (200, 150), (3000, 300), (100, 1000)])
     def test_subset_keeps_k_in_order_at_rate_k_over_m(self, m, k):
-        """Exactly k values, in their order; each index kept at rate k/m."""
+        """Exactly min(k, m) values, in their order; each index kept at rate
+        k/m, or every one when k >= m."""
         trials = 2000
         s = UniformStream(philox_generator(4, "subset", m))
         kept = np.zeros(m)
         values = np.arange(m, dtype=float)
         for _ in range(trials):
             got = s.subset(values, k)
-            assert got.size == k and (np.diff(got) > 0).all()
+            assert got.size == min(k, m) and (np.diff(got) > 0).all()
             kept[got.astype(int)] += 1
         assert np.array_equal(values, np.arange(m))  # the input is left alone
-        p = k / m
+        p = min(k, m) / m
         sigma = math.sqrt(trials * p * (1 - p))
         assert np.abs(kept - trials * p).max() <= 5 * sigma
 
