@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import check_positive
 from .sampler import Reservoir1
-from .serialize import Reader, Writer
+from .serialize import FormatError, Reader, Writer
 from .tree import AdaptiveTree, add_in_order
 
 # Internal resolution: a structural parameter of c * eps^(4/5) (p=1, c below)
@@ -74,9 +74,16 @@ class _QNode:
     def read(self, r: Reader) -> None:
         self.c = r.u64()
         self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = (r.f64() for _ in range(5))
-        self.res.count_seen = r.u64()
-        if r.u8():
-            self.sample = (r.f64(), r.f64())
+        self.res.count_seen, has_sample = r.u64(), r.u8()
+        # the reservoir sees every point of the node, and keeps one if there is any
+        if self.res.count_seen != self.c or has_sample != (self.c > 0):
+            raise FormatError(f"node of count {self.c} with reservoir count "
+                              f"{self.res.count_seen} and has-sample byte {has_sample}")
+        if has_sample:
+            self.sample = sx, sy = r.f64(), r.f64()
+            # NaN fails the test too, and the scan would read it as a distance of 0
+            if not (self.x0 <= sx <= self.x0 + self.size and self.y0 <= sy <= self.y0 + self.size):
+                raise FormatError(f"sample ({sx!r}, {sy!r}) outside its node's cell")
 
 
 class QuadTree2D(AdaptiveTree):
@@ -217,10 +224,9 @@ class QuadTree2D(AdaptiveTree):
         rows: x0, x0 + size, y0, y0 + size, X, reservoir x, Y, reservoir y, c,
         Xvv, Yvv, Zxy.  Cached until the next update."""
         if self._flat is None:
-            rows = [(n.x0, n.x0 + n.size, n.y0, n.y0 + n.size, n.X, rx, n.Y, ry, n.c, n.Xvv,
-                     n.Yvv, n.Zxy)
-                    for n in self._walk() if n.c
-                    for rx, ry in [n.sample or (math.nan, math.nan)]]
+            rows = [(n.x0, n.x0 + n.size, n.y0, n.y0 + n.size, n.X, n.sample[0], n.Y, n.sample[1],
+                     n.c, n.Xvv, n.Yvv, n.Zxy)
+                    for n in self._walk() if n.c]
             flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
                                count=12 * len(rows))
             self._flat = flat.reshape(-1, 12).T.copy()[:, :, None]

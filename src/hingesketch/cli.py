@@ -223,10 +223,6 @@ BENCH_HEADER = (
 )
 
 
-# universe [1, W] of the non-normalized families in the bench
-BENCH_W = 2**16
-
-
 def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
     """(stream, queries, exact answers, map from query_many's output to them).
 
@@ -250,8 +246,8 @@ def _bench_workload(fam: families.Family, n: int, seed: int, p: int):
     exact = distance_sums_1d(xs, qs, p=p)
     if fam.normalized:
         return xs, qs, exact, lambda est: est * n
-    return (1.0 + xs * (BENCH_W - 1), 1.0 + qs * (BENCH_W - 1), exact,
-            lambda est: est / (BENCH_W - 1))
+    w = optimize.SKETCH_W - 1  # the universe [1, SKETCH_W] of the non-normalized families
+    return 1.0 + xs * w, 1.0 + qs * w, exact, lambda est: est / w
 
 
 def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
@@ -281,7 +277,7 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
                 fam = families.FAMILIES[name]
                 stream, qs, exact, answer = _bench_workload(fam, n, seed, p)
                 t0 = time.perf_counter_ns()
-                sk = fam.make(eps, n, seed, p, BENCH_W)
+                sk = fam.make(eps, n, seed, p, optimize.SKETCH_W)
                 sk.update_many(stream)
                 sk.freeze()
                 build_ns += time.perf_counter_ns() - t0

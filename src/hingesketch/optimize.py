@@ -8,8 +8,9 @@ queries, adds the exact regularizer, and keeps a running argmin.  Hinge sums
 decompose per label class: for y=+1 the per-point loss max{0, 1 - (theta.x +
 b)} equals a one-sided distance query with offset 1-b, for y=-1 one with
 direction -theta and offset 1+b.  So each replica is one HingeEstimator
-holding a sub-sketch per class: for d=1 two sketches of a d=1 family (one per
-sign of theta), for d=2 a quad-tree.
+holding a sub-sketch per class: for d=1 one tree of the additive family
+add1d, which answers either sign of theta, or two sketches of a relative-error
+family (one per sign of theta); for d=2 a quad-tree.
 
 Every entry point takes the record array that the generators and
 ``stream.ingest`` return, or a LabeledPoint sequence.
@@ -29,7 +30,7 @@ from .core import _as_matrix, check_positive
 from .families import Family
 from .sampler import UniformStream, derive_seed, philox_generator
 
-# universe [1, SKETCH_W] that the multiplicative backends read
+# universe [1, SKETCH_W] that the non-normalized families read, here and in ``bench``
 SKETCH_W = 2**16
 
 
@@ -135,11 +136,14 @@ def regularizer(grid: np.ndarray, lam: float) -> np.ndarray:
 class _Class1D:
     """sum_i max{0, offset - theta*x_i} over the d=1 points of one label class.
 
-    Holds two sketches of one family, on the coordinates (orientation +1) and
-    on their negations (-1), so that either sign of theta becomes the distance
-    query sum max{0, q - x}.  Coordinates are mapped affinely from [-scale,
-    scale] into the sketch's domain: [-1, 1] for the normalized families, the
-    universe [1, SKETCH_W] for the others.
+    Either sign of theta becomes a distance query D(q) = sum max{0, q - x}
+    over the coordinates (orientation +1) or their negations (-1), mapped
+    affinely from [-scale, scale] into the sketch's domain: [-1, 1] for the
+    normalized families, the universe [1, SKETCH_W] for the others.  A
+    normalized (additive-error) family keeps one sketch, on the coordinates,
+    and answers -1 by max{0, q + x} = (q + x) + max{0, -q - x}, with the
+    sketch's error at -q.  A relative-error family keeps a second sketch, on
+    the negations: its error is relative to D(-q), which can be far larger.
     """
 
     def __init__(self, xs: np.ndarray, family: Family, epsilon: float, seed: int, cls: str,
@@ -148,12 +152,15 @@ class _Class1D:
         self.normalized = family.normalized
         self.scale = scale
         self._sk = {}
-        for orient in (1, -1):
+        for orient in (1,) if self.normalized else (1, -1):
             sk = family.make(epsilon, max(self.n, 1), derive_seed(seed, "est", cls, orient), 1,
                              SKETCH_W)
             sk.update_many(self._to_domain(orient * xs))
             sk.freeze()
             self._sk[orient] = sk
+        if self.normalized:
+            # sum of the mapped coordinates: a tree answers exactly at the right end of its domain
+            self._vsum = self.n * (1.0 - self._sk[1].query(1.0))
 
     def _to_domain(self, v: np.ndarray) -> np.ndarray:
         if self.normalized:
@@ -164,12 +171,14 @@ class _Class1D:
     def _distance_sums(self, orient: int, qs: np.ndarray) -> np.ndarray:
         """sum_i max{0, q - orient*x_i} for each q."""
         qq = self._to_domain(qs)
-        if self.normalized:
-            # beyond the domain every point lies left of q: the counters answer exactly
-            vals = self._sk[orient].query_many(np.clip(qq, -1.0, 1.0)) * self.n
-            vals += self.n * np.maximum(0.0, qq - 1.0)
-            return np.where(qq <= -1.0, 0.0, vals) * self.scale
-        return self._sk[orient].query_many(qq) * (self.scale * 2.0 / (SKETCH_W - 1))
+        if not self.normalized:
+            return self._sk[orient].query_many(qq) * (self.scale * 2.0 / (SKETCH_W - 1))
+        if orient == 1:
+            return self._sk[1].query_many(qq) * self.n * self.scale
+        vals = self.n * qq + self._vsum + self._sk[1].query_many(-qq) * self.n
+        # where every point lies near or left of -q the sum is near 0, and the
+        # tree's additive error can take it below; a hinge sum never is
+        return np.maximum(vals, 0.0) * self.scale
 
     def add_sums(self, out: np.ndarray, cols: list, offset: np.ndarray) -> None:
         theta = cols[0]

@@ -672,10 +672,17 @@ def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4):
     return head + b"".join(HSKB_NODE.pack(f, 0, 0.0, 0.0) for f in flags)
 
 
-def hskq(flags=(0,) * 64, eps=0.01, depth=3):
-    """An HSKQ file of n_declared 100; eps 0.01 gives 64 roots and depth cap 14."""
-    head = QuadTree2D.MAGIC + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, 0, depth)
-    return head + b"".join(HSKQ_NODE.pack(f, 0, *[0.0] * 5, 0, 0) for f in flags)
+def hskq(flags=(0,) * 64, eps=0.01, depth=3, first=(0, 0, 0)):
+    """An HSKQ file of n_declared 100; eps 0.01 gives 64 roots and depth cap 14.
+    ``first`` is the first node's count, reservoir count, has-sample byte and
+    sample coordinates, if any; the other nodes are empty."""
+    c, seen, has_sample, *sample = first
+    head = QuadTree2D.MAGIC + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, c, depth)
+    nodes = [HSKQ_NODE.pack(f, 0, *[0.0] * 5, 0, 0) for f in flags]
+    if nodes:
+        nodes[0] = (HSKQ_NODE.pack(flags[0], c, *[0.0] * 5, seen, has_sample)
+                    + struct.pack(f"<{len(sample)}d", *sample))
+    return head + b"".join(nodes)
 
 
 def chain(depth, arity, roots):
@@ -700,6 +707,17 @@ CRAFTED_TREES = {
     "hskb_root_grid_past_the_bound": (hskb((0,) * 2**17, eps=2.0**-32, depth=17), "too small"),
     "hskb_minus_inf_domain": (hskb(lo=-np.inf), "domain"),
     "hskb_empty_domain": (hskb(lo=1.0, hi=1.0), "domain"),
+    # a node keeps a sample exactly when it holds points, all of which its reservoir saw
+    "hskq_sample_byte_2": (hskq(first=(3, 3, 2, 0.01, 0.01)), "has-sample byte 2"),
+    "hskq_points_without_sample": (hskq(first=(3, 3, 0)),
+                                   "node of count 3 with reservoir count 3 and has-sample byte 0"),
+    "hskq_sample_without_points": (hskq(first=(0, 0, 1, 0.01, 0.01)),
+                                   "node of count 0 with reservoir count 0 and has-sample byte 1"),
+    "hskq_reservoir_count": (hskq(first=(3, 5, 1, 0.01, 0.01)),
+                             "node of count 3 with reservoir count 5"),
+    # the first root's cell is [0, 1/8]^2
+    "hskq_nan_sample": (hskq(first=(3, 3, 1, np.nan, 0.01)), "outside its node's cell"),
+    "hskq_sample_outside_the_cell": (hskq(first=(3, 3, 1, 0.01, 0.5)), "outside its node's cell"),
 }
 
 
@@ -717,7 +735,8 @@ def tree_container(algorithm, p):
 
 class TestCraftedTrees:
     def test_intact_files_load(self, tmp_path):
-        for name, data in [("b", hskb()), ("q", hskq())]:
+        populated = hskq(first=(3, 3, 1, 0.01, 0.01))
+        for name, data in [("b", hskb()), ("q", hskq()), ("q1", populated)]:
             (tmp_path / name).write_bytes(data)
             assert cli.load_sketch(str(tmp_path / name)).to_bytes() == data
 
@@ -732,6 +751,19 @@ class TestCraftedTrees:
         assert code == cli.EXIT_DATA and not out
         assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
         assert says in err
+
+    def test_dropped_sample_is_data_error(self, tmp_path, capsys):
+        """A built quad-tree's file with one populated node's sample left out:
+        read with a distance of 0 for that node, it would answer otherwise."""
+        sk = additive_quadtree(0.5, 100, seed=1)
+        sk.update_many(np.random.default_rng(1).uniform(0.0, 1.0, (100, 2)))
+        next(node for node in sk._walk() if node.c).sample = None
+        path = tmp_path / "q"
+        path.write_bytes(sk.to_bytes())
+        code, out, err = run(capsys, "query", "--sketch", str(path), "--theta=0,1", "--b=0.3")
+        assert code == cli.EXIT_DATA and not out
+        assert len(err.strip().splitlines()) == 1 and last_error(err) == "data"
+        assert "has-sample byte 0" in err
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("algorithm", ["add1d", "add2d"])

@@ -10,6 +10,7 @@ from hingesketch import cli, optimize
 from hingesketch.core import (
     HyperplaneQuery,
     LabeledPoint,
+    distance_sums_1d,
     exact_optimize,
     hinge_objective,
     strong_convexity_radius,
@@ -134,6 +135,80 @@ class TestEstimators:
             b = rng.uniform(-1.0, 1.0)
             truth = hinge_objective(pts, HyperplaneQuery(tuple(theta), b), 0.0)
             assert est.estimate_bulk([*theta, b])[0] == pytest.approx(truth, abs=0.15)
+
+
+def estimator_words(est):
+    """Words of every sketch a HingeEstimator holds."""
+    return sum(sk.space_words() for _, sub in est._classes for sk in sub._sk.values())
+
+
+CLASS_STREAMS = {
+    "uniform": lambda rng, n: rng.uniform(-1.0, 1.0, n),
+    "cubed": lambda rng, n: rng.uniform(-1.0, 1.0, n) ** 3,
+    "point_mass": lambda rng, n: np.where(rng.random(n) < 0.5, 0.6, rng.uniform(-1.0, 1.0, n)),
+}
+
+
+class TestOneTreePerClass:
+    """add1d answers both signs of theta from one tree per label class, by
+    max{0, q + x} = (q + x) + max{0, -q - x}."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("stream", sorted(CLASS_STREAMS))
+    def test_both_orientations_within_the_additive_bound(self, stream, seed):
+        rng = np.random.default_rng(seed)
+        n, eps = 2000, 0.1
+        xs = 1.7 * CLASS_STREAMS[stream](rng, n)
+        scale = max(1.0, float(np.abs(xs).max()))
+        sub = optimize._Class1D(xs, optimize.families.FAMILIES["add1d"], eps, 0, "pos", scale)
+        inside = np.concatenate([rng.uniform(-scale, scale, 300), np.linspace(-scale, scale, 101)])
+        beyond = np.concatenate([rng.uniform(scale, 3.0 * scale, 50),
+                                 rng.uniform(-3.0 * scale, -scale, 50)])
+        for orient in (1, -1):
+            exact_in = distance_sums_1d(orient * xs, inside)
+            got_in = sub._distance_sums(orient, inside)
+            assert np.abs(got_in - exact_in).max() <= eps * n * scale
+            # every point lies on one side of q: the tree's counters answer exactly
+            exact_out = distance_sums_1d(orient * xs, beyond)
+            got_out = sub._distance_sums(orient, beyond)
+            assert np.abs(got_out - exact_out).max() <= 1e-9 * n * 3.0 * scale
+            # the identity's sum can fall below 0 by the tree's error; a hinge sum is never
+            assert got_in.min() >= 0.0 and got_out.min() >= 0.0
+
+    def test_additive_family_holds_one_sketch_per_class(self):
+        pts = gen_uniform(500, 1, seed=4, low=-1.0, high=1.0, label_mode="random")
+        for family in ("add1d", "mult1d", "dyn1d", "offline1d"):
+            est = build_estimator(pts, family, epsilon=0.2, seed=0, norm_budget=2.0)
+            assert [sorted(sub._sk) for _, sub in est._classes] == (
+                [[1]] * 2 if family == "add1d" else [[-1, 1]] * 2)
+        # the one tree is the tree of the class's coordinates, as a build of them gives
+        est = build_estimator(pts, "add1d", epsilon=0.2, seed=0, norm_budget=2.0)
+        scale = max(1.0, float(np.abs(pts["x"]).max()))
+        words = 0
+        for sign, sub in est._classes:
+            tree = optimize.families.FAMILIES["add1d"].make(0.1, sub.n, 0, 1, optimize.SKETCH_W)
+            tree.update_many(pts["x"][pts["y"] == sign, 0] / scale)
+            assert sub._sk[1].to_bytes() == tree.to_bytes()
+            words += tree.space_words()
+        assert estimator_words(est) == words
+
+    def test_opthard_words_halve(self):
+        """On the benchmark's opthard instance (n 400, lambda 0.01, epsilon 0.1),
+        add1d's estimator keeps 1,038 words; a second tree per class, on the
+        negated coordinates, would keep as many again."""
+        inst = gen_opt_hard(0.1, 400, seed=0)
+        spec = GridSpec(lam=0.01, epsilon=0.1, d=1)
+        est = build_estimator(inst.points, "add1d", 0.1, norm_budget=spec.R)
+        assert estimator_words(est) == 1038
+        xs, ys = inst.points["x"][:, 0], inst.points["y"]
+        scale = max(1.0, float(np.abs(xs).max()))
+        mirrored = 0
+        for sign, sub in est._classes:
+            tree = optimize.families.FAMILIES["add1d"].make(0.1 / spec.R, sub.n, 0, 1,
+                                                            optimize.SKETCH_W)
+            tree.update_many(-xs[ys == sign] / scale)
+            mirrored += tree.space_words()
+        assert mirrored == 1038
 
 
 class TestMedian:
