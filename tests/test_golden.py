@@ -21,7 +21,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from hingesketch import cli
-from hingesketch.add2d import additive_quadtree
+from hingesketch import add2d
+from hingesketch.add2d import QuadTree2D, additive_quadtree
 from hingesketch.core import LabeledPoint, SketchParams
 from hingesketch.dyn1d import DynSketch1D
 from hingesketch.gen import gen_uniform
@@ -52,6 +53,8 @@ OPTIMIZE = {
     "mult1d": ("mult1d", 1, 300, 0.5, 0.4, 1),
     "dyn1d": ("dyn1d", 1, 300, 0.5, 0.25, 3),
     "add2d": ("add2d", 2, 300, 2.0, 0.5, 3),
+    # the benchmark's scale: about 14k candidates, most scan calls over many blocks
+    "add2d_14k": ("add2d", 2, 2000, 0.2, 0.6, 1),
 }
 
 BENCH_ARGV = ["bench", "--algorithms", "offline1d,mult1d,dyn1d,add1d,add2d,pegasos",
@@ -128,7 +131,11 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
               'add2d': ([0.17677669529663687, 0.17677669529663687],
                         0.0,
                         0.9836353387397022,
-                        751)},
+                        751),
+              'add2d_14k': ([0.8485281374238569, 0.42426406871192845],
+                            -0.42426406871192845,
+                            0.8196476348137476,
+                            13949)},
  'bench': ['algorithm,epsilon,p,space_words,mean_rel_err,p95_err,max_err,success_rate',
            'offline1d,0.2,1,96,0.00809607,0.0254495,0.0321698,1.0000',
            'mult1d,0.2,1,2457,6.6618e-16,1.52131e-15,1.74097e-15,1.0000',
@@ -136,7 +143,71 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
            'add1d,0.2,1,48,0.00242881,0.00623877,0.00759201,1.0000',
            'add2d,0.2,1,160,0.00311049,0.0216437,0.0317949,1.0000',
            'pegasos,0.2,1,108,0.0182474,0.0182474,0.0182474,1.0000'],
- 'batch': {'add2d_p1': [0.3338712271403005,
+ 'batch': {'add2d_grid_blocks': [0.2467607546371076,
+                                 0.20624338144147839,
+                                 0.17036204494956425,
+                                 0.13887944604693472,
+                                 0.1115707267703355,
+                                 0.08812544849177914,
+                                 0.06831450370399252,
+                                 0.0518056105412245,
+                                 0.038294583500236255,
+                                 0.02747250829312648,
+                                 0.018986116109985504,
+                                 0.012534605383090001,
+                                 0.00780535811584183,
+                                 0.0045206176108492585,
+                                 0.0023670610980193107,
+                                 0.0010572407277891769,
+                                 0.8090325755020614,
+                                 0.7165964959505428,
+                                 0.6302579773746358,
+                                 0.550017019774337,
+                                 0.4758736231496502,
+                                 0.4078277875005712,
+                                 0.3458795128271031,
+                                 0.2900231377455011,
+                                 0.24024538873853538,
+                                 0.19635678800393433,
+                                 0.15810968106126705,
+                                 0.12519010133260372,
+                                 0.09722950774440725,
+                                 0.07386354792412124,
+                                 0.054652990556324034,
+                                 0.03925259237357562,
+                                 0.02716043681391409,
+                                 0.01795213387546569,
+                                 0.01118543443295583,
+                                 0.006469294536018403,
+                                 0.003369325442238533,
+                                 0.0015237103468126584,
+                                 0.0005208895972374091,
+                                 1.1296254403648918,
+                                 1.0052745364178446,
+                                 0.8886159401631044,
+                                 0.7796496516006728,
+                                 0.6783756707305473,
+                                 0.5847939975527298,
+                                 0.49890463206722113,
+                                 0.42070757427401934,
+                                 0.35020282417312515,
+                                 0.28738495874484576,
+                                 0.2322285698918142,
+                                 0.18442485749315954,
+                                 0.14364901477899003,
+                                 0.10941661428593959,
+                                 0.08116064522552423,
+                                 0.05836148580939713,
+                                 0.04046718977449098,
+                                 0.02677883733586048,
+                                 0.016728569905928456,
+                                 0.009658920571148859,
+                                 0.005038723843486469,
+                                 0.0022732983862881026,
+                                 0.0007921148104184299,
+                                 0.0001643989647745466,
+                                 2.0319876864636758e-05],
+           'add2d_p1': [0.3338712271403005,
                         0.10627276756474498,
                         0.2722617255164996,
                         0.3338712271403005,
@@ -360,6 +431,13 @@ def batch_sketches():
                      [0.3, 0.4, 0.5], [0.0, -0.5, -0.25], [0.05, 0.0, 0.02],
                      [-0.6, -0.8, -0.9], [0.6, 0.8, -2.0], [0.6, 0.8, 3.0],
                      [0.7071067811865476, 0.7071067811865476, 0.7]])
+    # 583 nonempty nodes, so a scan block holds 14 rows; 64 rows of the lambda 0.2
+    # grid as _Class2D asks them come in runs of 20 that share a direction
+    fine = QuadTree2D(0.004, len(disk), p=2, seed=8)
+    fine.update_many(disk)
+    tx, ty, b = grid_points(GridSpec(lam=0.2, epsilon=0.6, d=2))[6000:6064].T
+    norm = np.hypot(tx, ty)
+    grid_rows = np.stack([tx / norm, ty / norm, (1.0 - b + tx + ty) / (2.0 * norm)], axis=1)
     estimator = build_estimator(_separable_with_noise(300, 2), "add2d", 0.5, seed=3)
     # 33 candidates, 5 of them with theta = 0
     grid = grid_points(GridSpec(lam=4.0, epsilon=1.0, d=2))
@@ -371,6 +449,7 @@ def batch_sketches():
         "dyn1d_anchor_mass": (anchored, q_dyn),
         "add2d_p1": (trees[1], rows),
         "add2d_p2": (trees[2], rows),
+        "add2d_grid_blocks": (fine, grid_rows),
         "estimate_bulk_2d": (estimator, grid),
     }
 
@@ -444,6 +523,11 @@ def test_batch_inputs_reach_their_branches(batches):
     assert anchored.anchor == 1.0 and anchored.explicit_capacity < 400 and anchored.intervals
     grid = batches["estimate_bulk_2d"][1]
     assert ((grid[:, 0] == 0) & (grid[:, 1] == 0)).sum() == 5
+    fine, rows = batches["add2d_grid_blocks"]
+    step = add2d._BLOCK_VALUES // fine._nodes().shape[1]
+    assert len(rows) >= 4 * step
+    starts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
+    assert np.diff(starts).min() > step  # every run in the middle crosses a block edge
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["batch"]))
