@@ -50,7 +50,8 @@ class _Node:
         w.f64(self.s2)
 
     def read(self, r: Reader) -> None:
-        self.c, self.s, self.s2 = r.u64(), r.f64(), r.f64()
+        self.c = r.u64()
+        self.s, self.s2 = r.finite_f64s(2, "node counters (s, s2)")
 
 
 class Tree1D(AdaptiveTree):

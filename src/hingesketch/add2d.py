@@ -34,9 +34,10 @@ WORDS_PER_NODE_P1 = 8  # cell id, c, X, Y, reservoir (x, y, count), topology
 WORDS_PER_NODE_P2 = 11  # + Xvv, Yvv, Zxy
 
 # scan temporaries hold at most this many (node, halfplane) values: 64 KB each.
-# _score makes ~20 of them per block.  At 1 MB each (2**17 values) its speed
+# _score makes about 15 of them per block.  At 1 MB each (2**17 values) its speed
 # swung with the allocator state of the process; at 64 KB it is steady, and
-# 1.3-2.2x faster on 14k halfplanes over trees of 4 to 80 nonempty nodes.
+# 1.3-1.5x faster on the 13,920 halfplanes of a lambda 0.2, epsilon 0.6 grid over
+# trees of 8 to 212 nonempty nodes (2-vCPU Xeon VM, numpy 2.4).
 # Rows are scored independently, so the answers do not depend on it.
 _BLOCK_VALUES = 2**13
 
@@ -73,7 +74,8 @@ class _QNode:
 
     def read(self, r: Reader) -> None:
         self.c = r.u64()
-        self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = (r.f64() for _ in range(5))
+        self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = r.finite_f64s(
+            5, "node counters (X, Y, Xvv, Yvv, Zxy)")
         self.res.count_seen, has_sample = r.u64(), r.u8()
         # the reservoir sees every point of the node, and keeps one if there is any
         if self.res.count_seen != self.c or has_sample != (self.c > 0):
@@ -209,15 +211,16 @@ class QuadTree2D(AdaptiveTree):
         ``theta`` must be unit-norm; shorter vectors are normalized together
         with b (same geometry), the zero vector is rejected.
         """
-        return float(self._scan(np.array([[theta[0], theta[1], b]], dtype=float))[0][0])
+        return float(self._scan(np.array([[theta[0], theta[1], b]], dtype=float))[0])
 
     def query_many(self, qs: np.ndarray) -> np.ndarray:
         """``query`` for each row (theta_x, theta_y, b) of an (m, 3) array."""
-        return self._scan(np.asarray(qs, dtype=float).reshape(-1, 3))[0]
+        return self._scan(np.asarray(qs, dtype=float).reshape(-1, 3))
 
     def crossing_cells(self, theta, b: float) -> int:
         """Number of nonempty cells crossing the line (diagnostic)."""
-        return int(self._scan(np.array([[theta[0], theta[1], b]], dtype=float))[1][0])
+        return int(self._scan(np.array([[theta[0], theta[1], b]], dtype=float),
+                              crossing=True)[0])
 
     def _nodes(self) -> np.ndarray:
         """A (12, N, 1) array over the N nonempty nodes in ``_walk`` order, by
@@ -232,14 +235,10 @@ class QuadTree2D(AdaptiveTree):
             self._flat = flat.reshape(-1, 12).T.copy()[:, :, None]
         return self._flat
 
-    def _scan(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The estimates of ``query`` for rows (theta_x, theta_y, b), and the
-        number of cells each one sampled.
-
-        Nodes run along axis 0 and rows along axis 1 of every block; each row's
-        node terms are added in walk order, as a scan of one halfplane node by
-        node adds them, so every answer is the same to the last bit.
-        """
+    @staticmethod
+    def _halfplanes(rows: np.ndarray) -> tuple:
+        """The columns theta_x, theta_y, b of rows (theta_x, theta_y, b), each
+        theta shorter than 1 scaled to unit norm together with its b."""
         if not np.isfinite(rows).all():
             raise ValueError("halfplanes must be finite")
         tx, ty, b = rows.T
@@ -253,45 +252,71 @@ class QuadTree2D(AdaptiveTree):
         if max(1.0 - lo, hi - 1.0) > 1e-12:
             scale = np.abs(norm - 1.0) > 1e-12
             tx, ty, b = (np.where(scale, v / norm, v) for v in (tx, ty, b))
-        totals = np.zeros(len(rows))
-        crossing = np.zeros(len(rows), dtype=np.int64)
+        return tx, ty, b
+
+    def _scan(self, rows: np.ndarray, crossing: bool = False) -> np.ndarray:
+        """The estimates of ``query`` for rows (theta_x, theta_y, b), or with
+        ``crossing`` the number of nonempty cells each row's line crosses.
+
+        Nodes run along axis 0 and rows along axis 1 of every block; each row's
+        node terms are added in walk order, as a scan of one halfplane node by
+        node adds them, so every answer is the same to the last bit.
+        """
+        tx, ty, b = self._halfplanes(rows)
+        out = np.zeros(len(rows), dtype=np.int64 if crossing else float)
         nodes = self._nodes()
         if self.count == 0 or nodes.shape[1] == 0:
-            return totals, crossing
+            return out
         step = max(1, _BLOCK_VALUES // nodes.shape[1])
         for start in range(0, len(rows), step):
             blk = slice(start, start + step)
-            totals[blk], crossing[blk] = self._score(nodes, tx[blk], ty[blk], b[blk])
-        return totals / self.count, crossing
+            out[blk] = self._score(nodes, tx[blk], ty[blk], b[blk], crossing)
+        if not crossing:
+            out /= self.count
+        return out
 
-    def _score(self, nodes, tx, ty, b):
-        """Summed node terms and crossing-cell counts of a block of halfplanes."""
-        ax, by = tx * nodes[0:2], ty * nodes[2:4]  # tx * (x0, x1), ty * (y0, y1)
+    def _score(self, nodes, tx, ty, b, crossing):
+        """Summed node terms, or crossing-cell counts, of a block of halfplanes."""
+        x0, x1, y0, y1, X, sx, Y, sy, c, Xvv, Yvv, Zxy = nodes
+        # a run of rows whose directions are equal bit for bit (0.0 and -0.0
+        # differ) shares every value that depends on the direction alone: those
+        # are computed once per run and node, then taken for each row of the run
+        new = np.empty(len(tx), dtype=bool)
+        new[0] = True
+        kx, ky = tx.view(np.int64), ty.view(np.int64)
+        new[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+        run = np.cumsum(new) - 1
+        tx, ty = tx[new], ty[new]
+
+        def per_row(a):
+            return a.take(run, axis=1)
+
         # rounding is monotone, so the largest (smallest) of the four rounded
         # corner values tx*x + ty*y is the rounded sum of the largest (smallest) terms
-        cmax = np.maximum(ax[0], ax[1]) + np.maximum(by[0], by[1])
-        cmin = np.minimum(ax[0], ax[1]) + np.minimum(by[0], by[1])
-        inside = cmax <= b  # exact via moments
-        crossing = (cmin < b) & ~inside  # reservoir estimate; the rest lies outside
-        # theta . (X, Y) and theta . (reservoir sample)
-        moment, sample = tx * nodes[4:6] + ty * nodes[6:8]
-        c = nodes[8]
+        inside = per_row(np.maximum(tx * x0, tx * x1) + np.maximum(ty * y0, ty * y1)) <= b
+        if crossing:  # sampled: neither inside nor wholly outside
+            cmin = per_row(np.minimum(tx * x0, tx * x1) + np.minimum(ty * y0, ty * y1))
+            return ((cmin < b) & ~inside).sum(axis=0)
+        moment = per_row(tx * X + ty * Y)
         if self.p == 1:
             exact = c * b - moment
         else:
-            Xvv, Yvv, Zxy = nodes[9:12]
-            exact = (c * b * b - 2.0 * b * moment + tx * tx * Xvv
-                     + 2.0 * tx * ty * Zxy + ty * ty * Yvv)
-        # fmax(d, 0) is max(0.0, d) (0 for NaN); the sign of a zero term never
-        # reaches the result, see the + 0.0 below
-        dist = np.fmax(b - sample, 0.0)
+            exact = (c * b * b - 2.0 * b * moment + per_row(tx * tx * Xvv)
+                     + per_row(2.0 * tx * ty * Zxy) + per_row(ty * ty * Yvv))
+        # cells inside count exactly through their moments, the rest through
+        # their sample.  A sample lies in its closed cell (loading checks it),
+        # so by monotone rounding theta . sample is at least the smallest corner
+        # value: for a cell wholly outside, b - theta . sample <= 0 and its term
+        # is 0.  fmax(d, 0) is max(0.0, d) (0 for NaN); the sign of a zero term
+        # never reaches the result, see the + 0.0 below
+        dist = np.fmax(b - per_row(tx * sx + ty * sy), 0.0)
         if self.p == 2:
             # the C library's pow, as Python's ** calls it (np.power would square)
             dist = np.float_power(dist, 2)
-        terms = np.where(inside, exact, np.where(crossing, c * dist, 0.0))
+        terms = np.where(inside, exact, c * dist)
         # accumulate adds in node order (a sum may add pairwise); + 0.0 because a
         # scan starts from +0.0, so that an all-zero sum is never -0.0
-        return np.add.accumulate(terms, axis=0)[-1] + 0.0, crossing.sum(axis=0)
+        return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 
 def additive_quadtree(epsilon: float, n_declared: int, p: int = 1, seed: int = 0) -> QuadTree2D:

@@ -6,6 +6,7 @@ See docs/formats.md for the per-type payload layouts.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -77,6 +78,13 @@ class Reader:
 
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
+
+    def finite_f64s(self, n: int, what: str) -> tuple:
+        """``n`` f64 values, rejected if one is not finite."""
+        vals = struct.unpack(f"<{n}d", self._take(8 * n))
+        if not all(map(math.isfinite, vals)):
+            raise FormatError(f"non-finite value in {what} = {vals}")
+        return vals
 
     def fields(self, header) -> dict:
         """Each attribute of the (attribute, method) pairs of ``header``, by

@@ -170,6 +170,7 @@ class AdaptiveTree:
         r.need(cls.NODE_BYTES << cls.DIM * depth, f"a root grid of depth {depth}")
         tree = cls(**head, init_depth=depth)
         tree.count = count
+        held = 0
         for node in tree._walk(mirror=False):
             has_children = r.u8()
             if has_children > 1:
@@ -177,5 +178,9 @@ class AdaptiveTree:
             if has_children and not tree._split(node):
                 raise FormatError(f"node at depth {node.depth} split past the depth cap")
             node.read(r)
+            held += node.c
         r.done()
+        # a query divides by the count: every build keeps it the sum of the nodes'
+        if held != count:
+            raise FormatError(f"header count {count} but the nodes hold {held} points")
         return tree

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -233,6 +234,91 @@ class TestQuery:
         scales = 2.0 ** np.arange(-20, 20).repeat(2000)
         xs = np.random.default_rng(0).uniform(0.5, 1.0, scales.size) * scales
         assert_array_equal(np.float_power(xs, 2), [x**2 for x in xs.tolist()])
+
+
+def scan_trees(p):
+    """An empty tree, a tree of one nonempty node and one of many."""
+    one = QuadTree2D(0.25, 10, p=p, seed=1)
+    one.update_many(np.full((3, 2), 0.3))
+    many = additive_quadtree(0.05, 3000, p=p, seed=2)
+    many.update_many(disk_square_points(3000, 3))
+    return {"empty": QuadTree2D(0.25, 10, p=p), "one": one, "many": many}
+
+
+def rows_in_runs(lengths, seed):
+    """Runs of rows that share a direction, one run per length.  Neighbouring
+    runs may differ in one component only, or only in the sign of a zero, and
+    some directions are shorter than 1."""
+    rng = np.random.default_rng(seed)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    dirs = [(0.0, 1.0), (-0.0, 1.0), (0.6, 0.8), (0.6, -0.8), (-0.6, -0.8),
+            (math.cos(ang), math.sin(ang)), (1.0, 0.0), (1.0, -0.0), (0.3, 0.4),
+            (0.3, -0.4), (-0.0, -0.5)]
+    rows = []
+    for i, k in enumerate(lengths):
+        tx, ty = dirs[i % len(dirs)]
+        rows += [(tx, ty, b) for b in rng.uniform(-1.5, 2.0, k)]
+    return np.array(rows)
+
+
+def brute_crossing(tree, theta, b):
+    """Nonempty cells whose corner values theta . corner lie on both sides of b."""
+    count = 0
+    for node in tree._walk():
+        if node.c:
+            corners = [theta[0] * x + theta[1] * y
+                       for x in (node.x0, node.x0 + node.size) for y in (node.y0, node.y0 + node.size)]
+            count += min(corners) < b < max(corners)
+    return count
+
+
+class TestScan:
+    """The batch scan, which computes each node's values that depend on the
+    direction alone once per run of rows sharing it."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("tree", ["empty", "one", "many"])
+    def test_query_many_is_query_per_row(self, monkeypatch, p, tree):
+        tree = scan_trees(p)[tree]
+        # blocks of 16 rows, and runs of up to three blocks across their edges
+        monkeypatch.setattr(add2d, "_BLOCK_VALUES", 16 * tree._nodes().shape[1])
+        rows = rows_in_runs([1, 15, 16, 17, 33, 2, 40, 7, 1, 1, 20, 16, 5], seed=p)
+        assert any(np.signbit(rows[:, :2]).any(axis=1) & (rows[:, :2] == 0).any(axis=1))
+        want = np.array([tree.query(r[:2], r[2]) for r in rows])
+        got = tree.query_many(rows)
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if tree.count:
+            assert (got > 0).any()
+
+    def test_crossing_cells_is_a_count_over_the_cells(self):
+        tree = scan_trees(1)["many"]
+        rng = np.random.default_rng(4)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+        halfplanes = [((math.cos(a), math.sin(a)), b) for a, b in zip(ang, rng.uniform(-1, 1.5, 40))]
+        # lines along cell edges: a corner value equal to b does not cross
+        halfplanes += [(theta, b) for theta in ((1.0, 0.0), (0.0, -1.0), (-0.0, 1.0))
+                       for b in (0.25, 0.5, -0.5, 0.375)]
+        counts = [tree.crossing_cells(theta, b) for theta, b in halfplanes]
+        assert counts == [brute_crossing(tree, theta, b) for theta, b in halfplanes]
+        assert sum(counts) > 40
+
+    def test_query_many_memory_is_bounded_by_blocks(self):
+        tree = QuadTree2D(0.1, 1000, seed=1)
+        tree.update_many(np.random.default_rng(2).uniform(0.0, 1.0, (1000, 2)))
+        assert tree._nodes().shape[1] == 16
+        tracemalloc.start()
+        try:
+            ang = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
+            rows = np.stack([np.cos(ang), np.sin(ang), np.full(ang.size, 0.5)], axis=1)
+            del ang
+            tracemalloc.reset_peak()
+            tree.query_many(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows, the answers and a few (nodes, block) temporaries; tables
+        # of every direction over the whole call would take more
+        assert peak <= rows.nbytes + 2 * 2**20
 
 
 class TestSpace:

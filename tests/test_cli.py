@@ -666,23 +666,42 @@ class TestOptimizeRecords:
                        "space_words": optimize.sgd_space_words(lam, eps, 1)}
 
 
-def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4):
-    """An HSKB file of n_declared 100; eps 0.01 gives 16 roots and depth cap 20."""
-    head = add1d.Tree1D.MAGIC + struct.pack("<HdQBddQH", 1, eps, 100, 1, lo, hi, 0, depth)
-    return head + b"".join(HSKB_NODE.pack(f, 0, 0.0, 0.0) for f in flags)
+def hskb(flags=(0,) * 16, eps=0.01, lo=-1.0, hi=1.0, depth=4, first=(0, 0.0, 0.0),
+         count=None):
+    """An HSKB file of n_declared 100; eps 0.01 gives 16 roots and depth cap 20.
+    ``first`` is the first node's count, s and s2; the other nodes are empty.
+    The header's count is ``count``, the first node's count by default."""
+    c = first[0]
+    head = add1d.Tree1D.MAGIC + struct.pack("<HdQBddQH", 1, eps, 100, 1, lo, hi,
+                                            c if count is None else count, depth)
+    nodes = [HSKB_NODE.pack(f, 0, 0.0, 0.0) for f in flags]
+    if nodes:
+        nodes[0] = HSKB_NODE.pack(flags[0], *first)
+    return head + b"".join(nodes)
 
 
-def hskq(flags=(0,) * 64, eps=0.01, depth=3, first=(0, 0, 0)):
+def hskq(flags=(0,) * 64, eps=0.01, depth=3, first=(0, 0, 0), sums=(0.0,) * 5, count=None):
     """An HSKQ file of n_declared 100; eps 0.01 gives 64 roots and depth cap 14.
     ``first`` is the first node's count, reservoir count, has-sample byte and
-    sample coordinates, if any; the other nodes are empty."""
+    sample coordinates, if any, and ``sums`` its X, Y, Xvv, Yvv and Zxy; the
+    other nodes are empty.  The header's count is ``count``, the first node's
+    count by default."""
     c, seen, has_sample, *sample = first
-    head = QuadTree2D.MAGIC + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0, c, depth)
+    head = QuadTree2D.MAGIC + struct.pack("<HdQBqQH", 1, eps, 100, 1, 0,
+                                          c if count is None else count, depth)
     nodes = [HSKQ_NODE.pack(f, 0, *[0.0] * 5, 0, 0) for f in flags]
     if nodes:
-        nodes[0] = (HSKQ_NODE.pack(flags[0], c, *[0.0] * 5, seen, has_sample)
+        nodes[0] = (HSKQ_NODE.pack(flags[0], c, *sums, seen, has_sample)
                     + struct.pack(f"<{len(sample)}d", *sample))
     return head + b"".join(nodes)
+
+
+# the first node of three points at -0.975, or at (0.01, 0.01), in the first
+# root's cell (p is 1, so the squared counters are 0); with the header's count
+# 3 the files load
+HSKB_3 = (3, 0.3, 0.0)
+HSKQ_3 = (3, 3, 1, 0.01, 0.01)
+HSKQ_3_SUMS = (0.03, 0.03, 0.0, 0.0, 0.0)
 
 
 def chain(depth, arity, roots):
@@ -718,6 +737,20 @@ CRAFTED_TREES = {
     # the first root's cell is [0, 1/8]^2
     "hskq_nan_sample": (hskq(first=(3, 3, 1, np.nan, 0.01)), "outside its node's cell"),
     "hskq_sample_outside_the_cell": (hskq(first=(3, 3, 1, 0.01, 0.5)), "outside its node's cell"),
+    # a query divides by the header's count, and answers 0 when it is 0
+    "hskb_count_0": (hskb(first=HSKB_3, count=0), "header count 0 but the nodes hold 3 points"),
+    "hskb_count_1000": (hskb(first=HSKB_3, count=1000), "header count 1000 but the nodes hold 3"),
+    "hskq_count_0": (hskq(first=HSKQ_3, sums=HSKQ_3_SUMS, count=0),
+                     "header count 0 but the nodes hold 3 points"),
+    "hskq_count_1000": (hskq(first=HSKQ_3, sums=HSKQ_3_SUMS, count=1000),
+                        "header count 1000 but the nodes hold 3"),
+    # every node counter is a finite sum of finite values
+    "hskb_nan_s": (hskb(first=(3, np.nan, 0.0)), "non-finite value"),
+    "hskb_inf_s2": (hskb(first=(3, 0.3, np.inf)), "non-finite value"),
+    **{f"hskq_non_finite_{name}": (hskq(first=HSKQ_3, sums=HSKQ_3_SUMS[:i] + (v,) + HSKQ_3_SUMS[i + 1:]),
+                            "non-finite value")
+       for i, (name, v) in enumerate([("X", np.nan), ("Y", np.inf), ("Xvv", -np.inf),
+                                      ("Yvv", np.nan), ("Zxy", np.inf)])},
 }
 
 
@@ -735,8 +768,8 @@ def tree_container(algorithm, p):
 
 class TestCraftedTrees:
     def test_intact_files_load(self, tmp_path):
-        populated = hskq(first=(3, 3, 1, 0.01, 0.01))
-        for name, data in [("b", hskb()), ("q", hskq()), ("q1", populated)]:
+        for name, data in [("b", hskb()), ("q", hskq()), ("b1", hskb(first=HSKB_3)),
+                           ("q1", hskq(first=HSKQ_3, sums=HSKQ_3_SUMS))]:
             (tmp_path / name).write_bytes(data)
             assert cli.load_sketch(str(tmp_path / name)).to_bytes() == data
 
