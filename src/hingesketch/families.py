@@ -5,6 +5,7 @@ Every family's class implements
   freeze()            end the stream, queries follow;
   query_many(qs)      answer values q (d=1) or rows (theta_x, theta_y, b) (d=2);
   space_words()       retained words;
+  stats()             a dict of the sketch's parts, ``space_words`` among them;
   replica_key()       what replicas of one sketch share: everything but the seed;
   to_bytes(), from_bytes(data).
 ``FAMILIES`` maps each family's name to its class, point dimension and

@@ -124,6 +124,12 @@ class OfflineSketch1D:
         """A rank, a position and a prefix sum per stored entry."""
         return 3 * len(self)
 
+    def stats(self) -> dict:
+        """Stored entries and the largest stored rank: the sketch keeps no
+        stream length, and the largest rank is within a factor 1+eps of it."""
+        return {"entries": len(self), "max_rank": int(self.ranks[-1]) if len(self) else 0,
+                "space_words": self.space_words()}
+
     def replica_key(self) -> tuple:
         return (self.epsilon,)
 

@@ -3,8 +3,11 @@ SGD baseline over a uniform sample of the stream.
 
 The reduction enumerates the delta-grid inside the norm ball ||w|| <=
 sqrt(2/lambda) in fixed-size blocks, evaluates the data term of the
-objective at every candidate of a block through median-boosted sketch
-queries, adds the exact regularizer, and keeps a running argmin.  Hinge sums
+objective at candidates of a block through median-boosted sketch queries,
+clamped at 0, adds the exact regularizer, and keeps a running argmin.  The
+ball is where the regularizer is at most F(0, 0) = 1; once a coarse lattice
+of the grid has scored U, only candidates whose regularizer is at most U
+can still win, and only those are scored (``optimize_via_sketch``).  Hinge sums
 decompose per label class: for y=+1 the per-point loss max{0, 1 - (theta.x +
 b)} equals a one-sided distance query with offset 1-b, for y=-1 one with
 direction -theta and offset 1+b.  So each replica is one HingeEstimator
@@ -60,6 +63,82 @@ class GridSpec:
 # grid_blocks lists this many candidates at a time (rounded up to whole prefixes),
 # so that the optimizer's temporaries stay small however large the grid
 GRID_BLOCK = 2**14
+# optimize_via_sketch's first pass scores every COARSE-th point of each axis
+COARSE = 4
+
+
+def _axis(spec: GridSpec, budget: int) -> np.ndarray:
+    """The grid's axis, i*delta for i = -kmax..kmax.  Errors out before
+    allocating anything if the integer box over it, (2*kmax+1)^(d+1)
+    points, exceeds ``budget``."""
+    if not (spec.delta > 0 and spec.R / spec.delta < math.inf):  # no integer floor
+        raise GridBudgetError(f"grid of radius {spec.R!r} and step {spec.delta!r} overflows "
+                              f"float64 (budget {budget}); increase epsilon or lambda")
+    kmax = int(math.floor(spec.R / spec.delta + 1e-12))
+    box = (2 * kmax + 1) ** (spec.d + 1)
+    if box > budget:
+        raise GridBudgetError(
+            f"grid would enumerate up to {box} candidates (budget {budget}); "
+            "increase epsilon or lambda"
+        )
+    return np.arange(-kmax, kmax + 1).astype(float) * spec.delta
+
+
+def _in_ball(spec: GridSpec):
+    """The ball test on squared norms."""
+    r2 = spec.R**2 * (1.0 + 1e-12)
+    return lambda norm2: norm2 <= r2
+
+
+def _run_counts(axis: np.ndarray, d: int, keep) -> np.ndarray:
+    """For each prefix (theta...) of the box over ``axis``, in row-major order,
+    the length of its run of b: axis[c-h .. c+h] around the centre c, for the
+    largest h whose squared norm passes ``keep``, or 0 if b = 0 fails.
+
+    Squared norms are summed left to right, as ``regularizer`` sums them, so
+    ``keep`` sees its bits.  A norm is symmetric in b and, rounding being
+    monotone, grows with |b|; so for a ``keep`` that only gets harder to pass
+    as the norm grows, h comes from a binary search per prefix, without a
+    table of the box.
+    """
+    sq = axis**2
+    pre = sq
+    for _ in range(d - 1):
+        pre = np.add.outer(pre, sq)
+    pre = pre.ravel()
+    c = axis.size // 2
+    step = 1 << ((c + 1).bit_length() - 1)  # 2*step > c+1: the search reaches every h in [-1, c]
+    # the squares of b = axis[c], axis[c+1], ..., then inf, which fails every keep
+    half = np.concatenate([sq[c:], np.full(step, np.inf)])
+    h = np.full(pre.size, -1)
+    while step:
+        up = h + step
+        h = np.where(keep(pre + half[up]), up, h)
+        step >>= 1
+    return np.maximum(2 * h + 1, 0)
+
+
+def _blocks(axis: np.ndarray, d: int, cnt: np.ndarray) -> Iterator[np.ndarray]:
+    """The runs that ``cnt`` gives each prefix, as rows (theta..., b) in
+    lexicographic order; each block is a C-ordered run of whole prefixes, up
+    to the first that brings it to ``GRID_BLOCK`` rows."""
+    ends = np.cumsum(cnt)
+    size = int(ends[-1])
+    c = axis.size // 2
+    lo = first = 0  # the block's first prefix and first row
+    while first < size:
+        hi = min(int(ends.searchsorted(first + GRID_BLOCK)) + 1, cnt.size)
+        n = cnt[lo:hi]
+        rows = int(ends[hi - 1]) - first
+        out = np.empty((rows, d + 1))
+        starts = ends[lo:hi] - n - first
+        out[:, -1] = axis[np.arange(rows) - np.repeat(starts - (c - n // 2), n)]
+        prefix = np.arange(lo, hi)
+        for j in reversed(range(d)):
+            prefix, i = np.divmod(prefix, axis.size)
+            out[:, j] = np.repeat(axis[i], n)
+        yield out
+        lo, first = hi, first + rows
 
 
 def grid_blocks(spec: GridSpec, budget: int = 2_000_000) -> tuple[int, Iterator[np.ndarray]]:
@@ -70,50 +149,9 @@ def grid_blocks(spec: GridSpec, budget: int = 2_000_000) -> tuple[int, Iterator[
     allocating anything if the enclosing integer box already exceeds
     ``budget`` points.
     """
-    if not (spec.delta > 0 and spec.R / spec.delta < math.inf):  # no integer floor
-        raise GridBudgetError(f"grid of radius {spec.R!r} and step {spec.delta!r} overflows "
-                              f"float64 (budget {budget}); increase epsilon or lambda")
-    kmax = int(math.floor(spec.R / spec.delta + 1e-12))
-    dims = spec.d + 1
-    box = (2 * kmax + 1) ** dims
-    if box > budget:
-        raise GridBudgetError(
-            f"grid would enumerate up to {box} candidates (budget {budget}); "
-            "increase epsilon or lambda"
-        )
-    axis = np.arange(-kmax, kmax + 1).astype(float) * spec.delta
-    sq = axis**2
-    # squared norms of the box, summed left to right as a row-wise sum would
-    norm2 = sq
-    for _ in range(spec.d):
-        norm2 = np.add.outer(norm2, sq)
-    inside = norm2 <= spec.R**2 * (1.0 + 1e-12)
-    # Each prefix (theta...) keeps a run of b centred on 0, axis[kmax-h .. kmax+h]
-    # (cnt = 2h+1 values): norm2 is symmetric in b and, rounding being monotone,
-    # grows with |b|.  Prefixes and runs come in row-major, that is lexicographic,
-    # order; a block is a run of whole prefixes, listed from their counts.
-    cnt = np.count_nonzero(inside, axis=-1).ravel()
-    ends = np.cumsum(cnt)
-    size = int(ends[-1])
-
-    def blocks():
-        lo = first = 0  # the block's first prefix and first row
-        while first < size:
-            # up to the first prefix that brings the block to GRID_BLOCK rows
-            hi = min(int(ends.searchsorted(first + GRID_BLOCK)) + 1, cnt.size)
-            c = cnt[lo:hi]
-            rows = int(ends[hi - 1]) - first
-            out = np.empty((rows, dims))
-            starts = ends[lo:hi] - c - first
-            out[:, -1] = axis[np.arange(rows) - np.repeat(starts - (kmax - c // 2), c)]
-            prefix = np.arange(lo, hi)
-            for j in reversed(range(spec.d)):
-                prefix, i = np.divmod(prefix, axis.size)
-                out[:, j] = np.repeat(axis[i], c)
-            yield out
-            lo, first = hi, first + rows
-
-    return size, blocks()
+    axis = _axis(spec, budget)
+    cnt = _run_counts(axis, spec.d, _in_ball(spec))
+    return int(cnt.sum()), _blocks(axis, spec.d, cnt)
 
 
 def grid_points(spec: GridSpec, budget: int = 2_000_000) -> np.ndarray:
@@ -309,14 +347,25 @@ def optimize_via_sketch(
     """Approximate argmin of the regularized hinge objective from sketches.
 
     Builds k independent replicas (per label class internally), then scores
-    the grid block by block, as ``grid_blocks`` lists it: median sketch
-    estimate plus the exact regularizer.  Returns the lowest-scoring
-    candidate; exact ties go to the first in grid order, which is the
-    lexicographically smallest (theta, b).  Every score is computed
-    elementwise, so neither the blocks nor their size change the answer.
+    grid candidates block by block, as ``grid_blocks`` lists them: the exact
+    regularizer plus the median sketch estimate, clamped at 0 because a hinge
+    sum never is below it.  So no score is below its regularizer.  Returns
+    the lowest-scoring candidate; exact ties go to the first in grid order,
+    which is the lexicographically smallest (theta, b).
+
+    A grid of more than ``GRID_BLOCK`` candidates is searched in two passes.
+    The first scores the coarse lattice of every ``COARSE``-th axis point (0
+    included); its lowest score U bounds the regularizer of every candidate
+    that can beat or tie the answer.  The second scores, in grid order, only
+    the candidates whose regularizer is at most U.  Every score is computed
+    elementwise, so the answer is that of scoring every candidate, and
+    neither the blocks nor their size change it.  A smaller grid is scored
+    in one pass.
+
     k defaults to 1, which suffices for the deterministic add1d backend;
-    randomized backends should pass an odd k.  A score that is not finite
-    raises ValueError.
+    randomized backends should pass an odd k.  An estimate that is not
+    finite, at any candidate scored, raises ValueError; a candidate above the
+    bound is not scored, so it is not checked.
     """
     xs, _ = _as_matrix(points)
     if not len(xs):
@@ -325,21 +374,37 @@ def optimize_via_sketch(
     if k < 1 or k % 2 == 0:
         raise ValueError("replication k must be odd and >= 1")
     _backend(family, spec.d)  # a wrong backend is named before the grid is sized
-    size, blocks = grid_blocks(spec, budget=budget)
+    axis = _axis(spec, budget)
+    ball = _in_ball(spec)
+    cnt = _run_counts(axis, spec.d, ball)
+    size = int(cnt.sum())
     replicas = [
         build_estimator(points, family, epsilon, seed=derive_seed(seed, "replica", i),
                         norm_budget=spec.R)
         for i in range(k)
     ]
-    best_val, best_w = math.inf, None
-    for blk in blocks:
-        values = regularizer(blk, lam) + median_estimate(
-            np.stack([r.estimate_bulk(blk) for r in replicas]))
-        finite = np.isfinite(values)
+
+    def scores(blk: np.ndarray) -> np.ndarray:
+        est = median_estimate(np.stack([r.estimate_bulk(blk) for r in replicas]))
+        finite = np.isfinite(est)
         if not finite.all():
             j = int(finite.argmin())
-            raise ValueError(f"objective estimate {values[j]} at candidate "
+            raise ValueError(f"objective estimate {est[j]} at candidate "
                              f"{tuple(blk[j].tolist())} is not finite")
+        # a hinge sum is never negative, though a sketch's rounding can take
+        # its estimate below 0: clamped, no score is below its regularizer
+        return regularizer(blk, lam) + np.maximum(est, 0.0)
+
+    if size > GRID_BLOCK:
+        # the best score U on the coarse lattice bounds the regularizer of any
+        # candidate that can beat or tie it: score only those
+        sub = axis[(axis.size // 2) % COARSE :: COARSE]
+        bound = min(scores(blk).min()
+                    for blk in _blocks(sub, spec.d, _run_counts(sub, spec.d, ball)))
+        cnt = _run_counts(axis, spec.d, lambda norm2: ball(norm2) & (0.5 * lam * norm2 <= bound))
+    best_val, best_w = math.inf, None
+    for blk in _blocks(axis, spec.d, cnt):
+        values = scores(blk)
         i = int(values.argmin())
         if values[i] < best_val:  # a tie keeps the earlier candidate
             best_val, best_w = values[i], tuple(blk[i].tolist())

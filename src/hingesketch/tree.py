@@ -26,6 +26,7 @@ every node in pre-order: its has-children u8 and its record (``node.write``,
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -151,6 +152,16 @@ class AdaptiveTree:
 
     def node_count(self) -> int:
         return sum(1 for _ in self._walk())
+
+    def stats(self) -> dict:
+        """Nodes, leaves and nodes per depth; retained words against the
+        stream length."""
+        nodes = list(self._walk())
+        depths = Counter(node.depth for node in nodes)
+        words = self.space_words()
+        return {"nodes": len(nodes), "leaves": sum(node.children is None for node in nodes),
+                "depth_histogram": dict(sorted(depths.items())), "space_words": words,
+                "words_per_point": words / self.count if self.count else 0.0}
 
     def to_bytes(self) -> bytes:
         w = Writer(self.MAGIC)

@@ -141,3 +141,46 @@ def test_seeded_files_reserialize_to_their_bytes(name, seed):
     assert data[0] == data[1]
     back = fam.cls.from_bytes(data[0])
     assert back.params.seed == seed % 2**64 and back.to_bytes() == data[0]
+
+
+@pytest.mark.parametrize("name", list(families.FAMILIES))
+def test_every_family_reports_stats(name):
+    """Every family's ``stats()`` reports the words that ``space_words()``
+    counts, built and loaded from its bytes alike."""
+    fam = families.FAMILIES[name]
+    sk = fam.make(0.2, 3000, 7, 1, W)
+    sk.update_many(stream(fam, 3000, seed=27))
+    sk.freeze()
+    for s in (sk, fam.cls.from_bytes(sk.to_bytes())):
+        st = s.stats()
+        assert type(st["space_words"]) is int and st["space_words"] == s.space_words() > 0
+
+
+@pytest.mark.parametrize("name", ["add1d", "add2d"])
+def test_tree_stats_count_nodes_leaves_and_depths(name):
+    fam = families.FAMILIES[name]
+    sk = fam.make(0.2, 3000, 7, 1, W)
+    assert sk.stats()["words_per_point"] == 0.0
+    sk.update_many(stream(fam, 3000, seed=27))
+    nodes = list(sk._walk())
+    st = sk.stats()
+    assert st == {"nodes": len(nodes), "leaves": sum(n.children is None for n in nodes),
+                  "depth_histogram": st["depth_histogram"], "space_words": sk.space_words(),
+                  "words_per_point": sk.space_words() / 3000}
+    assert st["nodes"] == sk.node_count() > st["leaves"] > 0
+    hist = st["depth_histogram"]
+    assert list(hist) == sorted(hist) and sum(hist.values()) == st["nodes"]
+    assert min(hist) == sk.init_depth and hist[sk.init_depth] == len(sk.roots)
+    # the stream piles up at one end, so the trees split below their roots
+    assert max(hist) > sk.init_depth
+
+
+def test_offline_stats_bound_the_stream_length():
+    fam = families.FAMILIES["offline1d"]
+    assert fam.make(0.2, 1, 0, 1, W).stats() == {"entries": 0, "max_rank": 0, "space_words": 0}
+    sk = fam.make(0.2, 3000, 7, 1, W)
+    sk.update_many(stream(fam, 3000, seed=27))
+    sk.freeze()
+    st = sk.stats()
+    assert st["entries"] == len(sk) and st["space_words"] == 3 * len(sk)
+    assert 3000 / 1.2 <= st["max_rank"] <= 3000

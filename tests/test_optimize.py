@@ -15,7 +15,7 @@ from hingesketch.core import (
     hinge_objective,
     strong_convexity_radius,
 )
-from hingesketch.gen import gen_opt_hard, gen_uniform
+from hingesketch.gen import gen_clustered, gen_opt_hard, gen_uniform
 from hingesketch.optimize import (
     GridBudgetError,
     GridSpec,
@@ -28,6 +28,8 @@ from hingesketch.optimize import (
     sgd_baseline,
     sgd_space_words,
 )
+from hingesketch.sampler import derive_seed
+from hingesketch.stream import make_records
 
 
 def box_grid(spec):
@@ -329,16 +331,35 @@ class TestOptimizeViaSketch:
         assert results[0] == results[1] == results[2]
 
     def test_all_ties_give_the_first_grid_row(self, monkeypatch):
-        """Every score is exactly 0.0: the answer is row 0 of the grid at every block size."""
-        lam, eps = 0.5, 0.4
+        """The estimate 1 - regularizer makes every score exactly 1.0 on this
+        dyadic grid (delta 0.25): the answer is row 0 of the grid at every
+        block size, through both passes of a grid of many blocks."""
+        lam, eps = 0.5, 0.5
         pts = gen_uniform(50, 1, seed=15, label_mode="random")
-        stub = StubEstimator(lambda ws: -regularizer(ws, lam))
+        stub = StubEstimator(lambda ws: 1.0 - regularizer(ws, lam))
         monkeypatch.setattr(optimize, "build_estimator", lambda *a, **kw: stub)
         first = grid_points(GridSpec(lam=lam, epsilon=eps, d=1))[0]
         for block in (1, 7, optimize.GRID_BLOCK):
             monkeypatch.setattr(optimize, "GRID_BLOCK", block)
             res = optimize_via_sketch(pts, lam, eps, family="add1d")
-            assert (res.theta, res.b, res.value) == ((first[0],), first[1], 0.0)
+            assert res.grid_size > 7
+            assert (res.theta, res.b, res.value) == ((first[0],), first[1], 1.0)
+
+    def test_negative_estimate_is_clamped(self, monkeypatch):
+        """A hinge sum is never negative: an estimate below 0 counts as 0, so
+        the winner's value is its regularizer alone."""
+        lam, eps = 0.5, 0.5
+        pts = gen_uniform(50, 1, seed=15, label_mode="random")
+
+        def scores(ws):
+            return np.where((ws[:, 0] == 1.0) & (ws[:, 1] == 0.5), -0.25, 5.0)
+
+        monkeypatch.setattr(optimize, "build_estimator", lambda *a, **kw: StubEstimator(scores))
+        for block in (1, 7, optimize.GRID_BLOCK):
+            monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+            res = optimize_via_sketch(pts, lam, eps, family="add1d")
+            assert (res.theta, res.b) == ((1.0,), 0.5)
+            assert res.value == regularizer(np.array([[1.0, 0.5]]), lam)[0] == 0.3125
 
     def test_non_finite_score_is_an_error(self, monkeypatch):
         pts = gen_uniform(50, 1, seed=16, label_mode="random")
@@ -352,6 +373,21 @@ class TestOptimizeViaSketch:
                             lambda *a, **kw: StubEstimator(scores))
         with pytest.raises(ValueError, match=r"nan at candidate \(0\.4, 0\.2\) is not finite"):
             optimize_via_sketch(pts, 0.5, 0.4, family="add1d")
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_score_on_the_coarse_lattice_is_an_error(self, monkeypatch, bad):
+        """(2, 0) lies on the coarse lattice of this grid of many blocks; with
+        every other estimate 0 the second pass scores the origin alone, so
+        only the first pass sees it."""
+        pts = gen_uniform(50, 1, seed=16, label_mode="random")
+
+        def scores(ws):
+            return np.where((ws[:, 0] == 2.0) & (ws[:, 1] == 0.0), bad, 0.0)
+
+        monkeypatch.setattr(optimize, "build_estimator", lambda *a, **kw: StubEstimator(scores))
+        monkeypatch.setattr(optimize, "GRID_BLOCK", 7)
+        with pytest.raises(ValueError, match=r"at candidate \(2\.0, 0\.0\) is not finite"):
+            optimize_via_sketch(pts, 0.5, 0.5, family="add1d")
 
     def test_non_finite_score_exits_2_in_the_cli(self, monkeypatch, tmp_path, capsys):
         stream = tmp_path / "s.csv"
@@ -367,8 +403,9 @@ class TestOptimizeViaSketch:
 
     def test_memory_does_not_grow_with_the_grid(self):
         """opthard at delta 0.1 has 251,305 candidates; the whole grid alone would
-        take 4 MB, and scoring it at once peaked at 19.5 MB.  What is left is
-        mostly the norm table of grid_blocks, 2.6 MB."""
+        take 4 MB, and scoring it at once peaked at 19.5 MB.  Scored in blocks,
+        with the grid listed from per-prefix counts and no table of the box,
+        it peaks at 2.1 MB."""
         inst = gen_opt_hard(0.1, 400, d=1, case=0, seed=0)
         optimize_via_sketch(inst.points, inst.lam, 0.1, family="add1d")
         tracemalloc.start()
@@ -379,6 +416,121 @@ class TestOptimizeViaSketch:
             tracemalloc.stop()
         assert res.grid_size == 251_305
         assert peak < 6 * 2**20
+
+
+def exhaustive(points, lam, eps, family, k, seed):
+    """Reference: score every candidate of the ball, a chunk at a time, and
+    take the first lowest score."""
+    spec = GridSpec(lam=lam, epsilon=eps, d=points["x"].shape[1])
+    grid = box_grid(spec)
+    replicas = [build_estimator(points, family, eps, seed=derive_seed(seed, "replica", i),
+                                norm_budget=spec.R) for i in range(k)]
+    values = np.empty(len(grid))
+    for a in range(0, len(grid), 4096):
+        w = grid[a : a + 4096]
+        est = median_estimate(np.stack([r.estimate_bulk(w) for r in replicas]))
+        values[a : a + 4096] = regularizer(w, lam) + np.maximum(est, 0.0)
+    i = int(values.argmin())
+    return optimize.OptimizationResult(tuple(grid[i, :-1].tolist()), float(grid[i, -1]),
+                                       float(values[i]), len(grid), k)
+
+
+def halfplane_labels(points, cut=0.2):
+    """The stream relabelled by the sign of x_0 - cut: a separable stream."""
+    return make_records(np.where(points["x"][:, 0] > cut, 1, -1), points["x"])
+
+
+OPTHARD = gen_opt_hard(0.1, 400, d=1, case=0, seed=0).points
+# (lambda, epsilon) per dimension: grids of 12,581 and 13,949 candidates
+PRUNE_GRIDS = {1: (0.05, 0.2), 2: (0.2, 0.6)}
+# name: (points, lambda, epsilon)
+PRUNE_STREAMS = {}
+for d in (1, 2):
+    for s in (0, 1):
+        PRUNE_STREAMS[f"uniform{s}-d{d}"] = (
+            gen_uniform(600, d, seed=s, low=-1.0, label_mode="random"), *PRUNE_GRIDS[d])
+        PRUNE_STREAMS[f"clustered{s + 2}-d{d}"] = (
+            gen_clustered(600, d, seed=s + 2, label_mode="random"), *PRUNE_GRIDS[d])
+        PRUNE_STREAMS[f"separable{s + 4}-d{d}"] = (
+            halfplane_labels(gen_uniform(600, d, seed=s + 4, low=-1.0)), *PRUNE_GRIDS[d])
+# family: (d, k)
+PRUNE_FAMILIES = {"add1d": (1, 1), "dyn1d": (1, 1), "mult1d": (1, 3), "offline1d": (1, 1),
+                  "add2d": (2, 1)}
+PRUNE_CASES = [(family, stream) for family, (d, _) in sorted(PRUNE_FAMILIES.items())
+               for stream, (points, _, _) in sorted(PRUNE_STREAMS.items())
+               if points["x"].shape[1] == d]
+
+
+class TestPrunedSearch:
+    """optimize_via_sketch scores a coarse lattice, then only the candidates
+    whose regularizer is at most the best coarse score: its answer is that of
+    scoring every candidate, to the bit."""
+
+    @pytest.mark.parametrize("family", [f for f, (d, _) in sorted(PRUNE_FAMILIES.items())
+                                        if d == 1])
+    def test_opthard_equals_exhaustive_scoring(self, monkeypatch, family):
+        k = PRUNE_FAMILIES[family][1]
+        want = exhaustive(OPTHARD, 0.01, 0.1, family, k, seed=3)
+        for block in (1, 7, 2**14):
+            monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+            assert optimize_via_sketch(OPTHARD, 0.01, 0.1, family=family, k=k, seed=3) == want
+
+    @pytest.mark.parametrize("family,stream", PRUNE_CASES)
+    def test_equals_exhaustive_scoring(self, monkeypatch, family, stream):
+        k = PRUNE_FAMILIES[family][1]
+        points, lam, eps = PRUNE_STREAMS[stream]
+        want = exhaustive(points, lam, eps, family, k, seed=7)
+        assert want.grid_size > 7
+        for block in (1, 7, 2**14):
+            monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+            assert optimize_via_sketch(points, lam, eps, family=family, k=k, seed=7) == want
+
+    @staticmethod
+    def record_scoring(monkeypatch):
+        """Make every estimator remember the rows it scores; returns that list."""
+        rows, build = [], optimize.build_estimator
+
+        def recording(*args, **kwargs):
+            est = build(*args, **kwargs)
+            score = est.estimate_bulk
+
+            def estimate_bulk(ws):
+                rows.append(ws.copy())
+                return score(ws)
+
+            est.estimate_bulk = estimate_bulk
+            return est
+
+        monkeypatch.setattr(optimize, "build_estimator", recording)
+        return rows
+
+    def test_second_pass_scores_only_candidates_under_the_bound(self, monkeypatch):
+        rows = self.record_scoring(monkeypatch)
+        lam, eps = 0.01, 0.1
+        res = optimize_via_sketch(OPTHARD, lam, eps, family="add1d")
+        spec = GridSpec(lam=lam, epsilon=eps, d=1)
+        grid = box_grid(spec)
+        assert len(grid) == res.grid_size > optimize.GRID_BLOCK
+        coarse = grid[(np.rint(grid / spec.delta).astype(int) % optimize.COARSE == 0).all(axis=1)]
+        scored = np.concatenate(rows)
+        assert scored[: len(coarse)].tobytes() == coarse.tobytes()
+        est = build_estimator(OPTHARD, "add1d", eps, seed=derive_seed(0, "replica", 0),
+                              norm_budget=spec.R)
+        bound = (regularizer(coarse, lam) + np.maximum(est.estimate_bulk(coarse), 0.0)).min()
+        kept = grid[regularizer(grid, lam) <= bound]
+        assert scored[len(coarse):].tobytes() == kept.tobytes()
+        # opthard's best coarse score is about 0.42: under half the ball is scored
+        assert len(scored) < len(grid) / 2
+
+    @pytest.mark.parametrize("d,family", [(1, "add1d"), (2, "add2d")])
+    def test_one_block_grid_scores_each_candidate_once(self, monkeypatch, d, family):
+        rows = self.record_scoring(monkeypatch)
+        pts = gen_uniform(300, d, seed=17, label_mode="random")
+        lam, eps = (0.5, 0.4) if d == 1 else (0.2, 0.6)
+        res = optimize_via_sketch(pts, lam, eps, family=family)
+        grid = box_grid(GridSpec(lam=lam, epsilon=eps, d=d))
+        assert len(grid) == res.grid_size <= optimize.GRID_BLOCK
+        assert np.concatenate(rows).tobytes() == grid.tobytes()
 
 
 class StubEstimator:
