@@ -1,17 +1,23 @@
-"""Labeled streams on disk: the CSV and HSTR formats, read in blocks and written.
+"""Labeled streams on disk: the CSV and HSTR formats, read and written.
 
 A stream is a sequence of points (x, y) with x in R^d and y in {-1, +1}.
 CSV rows are "y,x1[,x2...]", decoded as UTF-8; blank lines and lines that
 start with '#' are skipped.  An HSTR file is an 8-byte header (magic "HSTR",
 u32 dimension) followed by records of one label byte and d little-endian
 float64 coordinates.  See docs/formats.md.
+
+A CSV file whose rows all pass is parsed in one ``np.loadtxt`` call on its
+path; any other CSV stream, and every HSTR stream, is read in blocks, and the
+block readers own every row error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -21,6 +27,10 @@ MAGIC = b"HSTR"
 
 # rows per block of the stream readers
 _BLOCK_ROWS = 65536
+
+# np.loadtxt opens a str path through numpy.lib._datasource, which decompresses
+# a file with one of these suffixes; such a file goes to the block reader
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class DataError(ValueError):
@@ -181,6 +191,36 @@ def _csv_records(stream, chk: _RowChecker):
         yield _passing(y, X, ok, lambda i: chk.csv_line(int(linenos[i]), lines[i]))
 
 
+def _clean_csv(path: str, chk: _RowChecker):
+    """The records of a CSV file whose rows all pass, from one ``np.loadtxt``
+    call on its path; None for any other file, which the block reader reads.
+
+    Given a path, numpy reads the file in chunks of text and parses labels and
+    coordinates straight into the records, with the float parser the block
+    reader uses; d is the comma count of line 1.  Labels parse as integers,
+    so "1.0" or "1e0" sends the file to the block reader, as do '#' and
+    whitespace-only lines, a failing row and a parse that warns (an old
+    numpy's lenient integer parse).  Only a regular file with no compressed
+    suffix is read here, by its absolute path: numpy would look for
+    "w.csv.gz" when "w.csv" is missing, and fetch a relative path that reads
+    as a URL.
+    """
+    if path == "-" or not os.path.isfile(path) or path.endswith(_COMPRESSED):
+        return None
+    try:
+        with open(path, encoding="utf-8") as f:
+            d = f.readline().count(",")
+        if d < 1:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, ndmin=1,
+                             dtype=record_dtype(d), encoding="utf-8")
+    except (OSError, ValueError, Warning):
+        return None
+    return rec if chk.mask(rec["y"], rec["x"]).all() else None
+
+
 def _hstr_records(f, chk: _RowChecker):
     """Record blocks of an HSTR stream."""
     head = f.read(8)
@@ -236,17 +276,22 @@ def ingest(path: str, fmt: str, fail_fast: bool = False, max_norm: float = 1.0):
     ``records`` is one structured array of ``record_dtype(d)``: the points
     that pass every check, in stream order.  ``max_norm`` relaxes the
     unit-ball check (the adversarial optimization instances deliberately
-    place one cluster at norm 1+delta).  Both formats are read in blocks;
-    rows that fail a check, and CSV blocks that ``np.loadtxt`` rejects, go
-    through the per-row checks of ``_RowChecker``, which write every row
-    error.  A NaN or negative ``max_norm`` raises ValueError before any row is read.
+    place one cluster at norm 1+delta).  A CSV file whose rows all pass is
+    parsed once (``_clean_csv``); any other CSV stream, stdin included, and
+    every HSTR stream is read in blocks.  There, rows that fail a check, and
+    CSV blocks that ``np.loadtxt`` rejects, go through the per-row checks of
+    ``_RowChecker``, which write every row error.  Either way the records are a
+    recarray view, whose rows read as ``p.x``/``p.y``.  A NaN or negative
+    ``max_norm`` raises ValueError before any row is read.
     """
     if not max_norm >= 0:  # NaN fails too: every norm check against it would pass
         raise ValueError(f"max_norm must be >= 0, not {max_norm!r}")
     chk = _RowChecker(max_norm, fail_fast)
-    blocks = [b for b in _blocks(path, fmt, chk) if len(b)]
-    records = np.concatenate(blocks) if blocks else np.empty(0, record_dtype(chk.dim or 1))
-    return records, chk.errors
+    records = _clean_csv(path, chk) if fmt == "csv" else None
+    if records is None:
+        blocks = [b for b in _blocks(path, fmt, chk) if len(b)]
+        records = np.concatenate(blocks) if blocks else np.empty(0, record_dtype(chk.dim or 1))
+    return records.view(np.recarray), chk.errors
 
 
 def write_stream(records: np.ndarray, path: str, fmt: str) -> None:

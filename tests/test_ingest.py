@@ -1,17 +1,23 @@
-"""Block ingest against the per-row checks.
+"""Stream ingest against the per-row checks.
 
-``stream.ingest`` reads CSV and HSTR streams in numpy blocks.  Rows that fail
-a mask, and CSV blocks that ``np.loadtxt`` rejects, go through
-``stream._RowChecker``, which writes every row error.  The reference here runs
-that checker on every line (CSV) or unpacks every record with ``struct``
-(HSTR): block ingest must give the same points bit for bit, the same errors
-in the same order and the same first error under ``fail_fast``, for any
-block size.
+``stream.ingest`` reads a CSV file whose rows all pass in one ``np.loadtxt``
+call on its path, straight into the records.  Any other CSV stream, and every
+HSTR stream, is read in numpy blocks: rows that fail a mask, and CSV blocks
+that ``np.loadtxt`` rejects, go through ``stream._RowChecker``, which writes
+every row error.  The reference here runs that checker on every line (CSV) or
+unpacks every record with ``struct`` (HSTR): ingest must give the same points
+bit for bit, the same errors in the same order and the same first error under
+``fail_fast``, for any block size and on either CSV path.
 """
 
+import gzip
+import io
+import json
 import math
 import struct
 import sys
+import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +103,11 @@ LABELS = st.sampled_from(
 BOUNDARY = ["1.000000001", "1.0000000010000001", "1.0000000009999999", "0.7071067811865476",
             "0.7071067811865475", "0.5773502691896258", "0.5773502691896257", "0.6", "0.8"]
 ODD = ["nan", "inf", "-inf", "", "1_0", "abc", "0x1", " 0.5", "0.5 ", "1e-320", "-0.0",
-       "1e400", "0.5#x", "\xa00.25", "0.25\x0b", "1.5", "0.123456789012345678901234567890123456"]
+       "1e400", "0.5#x", "\xa00.25", "0.25\x0b", "1.5", "0.123456789012345678901234567890123456",
+       "0.5\x00", "\x000.25", "0.\x005"]
+# line ends: the fast path reads the file as one buffer, the block path line by line
+ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+BOM = "\ufeff"
 COORDS = st.one_of(st.floats(-1.2, 1.2).map(repr), st.sampled_from(BOUNDARY),
                    st.sampled_from(ODD))
 SPECIAL = st.sampled_from(["", "   ", "\t", "# comment", "  # indented", "#1,0.5", "\u3000",
@@ -111,7 +121,8 @@ BLANK_LINES = ["", " ", "\t", "\xa0", "\u3000", " \t\xa0\u3000 ", "#", "# 1,0.5"
 # rows that loadtxt parses and the mask rejects
 FAILING = ["0,0.5", "2,0.5", "1,nan", "-1,inf", "1,2.0", "-1,-1.5"]
 # rows that loadtxt rejects among rows of one coordinate
-MALFORMED = ["1,", "x,0.5", "1,0.5,0.5", "1,abc", "1,0.5#x", "1", ",", "1,0.5,"]
+MALFORMED = ["1,", "x,0.5", "1,0.5,0.5", "1,abc", "1,0.5#x", "1", ",", "1,0.5,", "1,0.5\x00",
+             "\x00-1,0.25"]
 
 
 @st.composite
@@ -123,7 +134,12 @@ def lines_among_rows(draw):
     odd = [*draw(st.lists(st.sampled_from(BLANK_LINES), min_size=1, max_size=2)),
            *draw(st.lists(st.sampled_from(FAILING), min_size=1, max_size=2)),
            *draw(st.lists(st.sampled_from(MALFORMED), max_size=1))]
-    return draw(st.lists(st.one_of(ROWS, st.sampled_from(odd)), max_size=40))
+    lines = draw(st.lists(st.one_of(ROWS, st.sampled_from(odd)), max_size=40))
+    # a line that ends in "\r" ends in CRLF once written; a "\r" inside splits it
+    lines = [line + draw(st.sampled_from(["", "", "\r", "\r1,0.25"])) for line in lines]
+    if lines and draw(st.booleans()):
+        lines[0] = BOM + lines[0]
+    return lines
 
 
 @st.composite
@@ -145,7 +161,10 @@ def csv_streams(draw):
         else:
             lines.append(",".join([draw(st.sampled_from(["1", "-1"])),
                                    *(draw(good) for _ in range(d))]))
-    return "".join(line + "\n" for line in lines)
+    text = "".join(line + draw(ENDS) for line in lines)
+    if text and draw(st.booleans()):  # no line end after the last line
+        text = text.rstrip("\r\n")
+    return (BOM if draw(st.integers(0, 9)) == 0 else "") + text
 
 
 @st.composite
@@ -316,3 +335,170 @@ def test_one_bad_row_builds_same_sketch(tmp_path, capsys, monkeypatch, algorithm
         assert len(err) - len(errors) == (0 if algorithm == "add1d" else 2)
         assert len(errors) == 1 and '"line 138: ' in errors[0]
         assert sketches[0] == sketches[1]
+
+
+def spy_block_reader(monkeypatch) -> list:
+    """The paths that reach the CSV block reader from here on, one entry per stream."""
+    calls = []
+    blocks = stream._blocks
+
+    def spied(path, fmt, chk):
+        if fmt == "csv":
+            calls.append(path)
+        return blocks(path, fmt, chk)
+    monkeypatch.setattr(stream, "_blocks", spied)
+    return calls
+
+
+def build(capsys, path) -> tuple[int, list[str]]:
+    """Exit code and stderr lines of ``build`` on a CSV stream."""
+    code = cli.main(["build", "--algorithm", "add1d", "--input", str(path),
+                     "--epsilon", "0.3", "--out", str(path) + ".hsk"])
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_clean_file_is_parsed_once(tmp_path, monkeypatch, d):
+    """More rows than a block, all passing: no per-row check, no block reader."""
+    n = stream._BLOCK_ROWS + 1000
+    X = np.random.default_rng(d).uniform(-1.0, 1.0, (n, d)) / d
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{y},{','.join(map(repr, x))}\n"
+                            for y, x in zip([1, -1] * (n // 2), X.tolist())))
+    points, errors = per_row_csv(str(path), 1.0)
+    assert len(points) == n and errors == []
+    calls, blocks = count_row_checks(monkeypatch), spy_block_reader(monkeypatch)
+    records, got_errors = cli.ingest(str(path), "csv")
+    assert _rows(records) == _ref_rows(points) and got_errors == []
+    assert calls == [] and blocks == []
+
+
+@pytest.mark.parametrize("text", [
+    "1,0.5\n# comment\n-1,0.25\n",
+    "1,0.5\n   \n-1,0.25\n",
+    "1,0.5\n1,2.0\n-1,0.25\n",  # one row over the norm bound
+    "1,0.5\n1.0,0.25\n-1,0.25\n",  # a label the block path reads as 1
+    "1\n1,0.5\n-1,0.25\n",  # no comma on line 1
+])
+def test_other_files_go_to_the_block_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    blocks = spy_block_reader(monkeypatch)
+    assert_same_as_per_row(str(path), "csv", 1.0, monkeypatch)
+    assert blocks and set(blocks) == {str(path)}
+
+
+def test_bad_utf8_goes_to_the_block_reader(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"1,0.5\n-1,0.25\xff\n")
+    with pytest.raises(UnicodeDecodeError) as e:
+        path.read_text(encoding="utf-8")
+    blocks = spy_block_reader(monkeypatch)
+    with pytest.raises(cli.DataError) as got:
+        cli.ingest(str(path), "csv")
+    assert str(got.value) == f"{path}: {e.value}" and blocks == [str(path)]
+
+
+def test_rows_read_as_fields(tmp_path, monkeypatch):
+    """Every path returns a recarray, whose rows read as ``p.x`` and ``p.y``."""
+    X = np.random.default_rng(5).uniform(-0.5, 0.5, (20, 2))
+    y = np.array([1, -1] * 10)
+    csv, hstr = tmp_path / "s.csv", tmp_path / "s.bin"
+    stream.write_stream(stream.make_records(y, X), str(csv), "csv")
+    write_hstr(hstr, y, X)
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("# header\n" + csv.read_text())
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for rows in (7, 65536):  # several blocks, one block
+        monkeypatch.setattr(stream, "_BLOCK_ROWS", rows)
+        for path, fmt in ((csv, "csv"), (dirty, "csv"), (hstr, "bin")):
+            records, _ = cli.ingest(str(path), fmt)
+            assert isinstance(records, np.recarray) and isinstance(records[0], np.record)
+            assert [p.y for p in records] == y.tolist()
+            np.testing.assert_array_equal([p.x for p in records], X)
+        assert isinstance(cli.ingest(str(empty), "csv")[0], np.recarray)
+
+
+def test_gzip_file_is_not_decompressed(tmp_path, capsys):
+    """numpy would decompress a ".gz" path; ingest reads its bytes as text."""
+    path = tmp_path / "s.gz"
+    path.write_bytes(gzip.compress(b"1,0.5\n-1,0.25\n"))
+    with pytest.raises(UnicodeDecodeError) as e:
+        path.read_text(encoding="utf-8")
+    code, err = build(capsys, path)
+    assert code == cli.EXIT_DATA
+    assert err == [json.dumps({"error": "data", "message": f"{path}: {e.value}"})]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_goes_to_the_block_reader(tmp_path, monkeypatch, suffix):
+    """A plain-text CSV named as numpy's compressed files is read as text."""
+    path = tmp_path / f"s{suffix}"
+    path.write_text("1,0.5\n-1,0.25\n")
+    blocks = spy_block_reader(monkeypatch)
+    records, errors = cli.ingest(str(path), "csv")
+    assert _rows(records) == _ref_rows([(1, (0.5,)), (-1, (0.25,))]) and errors == []
+    assert blocks == [str(path)]
+
+
+def test_missing_file_is_not_looked_for_compressed(tmp_path, capsys):
+    """numpy would open "w.csv.gz" when asked for a missing "w.csv"."""
+    path = tmp_path / "w.csv"
+    (tmp_path / "w.csv.gz").write_bytes(gzip.compress(b"1,0.5\n"))
+    with pytest.raises(OSError) as e:
+        open(path)
+    code, err = build(capsys, path)
+    assert code == cli.EXIT_DATA
+    assert err == [json.dumps({"error": "data", "message": str(e.value)})]
+
+
+def test_path_that_reads_as_url_is_a_local_file(tmp_path, monkeypatch):
+    """numpy would fetch "http://localhost/s.csv"; here it names http:/localhost/s.csv."""
+    def no_fetch(*args, **kwargs):
+        raise AssertionError("a local path was fetched as a URL")
+    monkeypatch.setattr(urllib.request, "urlopen", no_fetch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "s.csv").write_text("1,0.5\n-1,0.25\n")
+    blocks = spy_block_reader(monkeypatch)
+    records, errors = cli.ingest("http://localhost/s.csv", "csv")
+    assert _rows(records) == _ref_rows([(1, (0.5,)), (-1, (0.25,))]) and errors == []
+    assert blocks == [] and sorted(p.name for p in tmp_path.iterdir()) == ["http:"]
+
+
+def test_dash_reads_stdin(tmp_path, monkeypatch):
+    """"-" is stdin, even beside a regular file named "-"."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("1,0.5\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("-1,0.25\n1,0.125\n"))
+    records, errors = cli.ingest("-", "csv")
+    assert _rows(records) == _ref_rows([(-1, (0.25,)), (1, (0.125,))]) and errors == []
+
+
+def test_empty_file_warns_nothing(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = build(capsys, path)
+    assert caught == [] and code == cli.EXIT_DATA
+    assert err == [json.dumps({"error": "data", "message": "no valid points in stream"})]
+
+
+def test_a_parse_that_warns_goes_to_the_block_reader(tmp_path, monkeypatch):
+    """Older numpy parses "1.5" into an integer field with a DeprecationWarning."""
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(fname, *args, **kwargs):
+        if isinstance(fname, str):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return loadtxt(fname, *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "s.csv"
+    path.write_text("1,0.5\n-1,0.25\n")
+    blocks = spy_block_reader(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_same_as_per_row(str(path), "csv", 1.0, monkeypatch)
+    assert caught == [] and blocks and set(blocks) == {str(path)}
