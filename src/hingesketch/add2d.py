@@ -33,12 +33,9 @@ KAPPA_SPACE_P2 = 96.0
 WORDS_PER_NODE_P1 = 8  # cell id, c, X, Y, reservoir (x, y, count), topology
 WORDS_PER_NODE_P2 = 11  # + Xvv, Yvv, Zxy
 
-# scan temporaries hold at most this many (node, halfplane) values: 64 KB each.
-# _score makes about 15 of them per block.  At 1 MB each (2**17 values) its speed
-# swung with the allocator state of the process; at 64 KB it is steady, and
-# 1.3-1.5x faster on the 13,920 halfplanes of a lambda 0.2, epsilon 0.6 grid over
-# trees of 8 to 212 nonempty nodes (2-vCPU Xeon VM, numpy 2.4).
-# Rows are scored independently, so the answers do not depend on it.
+# _score's (node, halfplane) temporaries hold at most this many values, 64 KB
+# each; far larger blocks score slower.  Rows are scored independently, so the
+# answers do not depend on it.
 _BLOCK_VALUES = 2**13
 
 
@@ -314,8 +311,11 @@ class QuadTree2D(AdaptiveTree):
             # the C library's pow, as Python's ** calls it (np.power would square)
             dist = np.float_power(dist, 2)
         terms = np.where(inside, exact, c * dist)
-        # accumulate adds in node order (a sum may add pairwise); + 0.0 because a
+        # both add in node order: reduce down the slow axis of two or more rows
+        # adds row by row, but on one row it adds pairwise.  + 0.0 because a
         # scan starts from +0.0, so that an all-zero sum is never -0.0
+        if terms.shape[1] > 1:
+            return np.add.reduce(terms, axis=0) + 0.0
         return np.add.accumulate(terms, axis=0)[-1] + 0.0
 
 

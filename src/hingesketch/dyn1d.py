@@ -67,6 +67,13 @@ def split_prefix_fraction(eps: float) -> float:
     return 1.0 / (1.0 + 6.0 * eps) + (2.5 / 6.0) * (1.0 - 1.0 / (1.0 + 6.0 * eps))
 
 
+def _stable_kth(a: np.ndarray, k: int) -> float:
+    """``np.sort(a, kind="stable")[k]`` by selection: only 0.0 and -0.0 tie with
+    other bits, and their order in ``a``, stream order in a band, picks the zero."""
+    v = float(np.partition(a, k)[k])
+    return float(a[a == 0.0][k - np.count_nonzero(a < 0.0)]) if v == 0.0 else v
+
+
 class _Interval:
     __slots__ = ("boundary", "rho", "rho_star", "samples", "_buf", "band", "mark")
 
@@ -377,9 +384,7 @@ class DynSketch1D:
         if band.size < 2:
             itv.mark = (left_bd, math.inf)
             return False
-        # stable, as list.sort: where 0.0 and -0.0 tie, stream order picks the boundary's bits
-        band.sort(kind="stable")
-        new_bd = float(band[math.ceil(band.size * (2.5 / 6.0)) - 1])
+        new_bd = _stable_kth(band, math.ceil(band.size * (2.5 / 6.0)) - 1)
         if not new_bd < itv.boundary:  # every band value is above left_bd
             itv.mark = (left_bd, itv.boundary)
             return False

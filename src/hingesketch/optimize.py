@@ -353,14 +353,14 @@ def optimize_via_sketch(
     the lowest-scoring candidate; exact ties go to the first in grid order,
     which is the lexicographically smallest (theta, b).
 
-    A grid of more than ``GRID_BLOCK`` candidates is searched in two passes.
-    The first scores the coarse lattice of every ``COARSE``-th axis point (0
-    included); its lowest score U bounds the regularizer of every candidate
-    that can beat or tie the answer.  The second scores, in grid order, only
-    the candidates whose regularizer is at most U.  Every score is computed
-    elementwise, so the answer is that of scoring every candidate, and
-    neither the blocks nor their size change it.  A smaller grid is scored
-    in one pass.
+    A grid of more than ``GRID_BLOCK // 2`` candidates is searched in two
+    passes.  The first scores the coarse lattice of every ``COARSE``-th axis
+    point (0 included); its lowest score U bounds the regularizer of every
+    candidate that can beat or tie the answer.  The second scores, in grid
+    order, only the candidates whose regularizer is at most U.  Every score
+    is computed elementwise, so the answer is that of scoring every
+    candidate, and neither the blocks nor their size change it.  A smaller
+    grid is scored in one pass.
 
     k defaults to 1, which suffices for the deterministic add1d backend;
     randomized backends should pass an odd k.  An estimate that is not
@@ -395,7 +395,7 @@ def optimize_via_sketch(
         # its estimate below 0: clamped, no score is below its regularizer
         return regularizer(blk, lam) + np.maximum(est, 0.0)
 
-    if size > GRID_BLOCK:
+    if size > GRID_BLOCK // 2:
         # the best score U on the coarse lattice bounds the regularizer of any
         # candidate that can beat or tie it: score only those
         sub = axis[(axis.size // 2) % COARSE :: COARSE]

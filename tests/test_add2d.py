@@ -320,6 +320,41 @@ class TestScan:
         # of every direction over the whole call would take more
         assert peak <= rows.nbytes + 2 * 2**20
 
+    def test_column_reduction_adds_in_node_order(self):
+        """add2d._score sums a block of two or more rows with np.add.reduce down
+        axis 0, and relies on numpy adding its rows in order, as accumulate
+        does.  Shapes are those of its (nodes, rows) blocks, C-ordered.  Both
+        sums are taken + 0.0, as _score takes them: reduce may start from
+        +0.0, so a column of -0.0 alone sums to either zero."""
+        rng = np.random.default_rng(32)
+        shapes = [(n, m) for n in (1, 2, 3, 7, 16, 64, 255, 300)
+                  for m in {2, 3, add2d._BLOCK_VALUES // n}]
+        for n in rng.integers(1, 301, 150).tolist():
+            shapes.append((n, int(rng.integers(2, add2d._BLOCK_VALUES // n + 1))))
+        for n, m in shapes:
+            a = rng.choice([-1.0, 1.0], (n, m)) * 10.0 ** rng.uniform(-12, 12, (n, m))
+            a[rng.random((n, m)) < 0.1] = 0.0
+            a[rng.random((n, m)) < 0.1] = -0.0
+            a[:, 0] = -0.0
+            want = np.add.accumulate(a, axis=0)[-1] + 0.0
+            got = np.add.reduce(a, axis=0) + 0.0
+            assert got.tobytes() == want.tobytes(), (
+                f"np.add.reduce over {n} nodes x {m} rows does not add in node order: "
+                "add2d._score would change its answers")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("block", [1, 2, 3, 512])
+    def test_query_many_in_blocks_is_query_per_row(self, monkeypatch, p, block):
+        tree = scan_trees(p)["many"]
+        monkeypatch.setattr(add2d, "_BLOCK_VALUES", block * tree._nodes().shape[1])
+        rng = np.random.default_rng(block)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 1030)
+        rows = np.stack([np.cos(ang), np.sin(ang), rng.uniform(-1.0, 2.0, ang.size)], axis=1)
+        want = np.array([tree.query(r[:2], r[2]) for r in rows])
+        got = tree.query_many(rows)
+        assert got.tobytes() == want.tobytes(), (
+            f"add2d._score on blocks of {block} rows differs from one row at a time")
+
 
 class TestSpace:
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hingesketch import dyn1d
 from hingesketch.core import SketchParams, distance_sums_1d
 from hingesketch.dyn1d import DynSketch1D, KAPPA_COUNT, KAPPA_QUERY, UnfrozenSketchError
 from hingesketch.serialize import Writer
@@ -110,6 +111,18 @@ class TestSplitRule:
                 assert sk.interval_count() == before + 1
                 new_bd = sk.intervals[-2].boundary
                 assert new_bd == band[math.ceil(len(band) * 2.5 / 6) - 1]
+
+    def test_band_quantile_is_the_stable_sorts(self):
+        """The split reads its quantile by selection; the bits, the sign of a
+        zero included, are those of a stable sort of the band."""
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 7, 50, 1000):
+            for _ in range(60):
+                band = rng.choice([-1.0, -0.0, 0.0, 1.0], n) * rng.integers(0, 3, n)
+                for k in {0, math.ceil(n * 2.5 / 6) - 1, int(rng.integers(n)), n - 1}:
+                    want = np.sort(band, kind="stable")[k]
+                    got = dyn1d._stable_kth(band, k)
+                    assert np.float64(got).tobytes() == want.tobytes(), (band.tolist(), k)
 
     def test_split_events_start_high(self):
         rng = np.random.default_rng(2)

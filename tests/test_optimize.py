@@ -526,11 +526,26 @@ class TestPrunedSearch:
     def test_one_block_grid_scores_each_candidate_once(self, monkeypatch, d, family):
         rows = self.record_scoring(monkeypatch)
         pts = gen_uniform(300, d, seed=17, label_mode="random")
-        lam, eps = (0.5, 0.4) if d == 1 else (0.2, 0.6)
+        lam, eps = (0.5, 0.4) if d == 1 else (1.0, 0.4)
         res = optimize_via_sketch(pts, lam, eps, family=family)
         grid = box_grid(GridSpec(lam=lam, epsilon=eps, d=d))
-        assert len(grid) == res.grid_size <= optimize.GRID_BLOCK
+        assert len(grid) == res.grid_size <= optimize.GRID_BLOCK // 2
         assert np.concatenate(rows).tobytes() == grid.tobytes()
+
+    def test_grid_over_half_a_block_is_searched_in_two_passes(self, monkeypatch):
+        pts = gen_uniform(300, 2, seed=17, label_mode="random")
+        lam, eps = PRUNE_GRIDS[2]
+        want = exhaustive(pts, lam, eps, "add2d", 1, seed=0)
+        rows = self.record_scoring(monkeypatch)
+        res = optimize_via_sketch(pts, lam, eps, family="add2d")
+        spec = GridSpec(lam=lam, epsilon=eps, d=2)
+        grid = box_grid(spec)
+        assert optimize.GRID_BLOCK // 2 < len(grid) == res.grid_size <= optimize.GRID_BLOCK
+        coarse = grid[(np.rint(grid / spec.delta).astype(int) % optimize.COARSE == 0).all(axis=1)]
+        scored = np.concatenate(rows)
+        assert scored[: len(coarse)].tobytes() == coarse.tobytes()
+        assert len(scored) < len(grid)
+        assert res == want
 
 
 class StubEstimator:
