@@ -74,15 +74,10 @@ class _QNode:
         self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = r.finite_f64s(
             5, "node counters (X, Y, Xvv, Yvv, Zxy)")
         self.res.count_seen, has_sample = r.u64(), r.u8()
-        # the reservoir sees every point of the node, and keeps one if there is any
-        if self.res.count_seen != self.c or has_sample != (self.c > 0):
-            raise FormatError(f"node of count {self.c} with reservoir count "
-                              f"{self.res.count_seen} and has-sample byte {has_sample}")
+        if has_sample > 1:
+            raise FormatError(f"bad has-sample byte {has_sample}")
         if has_sample:
-            self.sample = sx, sy = r.f64(), r.f64()
-            # NaN fails the test too, and the scan would read it as a distance of 0
-            if not (self.x0 <= sx <= self.x0 + self.size and self.y0 <= sy <= self.y0 + self.size):
-                raise FormatError(f"sample ({sx!r}, {sy!r}) outside its node's cell")
+            self.sample = r.f64(), r.f64()
 
 
 class QuadTree2D(AdaptiveTree):
@@ -201,6 +196,21 @@ class QuadTree2D(AdaptiveTree):
 
     def replica_key(self) -> tuple:
         return (self.eps_struct, self.n_declared, self.p)
+
+    def check_invariants(self) -> list[str]:
+        """The nodes', then ``AdaptiveTree``'s: a node's reservoir sees each of
+        its points and keeps one if there is any, in the node's closed cell."""
+        out = []
+        for n in self._walk(mirror=False):
+            has_sample = n.sample is not None
+            if n.res.count_seen != n.c or has_sample != (n.c > 0):
+                out.append(f"node of count {n.c} with reservoir count {n.res.count_seen} "
+                           f"and has-sample byte {int(has_sample)}")
+            # NaN fails too, and the scan would read it as a distance of 0
+            elif n.c and not (n.x0 <= n.sample[0] <= n.x0 + n.size
+                              and n.y0 <= n.sample[1] <= n.y0 + n.size):
+                out.append(f"sample {n.sample!r} outside its node's cell")
+        return out + super().check_invariants()
 
     def query(self, theta, b: float) -> float:
         """Mean p-th power hinge distance to the halfplane theta.x <= b.

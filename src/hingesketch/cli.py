@@ -65,27 +65,16 @@ def cmd_gen(args) -> int:
         else:
             inst = gen.gen_index2d(bits, args.s, args.r, args.n)
         records = inst.points
-        meta.update(
-            bits=args.bits,
-            per_bit=inst.per_bit,
-            positions=list(inst.positions),
-            queries=[dataclasses.asdict(q) for q in inst.queries],
-        )
+        meta.update(bits=args.bits, per_bit=inst.per_bit, positions=list(inst.positions),
+                    queries=[dataclasses.asdict(q) for q in inst.queries])
         if args.kind == "index1d":
             meta["decode_threshold"] = (inst.queries[0].signal / 2.0) if inst.queries else None
     elif args.kind == "opthard":
         inst = gen.gen_opt_hard(args.delta, args.n, d=args.d, case=args.case, seed=args.seed)
         records = inst.points
-        meta.update(
-            delta=inst.delta,
-            lam=inst.lam,
-            case=inst.case,
-            x_q=list(inst.x_q),
-            theta_star_magnitude=inst.theta_star_magnitude,
-            b_star=inst.b_star,
-            n_total=inst.n_total,
-            max_norm=1.0 + inst.delta,
-        )
+        meta.update(delta=inst.delta, lam=inst.lam, case=inst.case, x_q=list(inst.x_q),
+                    theta_star_magnitude=inst.theta_star_magnitude, b_star=inst.b_star,
+                    n_total=inst.n_total, max_norm=1.0 + inst.delta)
     else:
         raise ConfigError(f"unknown generator kind {args.kind!r}")
     write_stream(records, args.out, args.format)
@@ -203,10 +192,8 @@ def cmd_optimize(args) -> int:
                "space_words": optimize.sgd_space_words(args.lam, args.epsilon,
                                                        records["x"].shape[1])}
     else:
-        res = optimize.optimize_via_sketch(
-            records, args.lam, args.epsilon, family=args.algorithm,
-            k=args.replicas, seed=args.seed,
-        )
+        res = optimize.optimize_via_sketch(records, args.lam, args.epsilon, family=args.algorithm,
+                                           k=args.replicas, seed=args.seed)
         rec = {"algorithm": args.algorithm, "theta": list(res.theta), "b": res.b,
                "value": res.value, "grid_size": res.grid_size, "k": res.k}
     print(json.dumps(rec))
@@ -254,11 +241,7 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
     rows = []
     for name in algorithms:
         for eps in epsilons:
-            errs = []
-            space = 0
-            build_ns = 0
-            query_ns = 0
-            succ = []
+            errs, succ, space, build_ns, query_ns = [], [], 0, 0, 0
             for s in range(seeds):
                 seed = seed0 + s
                 if name == "pegasos":
@@ -294,11 +277,9 @@ def bench_rows(algorithms, epsilons, n, seeds, p, seed0) -> list[str]:
                 errs.extend(err)
                 succ.extend(err <= fam.kappa * eps)
             errs_a = np.asarray(errs, dtype=float)
-            rows.append(
-                f"{name},{eps},{p},{space},{errs_a.mean():.6g},"
-                f"{np.percentile(errs_a, 95):.6g},{errs_a.max():.6g},"
-                f"{np.mean(np.asarray(succ, dtype=float)):.4f},{build_ns},{query_ns}"
-            )
+            rows.append(f"{name},{eps},{p},{space},{errs_a.mean():.6g},"
+                        f"{np.percentile(errs_a, 95):.6g},{errs_a.max():.6g},"
+                        f"{np.mean(np.asarray(succ, dtype=float)):.4f},{build_ns},{query_ns}")
     return rows
 
 
@@ -328,7 +309,8 @@ def cmd_bench(args) -> int:
 
 
 def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tuple[str, bool, str]]:
-    """Small-n invariant suite; returns (check name, ok, detail) triples."""
+    """Small-n self-checks: every family's ``check_invariants()`` and the accuracy
+    of each; returns (check name, ok, detail) triples."""
     results = []
     rng = np.random.default_rng(seed)
 
@@ -340,38 +322,24 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
     ok = bool(np.all(t <= exact + 1e-9) and np.all(exact <= 1.5 * t + 1e-9))
     results.append(("offline1d sandwich T <= exact <= (1+eps)T", ok, ""))
 
-    params = SketchParams(epsilon=0.25, W=2**12, n_hint=2000, seed=seed)
-    sk2 = mult1d.MultStream1D(params)
+    sk2 = mult1d.MultStream1D(SketchParams(epsilon=0.25, W=2**12, n_hint=2000, seed=seed))
     stream = rng.integers(1, 2**12, 2000).astype(float)
     sk2.update_many(stream)
     if inject_fault == "capacity":
         # test hook: force one buffer over its declared capacity
         sk2.S.buffers[0] = np.concatenate([sk2.S.buffers[0], np.zeros(sk2.m2 + 1)])
     sk2.freeze()
-    cap_ok = all(b.size <= sk2.m1 for b in sk2.E.buffers) and all(
-        b.size <= sk2.m2 for b in sk2.S.buffers
-    )
-    ok = cap_ok and sk2.space_words() <= sk2.space_bound_words()
-    results.append(
-        ("mult1d space invariant: per-level buffers within capacity", ok,
-         f"{sk2.space_words()} vs bound {sk2.space_bound_words()}")
-    )
     exact_all = distance_sums_1d(stream, qs)
     est_all = sk2.query_many(qs)
     ok = bool(np.all(np.abs(est_all - exact_all) <= 1e-6 * np.maximum(exact_all, 1.0)))
     results.append(("mult1d exact regime below retained max", ok, ""))
 
-    dparams = SketchParams(epsilon=0.3, n_hint=3000, seed=seed)
-    dsk = dyn1d.DynSketch1D(dparams)
+    dsk = dyn1d.DynSketch1D(SketchParams(epsilon=0.3, n_hint=3000, seed=seed))
     dsk.update_many(rng.uniform(0, 1, 3000))
-    viol = dsk.check_invariants()
-    results.append(("dyn1d structural invariants", not viol, "; ".join(viol[:3])))
 
     tree = add1d.additive_tree_1d(0.1, 2000)
     data = rng.uniform(-1, 1, 2000)
     tree.update_many(data)
-    got = sum(node.c for node in tree._walk())
-    results.append(("add1d conservation sum c_v = n", got == 2000, f"{got}"))
     qs1 = rng.uniform(-1, 1, 100)
     est = tree.query_many(qs1)
     orc = distance_sums_1d(data, qs1) / 2000
@@ -385,6 +353,11 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
     orc = float(np.mean(2.0 - pts2[:, 0]))
     results.append(("add2d exact when no cell crosses", abs(est - orc) < 1e-9,
                     f"{est:.6f} vs {orc:.6f}"))
+
+    built = {"offline1d": sk, "mult1d": sk2, "dyn1d": dsk, "add1d": tree, "add2d": qt}
+    for name in families.FAMILIES:
+        viol = built[name].check_invariants()
+        results.append((f"{name} invariants", not viol, "; ".join(viol[:3])))
 
     inst = gen.gen_index1d([1, 0, 1, 1], 0.01, 2000)
     bxs = np.ascontiguousarray(inst.points["x"][:, 0])
@@ -402,14 +375,9 @@ def run_verification(seed: int = 0, inject_fault: str | None = None) -> list[tup
 
 def cmd_verify(args) -> int:
     results = run_verification(seed=args.seed, inject_fault=args.inject_fault)
-    n_fail = 0
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        print(line)
-        n_fail += not ok
+        print(f"[PASS] {name}" if ok else f"[FAIL] {name}" + (f" ({detail})" if detail else ""))
+    n_fail = sum(not ok for _, ok, _ in results)
     if n_fail:
         _err("verify", f"{n_fail} checks failed")
         return EXIT_VERIFY

@@ -35,8 +35,7 @@ import numpy as np
 
 from .core import SketchParams, UnfrozenSketchError
 from .sampler import UniformStream, philox_generator
-from . import serialize
-from .serialize import Reader, Writer
+from .serialize import FormatError, Reader, Writer
 
 # Calibrated accuracy/size constants (n=1e5, eps=0.1, 10 seeds; see tests):
 # interval count stays below KAPPA_COUNT * log2(n)/eps and query relative
@@ -77,12 +76,13 @@ def _stable_kth(a: np.ndarray, k: int) -> float:
 class _Interval:
     __slots__ = ("boundary", "rho", "rho_star", "samples", "_buf", "band", "mark")
 
-    def __init__(self, boundary: float, rho: float, samples: np.ndarray):
+    def __init__(self, boundary: float, rho: float, samples: np.ndarray,
+                 rho_star: float = math.inf):
         # samples: a float64 array in stream order (thinned in place) while
         # streaming, sorted once frozen
         self.boundary = boundary
         self.rho = rho
-        self.rho_star = math.inf
+        self.rho_star = rho_star
         self.samples = self._buf = samples
         self.band = (0, 0.0)  # once frozen: count and value sum of the samples in the band
         self.mark: tuple[float, float] | None = None  # set by a failed DynSketch1D._split
@@ -433,9 +433,8 @@ class DynSketch1D:
             s = itv.samples
             a = int(np.searchsorted(s, prev_bd, side="right"))
             b = int(np.searchsorted(s, itv.boundary, side="right"))
-            # cs[k - 1] is the sum of the first k samples (a > b only in a crafted file)
-            k = max(a, b)
-            cs = np.cumsum(s[:k], out=scratch[:k])
+            # cs[k - 1] is the sum of the first k samples
+            cs = np.cumsum(s[:b], out=scratch[:b])
             itv.band = (b - a, float((cs[b - 1] if b else 0.0) - (cs[a - 1] if a else 0.0)))
             prev_bd = itv.boundary
         if self.intervals:
@@ -508,28 +507,40 @@ class DynSketch1D:
         return self.params.replica_key()
 
     def check_invariants(self) -> list[str]:
-        """Structural invariants; empty list means clean."""
-        out = []
-        eps = self.params.epsilon
+        """The invariants the builder keeps, [] if clean.  Only while streaming:
+        rho* <= rho (which splits break from eps ~0.7 up), no unmarked interval
+        at ratio 1+6eps or above, and ``_bounds`` and ``_z`` in step (a file
+        stores no marks, and a loaded sketch takes no updates)."""
+        out, eps, streaming = [], self.params.epsilon, not self.frozen
         lo, hi = 1.0 + eps, (1.0 + 6.0 * eps) * (1.0 + 1e-9)
-        z = self._chain()
-        bds = [itv.boundary for itv in self.intervals]
-        if bds != sorted(bds):
-            out.append("boundaries out of order")
-        if self.intervals and (self._bounds != bds or self._z != z):
-            out.append("boundary list or ratio chain out of step with the intervals")
-        prev = math.inf
+        bd, z, prev = self.anchor, [float(len(self._heap))], math.inf
         for i, itv in enumerate(self.intervals):
-            if not (itv.rho_star <= itv.rho * (1.0 + 1e-9)):
-                out.append(f"interval {i}: rho* {itv.rho_star:.4g} > rho {itv.rho:.4g}")
-            if not (itv.rho <= 2.0 * itv.rho_star * (1.0 + 1e-9)):
+            if not bd < itv.boundary:  # NaN fails too
+                out.append(f"interval {i}: boundary {itv.boundary} is not above "
+                           f"{'the anchor' if i == 0 else 'the boundary before it'} {bd}")
+            bd = itv.boundary
+            if not (0.0 < itv.rho <= 1.0 and len(itv.samples)):  # the rest divides by both
+                return out + [f"interval {i}: rho {itv.rho} with {len(itv.samples)} samples, "
+                              "not a rho in (0, 1] with samples"]
+            z.append(itv.z_hat)
+            rho_star = self._c_log / (z[-1] * self._eps3)
+            if itv.rho_star != rho_star:
+                out.append(f"interval {i}: rho_star {itv.rho_star} is not its samples' {rho_star}")
+            if not itv.rho <= 2.0 * itv.rho_star * (1.0 + 1e-9):
                 out.append(f"interval {i}: rho {itv.rho:.4g} > 2*rho* {2*itv.rho_star:.4g}")
-            r = z[i + 1] / z[i] if z[i] > 0 else math.inf
+            if streaming and not itv.rho_star <= itv.rho * (1.0 + 1e-9):
+                out.append(f"interval {i}: rho* {itv.rho_star:.4g} > rho {itv.rho:.4g}")
+            r = z[-1] / z[-2] if z[-2] > 0 else math.inf
             if r < lo and prev < lo:
                 out.append(f"adjacent unsaturated intervals at {i - 1},{i}")
-            if r >= hi and not itv.mark:
+            if streaming and r >= hi and not itv.mark:
                 out.append(f"interval {i}: ratio {r:.4g} >= 1+6eps unsplit")
             prev = r
+        if self.intervals and bd != math.inf:
+            out.append(f"the tail interval's boundary {bd} is not +inf")
+        if streaming and self.intervals and (
+                self._bounds != [itv.boundary for itv in self.intervals] or self._z != z):
+            out.append("boundary list or ratio chain out of step with the intervals")
         return out
 
     def to_bytes(self) -> bytes:
@@ -553,26 +564,14 @@ class DynSketch1D:
         sk = cls(SketchParams(**r.fields(SketchParams.HEADER)))
         sk.count = r.u64()
         expl = r.sorted_array()
-        m = r.u64()
-        prev_bd = -math.inf
-        for _ in range(m):
-            bd = r.f64()
-            rho = r.f64()
-            rho_star = r.f64()
-            if not bd >= prev_bd:  # NaN fails too
-                raise serialize.FormatError(f"HSKD boundary {bd} after {prev_bd}")
-            if not 0.0 < rho <= 1.0:
-                raise serialize.FormatError(f"HSKD interval rho {rho} is not in (0, 1]")
-            if not math.isfinite(rho_star):
-                raise serialize.FormatError(f"HSKD interval rho_star {rho_star} is not finite")
-            itv = _Interval(bd, rho, r.sorted_array())
-            itv.rho_star = rho_star
-            sk.intervals.append(itv)
-            prev_bd = bd
+        for _ in range(r.u64()):
+            bd, rho, rho_star = r.f64(), r.f64(), r.f64()
+            sk.intervals.append(_Interval(bd, rho, r.sorted_array(), rho_star))
         r.done()
-        sk._index(expl)
         # the ascending negated points are a valid heap
         sk._heap = -expl[::-1]
-        sk._bounds = [itv.boundary for itv in sk.intervals]
-        sk._z = sk._chain()
+        sk.frozen = True  # a file holds a frozen sketch
+        if problems := sk.check_invariants():  # before _index divides by rho
+            raise FormatError(problems[0])
+        sk._index(expl)
         return sk

@@ -7,7 +7,8 @@ Every family's class implements
   space_words()       retained words;
   stats()             a dict of the sketch's parts, ``space_words`` among them;
   replica_key()       what replicas of one sketch share: everything but the seed;
-  to_bytes(), from_bytes(data).
+  check_invariants()  the invariants its builder keeps that it breaks, [] if none;
+  to_bytes(), from_bytes(data): from_bytes rejects a file whose sketch breaks one.
 ``FAMILIES`` maps each family's name to its class, point dimension and
 constructor, so callers look a family up here instead of naming its class;
 each class owns its file magic, ``MAGIC``.  Adding a family means one module

@@ -19,8 +19,7 @@ import numpy as np
 
 from .core import SketchParams, UnfrozenSketchError, check_positive
 from .sampler import LevelSampleBank
-from . import serialize
-from .serialize import Reader, Writer
+from .serialize import FormatError, Reader, Writer
 
 # Accuracy constant for the streaming estimator: on calibrated instances the
 # relative error is <= KAPPA * epsilon for at least 95% of queries
@@ -133,6 +132,19 @@ class OfflineSketch1D:
     def replica_key(self) -> tuple:
         return (self.epsilon,)
 
+    def check_invariants(self) -> list[str]:
+        """The invariants every build keeps, [] if clean."""
+        ranks, xs, sums = self.ranks, self.xs, self.sums
+        if not ranks.size == xs.size == sums.size:
+            return ["rank, position and sum arrays differ in length"]
+        # ranks are whole numbers that int64 holds exactly (NaN fails every comparison)
+        whole = (ranks >= 1) & (ranks <= 2.0**53) & (ranks == np.floor(ranks))
+        return [problem for problem, ok in [
+            ("positions and sums must be finite", np.isfinite(xs).all() & np.isfinite(sums).all()),
+            ("positions must be ascending", (xs[:-1] <= xs[1:]).all()),
+            ("ranks must be whole numbers from 1 to 2^53", whole.all()),
+            ("ranks must be strictly ascending", (ranks[:-1] < ranks[1:]).all())] if not ok]
+
     def query(self, q: float) -> float:
         return float(self.query_many(np.asarray([q]))[0])
 
@@ -161,18 +173,11 @@ class OfflineSketch1D:
     def from_bytes(cls, data: bytes) -> "OfflineSketch1D":
         r = Reader(data, cls.MAGIC)
         sk = cls(r.f64())
-        ranks, sk.xs, sk.sums = r.array(), r.array(), r.array()
+        sk.ranks, sk.xs, sk.sums = r.array(), r.array(), r.array()
         r.done()
-        if not ranks.size == sk.xs.size == sk.sums.size:
-            raise serialize.FormatError("HSKO rank, position and sum arrays differ in length")
-        if not (np.isfinite(sk.xs).all() and np.isfinite(sk.sums).all()):
-            raise serialize.FormatError("HSKO positions and sums must be finite")
-        if not (sk.xs[:-1] <= sk.xs[1:]).all():
-            raise serialize.FormatError("HSKO positions must be ascending")
-        # whole numbers that int64 holds exactly (NaN fails every comparison)
-        if not ((ranks >= 1) & (ranks <= 2.0**53) & (ranks == np.floor(ranks))).all():
-            raise serialize.FormatError("HSKO ranks must be whole numbers from 1 to 2^53")
-        sk.ranks = ranks.astype(np.int64)
+        if problems := sk.check_invariants():
+            raise FormatError(problems[0])
+        sk.ranks = sk.ranks.astype(np.int64)
         sk.frozen = True
         return sk
 
@@ -425,6 +430,22 @@ class MultStream1D:
     def replica_key(self) -> tuple:
         return self.params.replica_key()
 
+    def check_invariants(self) -> list[str]:
+        """The invariants every build keeps, [] if clean: level 0 of each bank
+        sees the whole stream, and a level keeps the ``capacity`` smallest of its
+        survivors."""
+        out = []
+        for name, bank in (("E", self.E), ("S", self.S)):
+            cap = bank.capacity
+            if bank.survived[0] != self.count:
+                out.append(f"bank {name}: level 0 saw {bank.survived[0]} of {self.count} values")
+            for i, (buf, seen) in enumerate(zip(bank.buffers, bank.survived)):
+                if buf.size > cap:
+                    out.append(f"bank {name} level {i}: {buf.size} values, past its capacity {cap}")
+                elif buf.size != min(cap, seen):
+                    out.append(f"bank {name} level {i}: {buf.size} values of its {seen} survivors")
+        return out
+
     def to_bytes(self) -> bytes:
         w = Writer(self.MAGIC)
         w.fields(self.params, SketchParams.HEADER)
@@ -442,21 +463,18 @@ class MultStream1D:
         r = Reader(data, cls.MAGIC)
         params = SketchParams(**r.fields(SketchParams.HEADER))
         if r.u8() != 0:
-            raise serialize.FormatError("reserved byte must be 0")
+            raise FormatError("reserved byte must be 0")
         sk = cls(params)
         sk.count = r.u64()
-        levels = r.u16()
-        if levels != params.num_levels:
-            raise serialize.FormatError("level count mismatch")
+        if r.u16() != params.num_levels:
+            raise FormatError("level count mismatch")
         for bank in (sk.E, sk.S):
-            for i in range(levels):
+            for i in range(params.num_levels):
                 bank.survived[i] = r.u64()
-                buf = bank.buffers[i] = r.sorted_array()
-                if buf.size > bank.capacity:
-                    raise serialize.FormatError(
-                        f"HSK1 level {i} buffer holds {buf.size} values, past its "
-                        f"capacity {bank.capacity}")
+                bank.buffers[i] = r.sorted_array()
         r.done()
+        if problems := sk.check_invariants():
+            raise FormatError(problems[0])
         sk.freeze()
         return sk
 

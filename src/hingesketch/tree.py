@@ -150,6 +150,13 @@ class AdaptiveTree:
             if node.children is not None:
                 stack.extend(node.children[order])
 
+    def check_invariants(self) -> list[str]:
+        """The invariants every build keeps, [] if clean: a query divides by the
+        count, the sum of the nodes' counts."""
+        held = sum(node.c for node in self._walk())
+        return [] if held == self.count else [
+            f"header count {self.count} but the nodes hold {held} points"]
+
     def node_count(self) -> int:
         return sum(1 for _ in self._walk())
 
@@ -181,7 +188,6 @@ class AdaptiveTree:
         r.need(cls.NODE_BYTES << cls.DIM * depth, f"a root grid of depth {depth}")
         tree = cls(**head, init_depth=depth)
         tree.count = count
-        held = 0
         for node in tree._walk(mirror=False):
             has_children = r.u8()
             if has_children > 1:
@@ -189,9 +195,7 @@ class AdaptiveTree:
             if has_children and not tree._split(node):
                 raise FormatError(f"node at depth {node.depth} split past the depth cap")
             node.read(r)
-            held += node.c
         r.done()
-        # a query divides by the count: every build keeps it the sum of the nodes'
-        if held != count:
-            raise FormatError(f"header count {count} but the nodes hold {held} points")
+        if problems := tree.check_invariants():
+            raise FormatError(problems[0])
         return tree

@@ -895,18 +895,19 @@ def sample_sketch(algorithm):
     return sk
 
 
-def hsk1(buffer=lambda bank, i, b: b):
+def hsk1(buffer=lambda bank, i, b: b, count=None, survived=lambda bank, i, s: s):
     """The HSK1 bytes of the mult1d sample sketch, each level's buffer replaced by
-    ``buffer(bank name, level, buffer)``."""
+    ``buffer(bank name, level, buffer)`` and its survivor count by
+    ``survived(bank name, level, count)``, and the stream's count by ``count``."""
     sk = sample_sketch("mult1d")
     w = Writer(MultStream1D.MAGIC)
     w.fields(sk.params, SketchParams.HEADER)
     w.u8(0)
-    w.u64(sk.count)
+    w.u64(sk.count if count is None else count)
     w.u16(sk.params.num_levels)
     for name, bank in (("E", sk.E), ("S", sk.S)):
         for i, b in enumerate(bank.buffers):
-            w.u64(bank.survived[i])
+            w.u64(survived(name, i, bank.survived[i]))
             w.array(buffer(name, i, b))
     return w.getvalue()
 
@@ -960,6 +961,14 @@ CRAFTED_SAMPLE_FILES = {
                  "non-finite"),
     "hsk1_past_capacity": (lambda: hsk1(lambda bank, i, b: np.arange(257.0)
                                         if (bank, i) == ("E", 0) else b), "capacity 256"),
+    # a count equal to the level-0 fill would answer every query from level 0 alone
+    "hsk1_count_is_the_level_0_fill": (
+        lambda: hsk1(count=sample_sketch("mult1d")._level0()[0].size),
+        "level 0 saw 2000 of 512 values"),
+    # level S1 keeps 512 of about 1,000 survivors
+    "hsk1_survivors_below_the_fill": (
+        lambda: hsk1(survived=lambda bank, i, s: 100 if (bank, i) == ("S", 1) else s),
+        "of its 100 survivors"),
     "hskd_rho_zero": (lambda: hskd(interval=lambda i, f: (f[0], 0.0, *f[2:])), "rho 0.0"),
     "hskd_rho_nan": (lambda: hskd(interval=lambda i, f: (f[0], np.nan, *f[2:])), "rho nan"),
     "hskd_rho_above_one": (lambda: hskd(interval=lambda i, f: (f[0], 1.5, *f[2:])),
@@ -969,6 +978,15 @@ CRAFTED_SAMPLE_FILES = {
     "hskd_boundary_nan": (lambda: hskd(interval=lambda i, f: (np.nan, *f[1:])),
                           "boundary nan"),
     "hskd_boundaries_descending": (lambda: hskd(interval=swap_first_boundaries), "boundary"),
+    "hskd_first_boundary_below_the_anchor": (
+        lambda: hskd(interval=lambda i, f: (f[0] if i else sample_sketch("dyn1d").anchor - 1.0,
+                                            *f[1:])), "is not above the anchor"),
+    "hskd_finite_tail_boundary": (
+        lambda: hskd(interval=lambda i, f: (f[0] if f[0] < np.inf else 1e3, *f[1:])),
+        "tail interval's boundary 1000.0 is not +inf"),
+    # rho* no longer matches the interval's samples, and the band estimates grow 50-fold
+    "hskd_rho_over_50": (lambda: hskd(interval=lambda i, f: (f[0], f[1] / 50.0, *f[2:])
+                                      if i == 0 else f), "interval 0: rho_star"),
     "hskd_explicit_nan": (lambda: hskd(expl=with_value(sample_sketch("dyn1d")._expl_sorted, 0,
                                                        np.nan)), "non-finite"),
     "hskd_sample_inf": (lambda: hskd(interval=lambda i, f: (*f[:3], with_value(f[3], 0, -np.inf))
@@ -982,6 +1000,8 @@ CRAFTED_SAMPLE_FILES = {
                      "finite"),
     "hsko_fractional_rank": (lambda: hsko(ranks=with_value(sample_sketch("offline1d").ranks, 1,
                                                             2.5)), "whole numbers"),
+    "hsko_repeated_rank": (lambda: hsko(ranks=with_value(sample_sketch("offline1d").ranks, 1,
+                                                          1.0)), "strictly ascending"),
 }
 
 PROBES = np.concatenate([np.linspace(-5.0, 40.0, 91), [1e6]])

@@ -7,6 +7,7 @@ from hingesketch import cli, families, sampler
 from hingesketch.core import SketchParams
 from hingesketch.mult1d import MultStream1D
 from hingesketch.serialize import Reader, Writer
+from test_dyn1d import bulk_stream
 
 W = 2**16
 
@@ -32,9 +33,39 @@ def test_bytes_do_not_depend_on_chunking(name):
         sk = fam.make(0.2, len(xs), 5, 1, W)
         for i in range(0, len(xs), chunk):
             sk.update_many(xs[i : i + chunk])
+            assert sk.check_invariants() == []
         sk.freeze()
         got[chunk] = sk.to_bytes()
+        assert fam.cls.from_bytes(got[chunk]).check_invariants() == []
     assert got[7] == got[65536] and got[1] == got[65536]
+
+
+def rho_star_above_rho(problem):
+    """The one streaming invariant the dyn1d builder breaks: a fresh split child
+    can start below rho*, mostly from eps ~0.7 up."""
+    return problem.startswith("interval ") and "rho* " in problem and " > rho " in problem
+
+
+# n_hint sets the explicit capacity: 1000 points at eps 0.1, under 100 from eps 0.5
+@pytest.mark.parametrize("eps,n_hint", [(0.1, 2), (0.5, 6000), (0.7, 6000), (0.9, 6000)])
+def test_dyn1d_keeps_its_invariants(eps, n_hint):
+    """Every bulk stream of test_dyn1d, in chunks: the sketch keeps its
+    invariants after each update_many, frozen, and its files load, written
+    unfrozen or frozen.  While streaming, rho* <= rho is the exception."""
+    for kind in ["uniform", "sorted", "reversed", "distinct", "three_bands", "point_mass",
+                 "signed_zeros"]:
+        xs = bulk_stream(kind)
+        sk = families.FAMILIES["dyn1d"].make(eps, n_hint, 1, 1, W)
+        for i in range(0, len(xs), 1500):
+            sk.update_many(xs[i : i + 1500])
+            problems = sk.check_invariants()
+            assert all(map(rho_star_above_rho, problems)), (kind, problems)
+        assert sk.interval_count() >= 2
+        unfrozen = sk.to_bytes()
+        sk.freeze()
+        assert sk.check_invariants() == []
+        for data in (unfrozen, sk.to_bytes()):
+            assert type(sk).from_bytes(data).check_invariants() == [], kind
 
 
 def test_each_class_owns_its_file_magic(tmp_path):
