@@ -12,11 +12,12 @@ error into a clean end-to-end additive-epsilon guarantee.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from .core import check_positive
-from .serialize import Reader, Writer
+from .serialize import FormatError, Reader, Writer
 from .tree import AdaptiveTree, add_in_order
 
 # Node-count constant: measured node count stays below
@@ -24,6 +25,9 @@ from .tree import AdaptiveTree, add_in_order
 # (exponent -1/3 in squared mode) across the acceptance epsilon grid.
 KAPPA_NODES_P1 = 16.0
 KAPPA_NODES_P2 = 16.0
+
+# a node record after its has-children byte: count, s, s2
+_NODE = struct.Struct("<Q2d")
 
 
 def kappa_log(epsilon: float) -> int:
@@ -45,13 +49,12 @@ class _Node:
         self.children = None
 
     def write(self, w: Writer) -> None:
-        w.u64(self.c)
-        w.f64(self.s)
-        w.f64(self.s2)
+        w.pack(_NODE, self.c, self.s, self.s2)
 
     def read(self, r: Reader) -> None:
-        self.c = r.u64()
-        self.s, self.s2 = r.finite_f64s(2, "node counters (s, s2)")
+        self.c, self.s, self.s2 = r.unpack(_NODE)
+        if not (math.isfinite(self.s) and math.isfinite(self.s2)):
+            raise FormatError(f"non-finite value in node counters (s, s2) = {(self.s, self.s2)}")
 
 
 class Tree1D(AdaptiveTree):
@@ -67,7 +70,7 @@ class Tree1D(AdaptiveTree):
     MAGIC = b"HSKB"
     DIM = 1
     DEPTH_CAP = 3.0
-    NODE_BYTES = 25
+    NODE_BYTES = 1 + _NODE.size  # with its has-children byte
     HEADER = AdaptiveTree.HEADER + (("lo", "f64"), ("hi", "f64"))
 
     def __init__(self, eps_struct: float, n_declared: int, p: int = 1,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -38,6 +39,10 @@ WORDS_PER_NODE_P2 = 11  # + Xvv, Yvv, Zxy
 # answers do not depend on it.
 _BLOCK_VALUES = 2**13
 
+# a node record after its has-children byte, then its sample's x and y if it has one
+_NODE = struct.Struct("<Q5dQB")
+_SAMPLE = struct.Struct("<2d")
+
 
 class _QNode:
     __slots__ = ("x0", "y0", "size", "depth", "c", "X", "Y", "Xvv", "Yvv", "Zxy",
@@ -61,23 +66,21 @@ class _QNode:
         self.children = None
 
     def write(self, w: Writer) -> None:
-        w.u64(self.c)
-        for v in (self.X, self.Y, self.Xvv, self.Yvv, self.Zxy):
-            w.f64(v)
-        w.u64(self.res.count_seen)
-        w.u8(self.sample is not None)
-        for v in self.sample or ():
-            w.f64(v)
+        w.pack(_NODE, self.c, self.X, self.Y, self.Xvv, self.Yvv, self.Zxy, self.res.count_seen,
+               self.sample is not None)
+        if self.sample is not None:
+            w.pack(_SAMPLE, *self.sample)
 
     def read(self, r: Reader) -> None:
-        self.c = r.u64()
-        self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = r.finite_f64s(
-            5, "node counters (X, Y, Xvv, Yvv, Zxy)")
-        self.res.count_seen, has_sample = r.u64(), r.u8()
+        self.c, *moments, self.res.count_seen, has_sample = r.unpack(_NODE)
+        if not all(map(math.isfinite, moments)):
+            raise FormatError("non-finite value in node counters (X, Y, Xvv, Yvv, Zxy) = "
+                              f"{tuple(moments)}")
+        self.X, self.Y, self.Xvv, self.Yvv, self.Zxy = moments
         if has_sample > 1:
             raise FormatError(f"bad has-sample byte {has_sample}")
         if has_sample:
-            self.sample = r.f64(), r.f64()
+            self.sample = r.unpack(_SAMPLE)
 
 
 class QuadTree2D(AdaptiveTree):
@@ -91,7 +94,7 @@ class QuadTree2D(AdaptiveTree):
     MAGIC = b"HSKQ"
     DIM = 2
     DEPTH_CAP = 2.0
-    NODE_BYTES = 58
+    NODE_BYTES = 1 + _NODE.size  # with its has-children byte
     HEADER = AdaptiveTree.HEADER + (("seed", "u64"),)
     lo, hi = 0.0, 1.0  # the domain is the unit square
 

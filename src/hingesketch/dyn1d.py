@@ -28,6 +28,7 @@ at freeze.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import SketchParams, UnfrozenSketchError
 from .sampler import UniformStream, philox_generator
-from .serialize import FormatError, Reader, Writer
+from .serialize import Reader, Writer
 
 # Calibrated accuracy/size constants (n=1e5, eps=0.1, 10 seeds; see tests):
 # interval count stays below KAPPA_COUNT * log2(n)/eps and query relative
@@ -140,12 +141,16 @@ class DynSketch1D:
         self._z: list[float] = []
         self.count = 0
         self.frozen = False
-        self._uniforms = UniformStream(philox_generator(params.seed, "dyn"))
         self._expl_sorted: np.ndarray | None = None
         self._expl_prefix: np.ndarray | None = None
         self._hidden = 0.0
 
     # -- streaming ----------------------------------------------------------
+
+    @functools.cached_property
+    def _uniforms(self) -> UniformStream:
+        """Every coin and thinning draw; a loaded sketch never draws, so builds none."""
+        return UniformStream(philox_generator(self.params.seed, "dyn"))
 
     @property
     def anchor(self) -> float:
@@ -306,9 +311,8 @@ class DynSketch1D:
         if x < self.anchor:
             self._keep(x)
         self.intervals.append(tail)
-        self._recompute(tail)
         self._bounds = [math.inf]
-        self._z = self._chain()
+        self._z = [float(len(self._heap)), self._recompute(tail)]
         self._maintain()
 
     def _recompute(self, itv: _Interval) -> float:
@@ -326,9 +330,6 @@ class DynSketch1D:
         z = len(itv.samples) / itv.rho  # > 0: an interval never runs out of samples
         itv.rho_star = self._c_log / (z * self._eps3)
         return z
-
-    def _chain(self) -> list[float]:
-        return [float(len(self._heap))] + [itv.z_hat for itv in self.intervals]
 
     def _ratio(self, i: int) -> float:
         """z_hat of interval i over that of the interval before it (the
@@ -420,22 +421,20 @@ class DynSketch1D:
         What a query reads of an interval depends on the boundaries only, not
         on q: its band's sample count and value sum, from the last boundary
         below (the anchor for the first interval) to its own, and the hidden
-        duplicates of the anchor.  Both are computed here, once.
+        duplicates of the anchor.  Both are computed here, once, from the
+        band's own samples: O(band) work, not O(samples), and a pairwise sum
+        that no prefix below the band can cancel digits of.
         """
         self._expl_sorted = expl
         self._expl_prefix = np.concatenate([[0.0], np.cumsum(expl)])
         anchor = float(expl[-1]) if expl.size else -math.inf
-        # no finite query reads the tail band (boundary +inf): it stays (0, 0.0)
-        banded = [itv for itv in self.intervals if itv.boundary < math.inf]
-        scratch = np.empty(max((itv.samples.size for itv in banded), default=0))
+        # no finite query reads the tail band, the last (boundary +inf): it stays (0, 0.0)
         prev_bd = anchor
-        for itv in banded:
+        for itv in self.intervals[:-1]:
             s = itv.samples
             a = int(np.searchsorted(s, prev_bd, side="right"))
             b = int(np.searchsorted(s, itv.boundary, side="right"))
-            # cs[k - 1] is the sum of the first k samples
-            cs = np.cumsum(s[:b], out=scratch[:b])
-            itv.band = (b - a, float((cs[b - 1] if b else 0.0) - (cs[a - 1] if a else 0.0)))
+            itv.band = (b - a, float(s[a:b].sum()))
             prev_bd = itv.boundary
         if self.intervals:
             # duplicates of the anchor value beyond the explicit capacity are in
@@ -512,6 +511,9 @@ class DynSketch1D:
         at ratio 1+6eps or above, and ``_bounds`` and ``_z`` in step (a file
         stores no marks, and a loaded sketch takes no updates)."""
         out, eps, streaming = [], self.params.epsilon, not self.frozen
+        if len(self._heap) != min(self.count, self.explicit_capacity):
+            out.append(f"{len(self._heap)} explicit points, not min(count {self.count}, "
+                       f"explicit capacity {self.explicit_capacity})")
         lo, hi = 1.0 + eps, (1.0 + 6.0 * eps) * (1.0 + 1e-9)
         bd, z, prev = self.anchor, [float(len(self._heap))], math.inf
         for i, itv in enumerate(self.intervals):
@@ -567,11 +569,9 @@ class DynSketch1D:
         for _ in range(r.u64()):
             bd, rho, rho_star = r.f64(), r.f64(), r.f64()
             sk.intervals.append(_Interval(bd, rho, r.sorted_array(), rho_star))
-        r.done()
         # the ascending negated points are a valid heap
         sk._heap = -expl[::-1]
         sk.frozen = True  # a file holds a frozen sketch
-        if problems := sk.check_invariants():  # before _index divides by rho
-            raise FormatError(problems[0])
+        r.done(sk)  # before _index divides by rho
         sk._index(expl)
         return sk

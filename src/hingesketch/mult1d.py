@@ -174,9 +174,7 @@ class OfflineSketch1D:
         r = Reader(data, cls.MAGIC)
         sk = cls(r.f64())
         sk.ranks, sk.xs, sk.sums = r.array(), r.array(), r.array()
-        r.done()
-        if problems := sk.check_invariants():
-            raise FormatError(problems[0])
+        r.done(sk)
         sk.ranks = sk.ranks.astype(np.int64)
         sk.frozen = True
         return sk
@@ -472,9 +470,7 @@ class MultStream1D:
             for i in range(params.num_levels):
                 bank.survived[i] = r.u64()
                 bank.buffers[i] = r.sorted_array()
-        r.done()
-        if problems := sk.check_invariants():
-            raise FormatError(problems[0])
+        r.done(sk)
         sk.freeze()
         return sk
 

@@ -77,10 +77,8 @@ def _axis(spec: GridSpec, budget: int) -> np.ndarray:
     kmax = int(math.floor(spec.R / spec.delta + 1e-12))
     box = (2 * kmax + 1) ** (spec.d + 1)
     if box > budget:
-        raise GridBudgetError(
-            f"grid would enumerate up to {box} candidates (budget {budget}); "
-            "increase epsilon or lambda"
-        )
+        raise GridBudgetError(f"grid would enumerate up to {box} candidates (budget {budget}); "
+                              "increase epsilon or lambda")
     return np.arange(-kmax, kmax + 1).astype(float) * spec.delta
 
 

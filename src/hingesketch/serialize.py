@@ -6,7 +6,6 @@ See docs/formats.md for the per-type payload layouts.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -39,6 +38,9 @@ class Writer:
         written by that method."""
         for name, kind in header:
             getattr(self, kind)(getattr(obj, name))
+
+    def pack(self, st: struct.Struct, *values) -> None:
+        self._parts.append(st.pack(*values))
 
     def array(self, a: np.ndarray):
         a = np.ascontiguousarray(a, dtype=np.float64)
@@ -79,12 +81,9 @@ class Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self._take(8))[0]
 
-    def finite_f64s(self, n: int, what: str) -> tuple:
-        """``n`` f64 values, rejected if one is not finite."""
-        vals = struct.unpack(f"<{n}d", self._take(8 * n))
-        if not all(map(math.isfinite, vals)):
-            raise FormatError(f"non-finite value in {what} = {vals}")
-        return vals
+    def unpack(self, st: struct.Struct) -> tuple:
+        """The values of one record laid out as ``st``."""
+        return st.unpack(self._take(st.size))
 
     def fields(self, header) -> dict:
         """Each attribute of the (attribute, method) pairs of ``header``, by
@@ -115,8 +114,11 @@ class Reader:
         if nbytes > len(self._data) - self._pos:
             raise FormatError(f"{what} needs more bytes than the file has left")
 
-    def done(self) -> None:
-        """Reject bytes left over after the payload."""
+    def done(self, sketch=None) -> None:
+        """Reject bytes left over after the payload, then the decoded ``sketch``
+        if it breaks an invariant its builder keeps (``check_invariants()``)."""
         extra = len(self._data) - self._pos
         if extra:
             raise FormatError(f"{extra} trailing bytes after the sketch payload")
+        if sketch is not None and (problems := sketch.check_invariants()):
+            raise FormatError(problems[0])

@@ -195,7 +195,5 @@ class AdaptiveTree:
             if has_children and not tree._split(node):
                 raise FormatError(f"node at depth {node.depth} split past the depth cap")
             node.read(r)
-        r.done()
-        if problems := tree.check_invariants():
-            raise FormatError(problems[0])
+        r.done(tree)
         return tree

@@ -987,6 +987,9 @@ CRAFTED_SAMPLE_FILES = {
     # rho* no longer matches the interval's samples, and the band estimates grow 50-fold
     "hskd_rho_over_50": (lambda: hskd(interval=lambda i, f: (f[0], f[1] / 50.0, *f[2:])
                                       if i == 0 else f), "interval 0: rho_star"),
+    # the upper half of the explicit points: the anchor stays, answers below it fall
+    "hskd_explicit_cut_short": (lambda: hskd(expl=sample_sketch("dyn1d")._expl_sorted[44:]),
+                                "44 explicit points, not min(count 2000, explicit capacity 88)"),
     "hskd_explicit_nan": (lambda: hskd(expl=with_value(sample_sketch("dyn1d")._expl_sorted, 0,
                                                        np.nan)), "non-finite"),
     "hskd_sample_inf": (lambda: hskd(interval=lambda i, f: (*f[:3], with_value(f[3], 0, -np.inf))

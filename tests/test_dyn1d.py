@@ -226,6 +226,17 @@ class TestQueryAccuracy:
         assert sk.query(0.1) == 0.0
 
 
+@pytest.fixture(scope="module")
+def uniform_1e5():
+    """A frozen eps 0.1 sketch of 1e5 uniform values on [-1, 1], and its file loaded."""
+    xs = np.random.default_rng(34).uniform(-1.0, 1.0, 100_000)
+    sk = DynSketch1D(SketchParams(epsilon=0.1, n_hint=xs.size, seed=34))
+    sk.update_many(xs)
+    sk.freeze()
+    assert sk.interval_count() >= 5
+    return sk, DynSketch1D.from_bytes(sk.to_bytes())
+
+
 class TestSerialization:
     def test_roundtrip_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -271,6 +282,26 @@ class TestSerialization:
         assert np.array_equal(back.query_many(qs), sk.query_many(qs))
         assert back.anchor == sk.anchor
         assert back.to_bytes() == data
+
+    def test_band_sums_are_within_ulps_of_the_exact_sum(self, uniform_1e5):
+        """Each band's value sum, built and loaded, is within a few ulps (of the
+        sum of its |values|) of its samples' exact sum, however many samples
+        lie below the band."""
+        for sk in uniform_1e5:
+            prev = sk.anchor
+            for itv in sk.intervals[:-1]:
+                band = itv.samples[(itv.samples > prev) & (itv.samples <= itv.boundary)]
+                prev = itv.boundary
+                assert itv.band[0] == band.size > 0
+                scale = math.fsum(np.abs(band).tolist())
+                assert abs(itv.band[1] - math.fsum(band.tolist())) <= 4 * math.ulp(scale)
+
+    def test_loaded_sketch_of_1e5_points_answers_bit_for_bit(self, uniform_1e5):
+        sk, back = uniform_1e5
+        edges = np.array([sk.anchor] + [itv.boundary for itv in sk.intervals[:-1]])
+        qs = np.concatenate([np.linspace(-1.5, 1.5, 301), edges, np.nextafter(edges, -2.0),
+                             np.nextafter(edges, 2.0)])
+        assert np.array_equal(back.query_many(qs), sk.query_many(qs))
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -87,17 +88,31 @@ def test_each_class_owns_its_file_magic(tmp_path):
 
 def loaded_and_in_memory(name, n, monkeypatch):
     """A frozen sketch of ``n`` values and the sketch its bytes load as.  The load
-    runs with the bank generators' constructor broken: it must seed none."""
+    runs with the Philox generators' constructor broken, in ``sampler`` and
+    wherever a module imported it: it must seed none."""
     fam = families.FAMILIES[name]
     sk = fam.make(0.3, n, 7, 1, W)
     sk.update_many(stream(fam, n, seed=22))
     sk.freeze()
 
     def no_generator(*args):
-        raise AssertionError("a load seeded a sample bank generator")
+        raise AssertionError(f"a {name} load seeded a generator")
 
-    monkeypatch.setattr(sampler, "philox_generator", no_generator)
+    for module in {sampler, *(sys.modules[f.cls.__module__] for f in families.FAMILIES.values())}:
+        if hasattr(module, "philox_generator"):
+            monkeypatch.setattr(module, "philox_generator", no_generator)
     return sk, fam.cls.from_bytes(sk.to_bytes())
+
+
+def test_loading_seeds_no_generator(monkeypatch):
+    """A loaded sketch is frozen and never draws, so decoding and querying it
+    builds no generator, in any family."""
+    for name, fam in families.FAMILIES.items():
+        with monkeypatch.context() as m:
+            sk, back = loaded_and_in_memory(name, 3000, m)
+            qs = np.array([[0.6, 0.8, 0.5]]) if fam.dim == 2 else np.array([0.5, W / 2.0])
+            assert np.array_equal(back.query_many(qs), sk.query_many(qs)), name
+            assert back.to_bytes() == sk.to_bytes(), name
 
 
 def test_loaded_mult1d_answers_bit_identically(monkeypatch):

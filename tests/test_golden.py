@@ -95,9 +95,9 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                       229.59897092501677,
                       5608.497296705852,
                       40831.44566688253,
-                      86494.66823772514,
-                      107717.07263597015,
-                      148393.3477326064]),
+                      86494.66823772516,
+                      107717.07263597018,
+                      148393.34773260643]),
            'add1d': (['4335d1d1d3520b3851c5575bcf5c46d19c9db1ea3e68bd78e5bd91c618a8bef1'],
                      [0.0,
                       0.0023346892607310076,
@@ -232,15 +232,15 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                                  3054.9022341166733,
                                  33879.75289540786,
                                  91620.00430509695,
-                                 130959.51625455548,
+                                 130959.51625455546,
                                  152278.99369813298,
                                  193141.32546498987,
-                                 85.43705380296407,
-                                 427.18694706962884,
+                                 85.4370538029641,
+                                 427.1869470696289,
                                  11444.391186686295,
                                  243901.9860449364,
-                                 8.494706632933724,
-                                 85.2166565695334,
+                                 8.494706632933747,
+                                 85.21665656953343,
                                  236.26527807119703,
                                  1890.09976127049,
                                  6528.144276470495,
@@ -256,22 +256,22 @@ GOLDEN = {'build': {'offline1d': (['60b544629d7dc29329aca72d0cf152799f51d2f0f43f
                               13381.266162126089],
            'dyn1d_intervals': [0.0,
                                0.0,
-                               1935.5165565721045,
+                               1935.5165565721054,
                                21341.2325332197,
-                               92208.45359346675,
+                               92208.45359346674,
                                135312.96061999403,
-                               158672.8224924346,
+                               158672.82249243459,
                                203445.8910812791,
-                               42.87851481804198,
-                               430.8531342219226,
+                               42.878514818042184,
+                               430.85313422192246,
                                10779.752722347515,
                                259064.6098251852,
                                1.3559081833574282,
-                               42.719543431245725,
-                               193.00692507671852,
-                               1130.7570081320996,
+                               42.71954343124593,
+                               193.0069250767184,
+                               1130.7570081321005,
                                5401.694543371123,
-                               30645.151539670587],
+                               30645.15153967058],
            'estimate_bulk_2d': [1.1485211974318743,
                                 1.0910862449606802,
                                 1.1577293225205956,
